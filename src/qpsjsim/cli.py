@@ -5,7 +5,7 @@ exact inputs needed to reproduce the run.  Output CSVs are deterministic:
 the same inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (parse/elaboration/usage),
-3 convergence failure.
+3 simulation failure (no convergence, or a non-finite result).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import DetectorConfig, detect_pulses, export_csv
 from .devices import damping_parameter
-from .engine import ConvergenceError, EngineError, SolverConfig, tran
+from .engine import EngineError, SolverConfig, tran
 from .netlist import NetlistError, elaborate, parse_netlist
 from .templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
                         SynapseMultiParams, binary_synapse_netlist,
@@ -104,9 +105,15 @@ def cmd_sim(args):
     except NetlistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    tstep = circuit.tstep if args.tstep is None else args.tstep
+    tstop = circuit.tstop if args.tstop is None else args.tstop
+    if not (0 < tstep < tstop and math.isfinite(tstop)):
+        print(f"error: need 0 < tstep < tstop < inf (ps), got {tstep} and"
+              f" {tstop}", file=sys.stderr)
+        return EXIT_INPUT
     try:
-        waves = tran(circuit, tstep=args.tstep, tstop=args.tstop)
-    except ConvergenceError as exc:
+        waves = tran(circuit, tstep=tstep, tstop=tstop)
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     wave_path = out / "waveforms.csv"
@@ -215,7 +222,7 @@ def cmd_figure(args):
         else:
             print(f"error: unknown figure id {fig!r}", file=sys.stderr)
             return EXIT_INPUT
-    except ConvergenceError as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     net_path = out / f"{fig}.cir"

@@ -1,4 +1,4 @@
-"""Constitutive equations and companion-model stamps for circuit devices.
+"""Device equations: parameter records and one vectorized model per kind.
 
 The quantum phase-slip junction (QPSJ) is the exact charge/flux dual of
 the Josephson junction: where a JJ carries a supercurrent Ic*sin(phi)
@@ -8,16 +8,23 @@ Vc*sin(2*pi*q/2e) with i = dq/dt.  The full branch relations are
     QPSJ:   v = Vc*sin(2*pi*q/2e) + Rn*dq/dt + Ls*d2q/dt2
     JJ:     i = Ic*sin(phi) + v/Rn + Cj*dv/dt,   dphi/dt = 2*pi*v/Phi0
 
-Functions here are unit-agnostic: pass parameters in SI together with the
-SI constants (the default), or scaled parameters with scaled constants.
+The parameter records and scalar helpers are unit-agnostic: pass SI
+values with the SI constants (the default), or scaled values with the
+scaled constants.  The models, in the scaled units of
+:mod:`qpsjsim.units`, are where the engine finds every device equation:
+:func:`build_models` gives one :class:`DeviceModel` per device kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 
-from .units import PHI0_SI, TWO_E_SI
+import numpy as np
+
+from .netlist import DeviceKind
+from .units import PHI0, TWO_E, TWO_E_SI
 
 
 @dataclass(frozen=True)
@@ -86,14 +93,16 @@ class MjjParams:
         return JjParams(self.ic, self.rn, self.cj, self.phi_init)
 
 
+
+
 def qpsj_voltage(q, p, *, two_e=TWO_E_SI):
     """Junction voltage Vc*sin(2*pi*q/2e); 2e-periodic and odd in q."""
-    return p.vc * math.sin(2.0 * math.pi * q / two_e)
+    return p.vc * np.sin(2.0 * math.pi / two_e * q)
 
 
 def jj_current(phi, p):
     """Supercurrent Ic*sin(phi)."""
-    return p.ic * math.sin(phi)
+    return p.ic * np.sin(phi)
 
 
 def mjj_set_state(p, idx):
@@ -114,95 +123,366 @@ def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
     return 2.0 * math.pi * vc * l / (two_e * r * r)
 
 
-# --- companion stamps ------------------------------------------------------
+# --- vectorized models -------------------------------------------------------
 
-TRAPEZOIDAL = "trapezoidal"
-BACKWARD_EULER = "backward-euler"
+_W = 2.0 * math.pi / TWO_E  # QPSJ charge-to-angle factor, rad/aC
+
+# Series resistance (kOhm) of the branches shorted at DC.  It keeps
+# superconducting loops (JJ-L-JJ) nonsingular; the split it picks is the
+# flux-free one.
+_DC_SHORT = 1e-9
+
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+_NO_VALUES = np.zeros(0)
+_NO_ENTRIES = (_NO_INDEX, _NO_INDEX, _NO_VALUES)
+_NO_RHS = (_NO_INDEX, _NO_VALUES)
 
 
-@dataclass
-class Stamp:
-    """Linearized one-timestep equivalent of a device.
+def _source_value(params, t):
+    return params["dc"] if "dc" in params else params["pulse"].value_at(t)
 
-    For node-based devices (R, C, JJ) the branch current is
-    i(v) = geq*v + ieq at the operating point.  For branch-based devices
-    (L, QPSJ) the branch-row relation is v = req*i + veq.
+
+# Jacobian entries of conductances g between nodes a and b: rows and
+# columns from _conductance(a, b), values from _g4(g).  Entries of branch
+# currents br from node a to b, with rows v(a) - v(b) - r*i(br): rows and
+# columns from _incidence(a, b, br), values from _pm5(r).
+
+def _conductance(a, b):
+    return np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+
+
+def _g4(g):
+    return np.concatenate([g, g, -g, -g])
+
+
+def _incidence(a, b, br):
+    return np.concatenate([a, b, br, br, br]), np.concatenate([br, br, a, b, br])
+
+
+def _pm5(r):
+    ones = np.ones(len(r))
+    return np.concatenate([ones, -ones, ones, -ones, -r])
+
+
+def _dc_state(names, ratio, preset, scale, bias, window):
+    """Initial junction state asin(ratio)/scale, or the preset one.  A
+    ratio outside [-1, 1] (a DC bias outside the junction's window) is
+    clamped to the edge, with a RuntimeWarning."""
+    for name, r, p in zip(names, ratio, preset):
+        if p is None and abs(r) > 1.0:
+            warnings.warn(f"{name}: DC bias {bias} = {abs(r):.4g} lies outside"
+                          f" the {window}; initial state clamped to its edge",
+                          RuntimeWarning)
+    return np.array([math.asin(max(-1.0, min(1.0, r))) / scale if p is None
+                     else p for r, p in zip(ratio, preset)])
+
+
+class DeviceModel:
+    """Every device of one kind in a circuit, held as arrays.
+
+    ``xg`` holds the unknowns, node voltages (mV) then branch currents
+    (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
+    is that ground slot, which the engine drops.  Fixed at construction:
+    rows ``f_rows`` of the residual values, entries ``s_rows, s_cols`` and
+    ``nl_rows, nl_cols`` of the static and nonlinear Jacobian values.  Per
+    step the engine calls ``begin_step`` (and ``static``, once per step
+    size), per Newton iteration ``evaluate`` (and a junction's
+    ``angle_step``), and ``commit`` once converged.
     """
 
-    geq: float = 0.0
-    ieq: float = 0.0
-    req: float = 0.0
-    veq: float = 0.0
+    kinds = ()  # device kinds held, grouped in this order
+    branch = None  # "tran" or "dc": a branch unknown always, or at DC only
+    junction = False  # probed by default, has angle_step; state[0] is phi or q
+    state = ()  # names of the state arrays that _trial holds, primary first
+    _trial = ()
+
+    def __init__(self, devs, br=None, gmin=0.0):
+        self.names = [d.name for d in devs]
+        self.params = [d.params for d in devs]
+        self.a = np.array([d.nodes[0] for d in devs], dtype=np.intp)
+        self.b = np.array([d.nodes[1] for d in devs], dtype=np.intp)
+        self.br = br
+        self.gmin = gmin  # leak conductance across junctions
+        self.f_rows = np.concatenate([self.a, self.b])
+        self.s_rows = self.s_cols = self.nl_rows = self.nl_cols = _NO_INDEX
+        if self.branch == "tran":  # branch currents from node a to b
+            self.f_rows = np.concatenate([self.f_rows, br])
+            self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
+        self.setup()
+
+    def setup(self):
+        """Set the kind's parameter and index arrays."""
+
+    def _param(self, key):
+        return np.array([p[key] for p in self.params])
+
+    def _sources(self, t):
+        return np.array([_source_value(p, t) for p in self.params])
+
+    def begin_step(self, h, trap):
+        """Set the coefficients of a trapezoidal (or BE) step of size h."""
+        self.k = 2.0 if trap else 1.0  # companion factor: 2C/h or C/h
+        self.k_old = self.k - 1.0  # weight of the previous step's derivative
+
+    def static(self):
+        """Static Jacobian values under the current coefficients."""
+        return _NO_VALUES
+
+    def evaluate(self, xg, t):
+        """Residual and nonlinear Jacobian values at xg; sets _trial."""
+        i = self.current(xg, t)
+        return np.concatenate([i, -i]), _NO_VALUES
+
+    def commit(self):
+        """Accept the trial state; False if its first array is not finite."""
+        for name, value in zip(self.state, self._trial):
+            setattr(self, name, value)
+        return not self.state or bool(np.isfinite(self._trial[0]).all())
+
+    def dc(self):
+        """Entries (rows, cols, values) of A and (rows, values) of b."""
+        return _NO_ENTRIES, _NO_RHS
+
+    def seed(self, xg):
+        """Set the trial state from the DC solution xg (then committed)."""
+
+    def current(self, xg, t):
+        """Probe currents; by default the branch unknowns."""
+        return xg[self.br]
 
 
-def resistor_stamp(r):
-    return Stamp(geq=1.0 / r)
+class ResistorModel(DeviceModel):
+    kinds = (DeviceKind.RESISTOR,)
+
+    def setup(self):
+        self.g = 1.0 / self._param("value")
+        self.s_rows, self.s_cols = _conductance(self.a, self.b)
+
+    def static(self):
+        return _g4(self.g)
+
+    def dc(self):
+        return (self.s_rows, self.s_cols, self.static()), _NO_RHS
+
+    def current(self, xg, t):
+        return self.g * (xg[self.a] - xg[self.b])
 
 
-def capacitor_stamp(c, h, v_old, i_old, method=TRAPEZOIDAL):
-    """i_new = geq*(v_new - v_old) - i_old (trap) or geq*(v_new - v_old) (BE)."""
-    if method == TRAPEZOIDAL:
-        geq = 2.0 * c / h
-        return Stamp(geq=geq, ieq=-geq * v_old - i_old)
-    geq = c / h
-    return Stamp(geq=geq, ieq=-geq * v_old)
+class CapacitorModel(DeviceModel):
+    kinds = (DeviceKind.CAPACITOR,)
+    state = ("vold", "iold")
+
+    def setup(self):
+        self.c = self._param("value")
+        self.s_rows, self.s_cols = _conductance(self.a, self.b)
+
+    def begin_step(self, h, trap):
+        super().begin_step(h, trap)
+        self.gc = self.k * self.c / h
+
+    def static(self):
+        return _g4(self.gc)
+
+    def evaluate(self, xg, t):
+        v = xg[self.a] - xg[self.b]
+        i = self.gc * (v - self.vold) - self.k_old * self.iold
+        self._trial = (v, i)
+        return np.concatenate([i, -i]), _NO_VALUES
+
+    def seed(self, xg):
+        self._trial = (xg[self.a] - xg[self.b], np.zeros(len(self.c)))
+
+    def current(self, xg, t):
+        return self.iold
 
 
-def inductor_stamp(l, h, i_old, v_old, method=TRAPEZOIDAL):
-    """v_new = req*(i_new - i_old) - v_old (trap) or req*(i_new - i_old) (BE)."""
-    if method == TRAPEZOIDAL:
-        req = 2.0 * l / h
-        return Stamp(req=req, veq=-req * i_old - v_old)
-    req = l / h
-    return Stamp(req=req, veq=-req * i_old)
+class CurrentSourceModel(DeviceModel):
+    kinds = (DeviceKind.ISOURCE,)
+
+    def dc(self):
+        i = self._sources(0.0)
+        return _NO_ENTRIES, (self.f_rows, np.concatenate([-i, i]))
+
+    def current(self, xg, t):
+        return self._sources(t)
 
 
-def jj_stamp(p, phi_old, v_old, ic_old, h, method=TRAPEZOIDAL, *,
-             phi0=PHI0_SI, v_at=None):
-    """Linearized JJ branch current at trial voltage v_at (default v_old).
+class VoltageSourceModel(DeviceModel):
+    kinds = (DeviceKind.VSOURCE,)
+    branch = "tran"
 
-    The junction phase is integrated alongside the node voltage:
-    phi_new = phi_hist + beta*v_new.
-    """
-    if v_at is None:
-        v_at = v_old
-    if method == TRAPEZOIDAL:
-        beta = math.pi * h / phi0
-        phi_hist = phi_old + beta * v_old
-        gc = 2.0 * p.cj / h
-        ic_cap = gc * (v_at - v_old) - ic_old
-    else:
-        beta = 2.0 * math.pi * h / phi0
-        phi_hist = phi_old
-        gc = p.cj / h
-        ic_cap = gc * (v_at - v_old)
-    phi = phi_hist + beta * v_at
-    i_total = p.ic * math.sin(phi) + v_at / p.rn + ic_cap
-    geq = p.ic * math.cos(phi) * beta + 1.0 / p.rn + gc
-    return Stamp(geq=geq, ieq=i_total - geq * v_at)
+    def static(self):
+        return _pm5(np.zeros(len(self.br)))
+
+    def evaluate(self, xg, t):
+        i = xg[self.br]
+        v = xg[self.a] - xg[self.b] - self._sources(t)
+        return np.concatenate([i, -i, v]), _NO_VALUES
+
+    def dc(self):
+        return ((self.s_rows, self.s_cols, self.static()),
+                (self.br, self._sources(0.0)))
 
 
-def qpsj_stamp(p, q_old, i_old, vl_old, h, method=TRAPEZOIDAL, *,
-               two_e=TWO_E_SI, i_at=None):
-    """Linearized QPSJ branch relation v(i) at trial branch current i_at.
+class InductorModel(DeviceModel):
+    kinds = (DeviceKind.INDUCTOR,)
+    branch = "tran"
+    state = ("iold", "vlold")
 
-    Junction charge is integrated alongside the branch current:
-    q_new = q_hist + alpha*i_new.
-    """
-    if i_at is None:
-        i_at = i_old
-    if method == TRAPEZOIDAL:
-        alpha = 0.5 * h
-        q_hist = q_old + 0.5 * h * i_old
-        cl = 2.0 * p.ls / h
-        vl = cl * (i_at - i_old) - vl_old
-    else:
-        alpha = h
-        q_hist = q_old
-        cl = p.ls / h
-        vl = cl * (i_at - i_old)
-    q = q_hist + alpha * i_at
-    w = 2.0 * math.pi / two_e
-    v_total = p.vc * math.sin(w * q) + p.rn * i_at + vl
-    req = p.vc * math.cos(w * q) * w * alpha + p.rn + cl
-    return Stamp(req=req, veq=v_total - req * i_at)
+    def setup(self):
+        self.l = self._param("value")
+
+    def begin_step(self, h, trap):
+        super().begin_step(h, trap)
+        self.r = self.k * self.l / h
+
+    def static(self):
+        return _pm5(self.r)
+
+    def evaluate(self, xg, t):
+        i = xg[self.br]
+        vl = self.r * (i - self.iold) - self.k_old * self.vlold
+        self._trial = (i, vl)
+        return np.concatenate([i, -i, xg[self.a] - xg[self.b] - vl]), _NO_VALUES
+
+    def dc(self):
+        short = _pm5(np.full(len(self.l), _DC_SHORT))
+        return (self.s_rows, self.s_cols, short), _NO_RHS
+
+    def seed(self, xg):
+        self._trial = (xg[self.br], np.zeros(len(self.l)))
+
+
+class JosephsonModel(DeviceModel):
+    """JJs, then MJJs (a JJ with ic = states[state]); the fields ic, rn and
+    cj mirror :class:`JjParams`.  At DC a JJ is a short: a DC-only branch
+    through a tiny series resistance, whose current gives the phase."""
+
+    kinds = (DeviceKind.JJ, DeviceKind.MJJ)
+    branch = "dc"
+    junction = True
+    state = ("phi", "vold", "icold")
+
+    def setup(self):
+        self.ic = np.array([p["states"][p["state"]] if "states" in p else p["ic"]
+                            for p in self.params])
+        self.rn, self.cj = self._param("rn"), self._param("cj")
+        self.s_rows, self.s_cols = _conductance(self.a, self.b)
+        self.nl_rows, self.nl_cols = self.s_rows, self.s_cols
+
+    def begin_step(self, h, trap):
+        super().begin_step(h, trap)
+        self.beta = 2.0 * math.pi / self.k * h / PHI0  # d(phi)/dv over the step
+        self.gc = self.k * self.cj / h
+
+    def static(self):
+        return _g4(1.0 / self.rn + self.gc + self.gmin)
+
+    def evaluate(self, xg, t):
+        v = xg[self.a] - xg[self.b]
+        phi = self.phi + self.k_old * self.beta * self.vold + self.beta * v
+        icap = self.gc * (v - self.vold) - self.k_old * self.icold
+        i = jj_current(phi, self) + v / self.rn + icap + self.gmin * v
+        self._trial = (phi, v, icap)
+        return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * self.beta)
+
+    def angle_step(self, dxg):
+        return np.abs(dxg[self.a] - dxg[self.b]).max() * self.beta
+
+    def dc(self):
+        k = len(self.ic)
+        rows, cols = _incidence(self.a, self.b, self.br)
+        values = [_g4(np.full(k, self.gmin)), _pm5(np.full(k, _DC_SHORT))]
+        return ((np.concatenate([self.s_rows, rows]),
+                 np.concatenate([self.s_cols, cols]),
+                 np.concatenate(values)), _NO_RHS)
+
+    def seed(self, xg):
+        phi = _dc_state(self.names, xg[self.br] / self.ic,
+                        [p.get("phi0") for p in self.params], 1.0, "|i|/Ic",
+                        "superconducting window")
+        self._trial = (phi, xg[self.a] - xg[self.b], np.zeros(len(self.ic)))
+
+    def current(self, xg, t):
+        return jj_current(self.phi, self) + self.vold / self.rn + self.icold
+
+
+class PhaseSlipModel(DeviceModel):
+    """QPSJs; the fields vc, rn and ls mirror :class:`QpsjParams`.  At DC
+    a QPSJ is in Coulomb blockade: its branch current is held at zero and
+    its branch voltage gives the initial charge."""
+
+    kinds = (DeviceKind.QPSJ,)
+    branch = "tran"
+    junction = True
+    state = ("q", "iold", "vlold")
+
+    def setup(self):
+        self.vc, self.rn, self.ls = (self._param(k) for k in ("vc", "rn", "ls"))
+        g_rows, g_cols = _conductance(self.a, self.b)
+        self.s_rows = np.concatenate([self.s_rows, g_rows])
+        self.s_cols = np.concatenate([self.s_cols, g_cols])
+        self.nl_rows = self.nl_cols = self.br
+
+    def begin_step(self, h, trap):
+        super().begin_step(h, trap)
+        self.alpha = h / self.k  # dq/di over the step
+        self.cl = self.k * self.ls / h
+
+    def static(self):
+        return np.concatenate([_pm5(self.rn + self.cl),
+                               _g4(np.full(len(self.vc), self.gmin))])
+
+    def evaluate(self, xg, t):
+        i = xg[self.br]
+        q = self.q + self.k_old * self.alpha * self.iold + self.alpha * i
+        vl = self.cl * (i - self.iold) - self.k_old * self.vlold
+        v = xg[self.a] - xg[self.b]
+        ileak = i + self.gmin * v
+        self._trial = (q, i, vl)
+        vj = qpsj_voltage(q, self, two_e=TWO_E)
+        dv_di = self.vc * np.cos(_W * q) * _W * self.alpha
+        return np.concatenate([ileak, -ileak, v - vj - self.rn * i - vl]), -dv_di
+
+    def angle_step(self, dxg):
+        return np.abs(dxg[self.br]).max() * _W * self.alpha
+
+    def dc(self):
+        k = len(self.vc)
+        g_rows, g_cols = _conductance(self.a, self.b)
+        values = [_g4(np.full(k, self.gmin)), np.ones(k), -np.ones(k), np.ones(k)]
+        return ((np.concatenate([g_rows, self.a, self.b, self.br]),
+                 np.concatenate([g_cols, self.br, self.br, self.br]),
+                 np.concatenate(values)), _NO_RHS)
+
+    def seed(self, xg):
+        """Also sets the branch currents in xg to their blockade value 0."""
+        q = _dc_state(self.names, (xg[self.a] - xg[self.b]) / self.vc,
+                      [p.get("q0") for p in self.params], _W, "|v|/Vc",
+                      "Coulomb blockade")
+        zeros = np.zeros(len(self.vc))
+        self._trial = (q, zeros, zeros)
+        xg[self.br] = 0.0
+
+
+_MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,
+           VoltageSourceModel, InductorModel, JosephsonModel, PhaseSlipModel)
+
+
+def build_models(circuit, gmin):
+    """One model per device kind present, in the order of ``_MODELS`` (the
+    engine sums their contributions in that order), and the numbers N and
+    N_dc of transient and DC unknowns: branch currents follow the node
+    voltages, first the "tran" branches, then the DC-only ones."""
+    groups = [(cls, [d for kind in cls.kinds for d in circuit.devices
+                     if d.kind is kind]) for cls in _MODELS]
+    groups = [(cls, devs) for cls, devs in groups if devs]
+    nxt = circuit.node_count
+    branches, sizes = {}, []
+    for scope in ("tran", "dc"):
+        for cls, devs in groups:
+            if cls.branch == scope:
+                branches[cls] = np.arange(nxt, nxt + len(devs), dtype=np.intp)
+                nxt += len(devs)
+        sizes.append(nxt)
+    return [cls(devs, branches.get(cls), gmin) for cls, devs in groups], *sizes

@@ -1,32 +1,26 @@
-"""Modified nodal analysis transient engine.
+"""Modified nodal analysis transient engine, independent of device kinds.
 
 Unknown vector layout: node voltages (mV) first, then branch currents
-(uA) for voltage-defined elements (voltage sources, inductors, QPSJs).
-Each timestep solves the companion-discretized system by damped Newton
-iteration; the output is sampled on the requested uniform grid while the
-engine may sub-step internally (step halving with backward-Euler
-fallback) when Newton fails.
-
-Junction treatment at DC: a QPSJ in Coulomb blockade carries no current,
-so its branch is held at i = 0 and the initial charge is recovered from
-the branch voltage; dually, a JJ is a superconducting short (v = 0) and
-the initial phase is recovered from the branch current.
+(uA).  The device equations live in the models of :mod:`qpsjsim.devices`;
+this module scatters their values into the system, one ``np.bincount``
+per residual and Jacobian, and solves it: at DC (capacitors open,
+inductors and JJs shorted, QPSJs in Coulomb blockade) to seed the device
+states, then per timestep by damped Newton iteration on the companion
+discretization.  Output is sampled on the requested uniform grid while
+the engine may sub-step (step halving, backward-Euler fallback).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import GROUND, Circuit, DeviceKind
-from .units import PHI0, TWO_E
+from .devices import build_models
 
 TRAPEZOIDAL = "trapezoidal"
 BACKWARD_EULER = "backward-euler"
-
-_W = 2.0 * math.pi / TWO_E  # QPSJ charge-to-angle factor, rad/aC
+_GROUND = np.zeros(1)  # the slot appended to the unknowns for ground
 
 
 class EngineError(Exception):
@@ -80,534 +74,140 @@ class OperatingPoint:
     junction_states: dict  # device name -> q (aC) or phi (rad)
 
 
-def _source_value(params, t):
-    if "dc" in params:
-        return params["dc"]
-    return params["pulse"].value_at(t)
+def _flat(rows, cols, size):
+    """Flat indices into a size x size matrix; index -1 is the last slot."""
+    return np.ravel_multi_index((rows % size, cols % size), (size, size))
 
 
 class _System:
-    """Vectorized assembler for one circuit."""
+    """The MNA system of one circuit, assembled from its device models."""
 
-    def __init__(self, circuit: Circuit, cfg: SolverConfig):
+    def __init__(self, circuit, cfg):
         self.circuit = circuit
         self.cfg = cfg
         self.n = circuit.node_count
-        devs = circuit.devices
+        self.models, self.N, self.N_dc = build_models(circuit, cfg.gmin)
+        M = self.N + 1  # the last slot collects ground entries
+        self._f_idx = np.concatenate([m.f_rows for m in self.models]) % M
+        self._j_idx = np.concatenate(
+            [_flat(m.s_rows, m.s_cols, M) for m in self.models]
+            + [_flat(m.nl_rows, m.nl_cols, M) for m in self.models])
+        self._static = {}  # static Jacobian values per (h, method)
+        # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
+        # and of the unknowns (node voltages in mV, branch currents in uA)
+        counts = [self.n, self.N - self.n]
+        self._ftol = np.repeat([cfg.abstol_i, cfg.abstol_v], counts)
+        self._xtol = np.repeat([cfg.abstol_v, cfg.abstol_i], counts)
 
-        def grp(kind):
-            return [d for d in devs if d.kind is kind]
-
-        self.res = grp(DeviceKind.RESISTOR)
-        self.cap = grp(DeviceKind.CAPACITOR)
-        self.ind = grp(DeviceKind.INDUCTOR)
-        self.vsrc = grp(DeviceKind.VSOURCE)
-        self.isrc = grp(DeviceKind.ISOURCE)
-        self.jj = grp(DeviceKind.JJ) + grp(DeviceKind.MJJ)
-        self.qp = grp(DeviceKind.QPSJ)
-
-        # branch unknown order: vsources, inductors, qpsjs
-        self.m = len(self.vsrc) + len(self.ind) + len(self.qp)
-        self.N = self.n + self.m
-        dummy = self.N  # ground slot in gather/scatter arrays
-
-        def nodes(group):
-            a = np.array([d.nodes[0] if d.nodes[0] != GROUND else dummy
-                          for d in group], dtype=np.intp)
-            b = np.array([d.nodes[1] if d.nodes[1] != GROUND else dummy
-                          for d in group], dtype=np.intp)
-            return a, b
-
-        self.res_a, self.res_b = nodes(self.res)
-        self.res_g = np.array([1.0 / d.params["value"] for d in self.res])
-        self.cap_a, self.cap_b = nodes(self.cap)
-        self.cap_c = np.array([d.params["value"] for d in self.cap])
-        self.ind_a, self.ind_b = nodes(self.ind)
-        self.ind_l = np.array([d.params["value"] for d in self.ind])
-        self.vsrc_a, self.vsrc_b = nodes(self.vsrc)
-        self.isrc_a, self.isrc_b = nodes(self.isrc)
-        self.jj_a, self.jj_b = nodes(self.jj)
-        self.jj_ic = np.array([
-            d.params["states"][d.params["state"]] if d.kind is DeviceKind.MJJ
-            else d.params["ic"] for d in self.jj])
-        self.jj_rn = np.array([d.params["rn"] for d in self.jj])
-        self.jj_cj = np.array([d.params["cj"] for d in self.jj])
-        self.qp_a, self.qp_b = nodes(self.qp)
-        self.qp_vc = np.array([d.params["vc"] for d in self.qp])
-        self.qp_rn = np.array([d.params["rn"] for d in self.qp])
-        self.qp_ls = np.array([d.params["ls"] for d in self.qp])
-
-        nb_v = len(self.vsrc)
-        nb_l = len(self.ind)
-        self.vsrc_br = self.n + np.arange(nb_v, dtype=np.intp)
-        self.ind_br = self.n + nb_v + np.arange(nb_l, dtype=np.intp)
-        self.qp_br = self.n + nb_v + nb_l + np.arange(len(self.qp), dtype=np.intp)
-
-        # dynamic states
-        self.cap_vold = np.zeros(len(self.cap))
-        self.cap_iold = np.zeros(len(self.cap))
-        self.ind_iold = np.zeros(len(self.ind))
-        self.ind_vlold = np.zeros(len(self.ind))
-        self.jj_phi = np.zeros(len(self.jj))
-        self.jj_vold = np.zeros(len(self.jj))
-        self.jj_icold = np.zeros(len(self.jj))
-        self.qp_q = np.zeros(len(self.qp))
-        self.qp_iold = np.zeros(len(self.qp))
-        self.qp_vlold = np.zeros(len(self.qp))
-
-        self._jbase_cache = {}
+    def _assemble(self, xg, t, static):
+        f, nl = zip(*[m.evaluate(xg, t) for m in self.models])
         M = self.N + 1
-        self._jj_flat = (self.jj_a * M + self.jj_a, self.jj_a * M + self.jj_b,
-                         self.jj_b * M + self.jj_a, self.jj_b * M + self.jj_b)
-        self._qp_row_flat = self.qp_br * M + self.qp_br
+        F = np.bincount(self._f_idx, np.concatenate(f), minlength=M)
+        J = np.bincount(self._j_idx, np.concatenate((static,) + nl),
+                        minlength=M * M)
+        return F, J.reshape(M, M)
 
-    # --- coefficients ------------------------------------------------------
-
-    def _coeffs(self, h, method):
-        if method == TRAPEZOIDAL:
-            return {
-                "k_old": 1.0,
-                "cap_g": 2.0 * self.cap_c / h if len(self.cap) else None,
-                "ind_r": 2.0 * self.ind_l / h if len(self.ind) else None,
-                "jj_beta": math.pi * h / PHI0,
-                "jj_gc": 2.0 * self.jj_cj / h if len(self.jj) else None,
-                "qp_alpha": 0.5 * h,
-                "qp_cl": 2.0 * self.qp_ls / h if len(self.qp) else None,
-            }
-        return {
-            "k_old": 0.0,
-            "cap_g": self.cap_c / h if len(self.cap) else None,
-            "ind_r": self.ind_l / h if len(self.ind) else None,
-            "jj_beta": 2.0 * math.pi * h / PHI0,
-            "jj_gc": self.jj_cj / h if len(self.jj) else None,
-            "qp_alpha": h,
-            "qp_cl": self.qp_ls / h if len(self.qp) else None,
-        }
-
-    def _jbase(self, h, method, co):
-        key = (h, method)
-        cached = self._jbase_cache.get(key)
-        if cached is not None:
-            return cached
-        M = self.N + 1
-        J = np.zeros((M, M))
-        gmin = self.cfg.gmin
-
-        def cond(a, b, g):
-            np.add.at(J, (a, a), g)
-            np.add.at(J, (b, b), g)
-            np.add.at(J, (a, b), -g)
-            np.add.at(J, (b, a), -g)
-
-        if len(self.res):
-            cond(self.res_a, self.res_b, self.res_g)
-        if len(self.cap):
-            cond(self.cap_a, self.cap_b, co["cap_g"])
-        if len(self.jj):
-            cond(self.jj_a, self.jj_b,
-                 1.0 / self.jj_rn + co["jj_gc"] + gmin)
-        if len(self.qp):
-            cond(self.qp_a, self.qp_b, np.full(len(self.qp), gmin))
-            np.add.at(J, (self.qp_a, self.qp_br), 1.0)
-            np.add.at(J, (self.qp_b, self.qp_br), -1.0)
-            np.add.at(J, (self.qp_br, self.qp_a), 1.0)
-            np.add.at(J, (self.qp_br, self.qp_b), -1.0)
-            np.add.at(J, (self.qp_br, self.qp_br), -(self.qp_rn + co["qp_cl"]))
-        if len(self.ind):
-            np.add.at(J, (self.ind_a, self.ind_br), 1.0)
-            np.add.at(J, (self.ind_b, self.ind_br), -1.0)
-            np.add.at(J, (self.ind_br, self.ind_a), 1.0)
-            np.add.at(J, (self.ind_br, self.ind_b), -1.0)
-            np.add.at(J, (self.ind_br, self.ind_br), -co["ind_r"])
-        if len(self.vsrc):
-            np.add.at(J, (self.vsrc_a, self.vsrc_br), 1.0)
-            np.add.at(J, (self.vsrc_b, self.vsrc_br), -1.0)
-            np.add.at(J, (self.vsrc_br, self.vsrc_a), 1.0)
-            np.add.at(J, (self.vsrc_br, self.vsrc_b), -1.0)
-        # zero dummy row/col; give dummy slot a 1 on the diagonal so a full
-        # solve would not be singular (we slice it away anyway)
-        J[self.N, :] = 0.0
-        J[:, self.N] = 0.0
-        J[self.N, self.N] = 1.0
-        self._jbase_cache[key] = J
-        return J
-
-    # --- residual/Jacobian -------------------------------------------------
-
-    def _assemble(self, x, t, co, jbase):
-        n, N = self.n, self.N
-        xg = np.append(x, 0.0)
-        F = np.zeros(N + 1)
-        J = jbase.copy()
-        Jf = J.reshape(-1)
-        gmin = self.cfg.gmin
-        k_old = co["k_old"]
-
-        if len(self.res):
-            i = self.res_g * (xg[self.res_a] - xg[self.res_b])
-            np.add.at(F, self.res_a, i)
-            np.add.at(F, self.res_b, -i)
-        if len(self.cap):
-            v = xg[self.cap_a] - xg[self.cap_b]
-            i = co["cap_g"] * (v - self.cap_vold) - k_old * self.cap_iold
-            np.add.at(F, self.cap_a, i)
-            np.add.at(F, self.cap_b, -i)
-        for idx, d in enumerate(self.isrc):
-            i = _source_value(d.params, t)
-            F[self.isrc_a[idx]] += i
-            F[self.isrc_b[idx]] -= i
-        for idx, d in enumerate(self.vsrc):
-            br = self.vsrc_br[idx]
-            F[self.vsrc_a[idx]] += x[br]
-            F[self.vsrc_b[idx]] -= x[br]
-            F[br] = (xg[self.vsrc_a[idx]] - xg[self.vsrc_b[idx]]
-                     - _source_value(d.params, t))
-        if len(self.ind):
-            i = x[self.ind_br]
-            vl = co["ind_r"] * (i - self.ind_iold) - k_old * self.ind_vlold
-            np.add.at(F, self.ind_a, i)
-            np.add.at(F, self.ind_b, -i)
-            F[self.ind_br] = xg[self.ind_a] - xg[self.ind_b] - vl
-        if len(self.jj):
-            v = xg[self.jj_a] - xg[self.jj_b]
-            beta = co["jj_beta"]
-            phi = self.jj_phi + k_old * beta * self.jj_vold + beta * v
-            icap = co["jj_gc"] * (v - self.jj_vold) - k_old * self.jj_icold
-            i = self.jj_ic * np.sin(phi) + v / self.jj_rn + icap + gmin * v
-            np.add.at(F, self.jj_a, i)
-            np.add.at(F, self.jj_b, -i)
-            gnl = self.jj_ic * np.cos(phi) * beta
-            fa, fab, fba, fb = self._jj_flat
-            np.add.at(Jf, fa, gnl)
-            np.add.at(Jf, fb, gnl)
-            np.add.at(Jf, fab, -gnl)
-            np.add.at(Jf, fba, -gnl)
-        if len(self.qp):
-            i = x[self.qp_br]
-            alpha = co["qp_alpha"]
-            q = self.qp_q + k_old * alpha * self.qp_iold + alpha * i
-            vj = self.qp_vc * np.sin(_W * q)
-            vl = co["qp_cl"] * (i - self.qp_iold) - k_old * self.qp_vlold
-            vleak = gmin * (xg[self.qp_a] - xg[self.qp_b])
-            np.add.at(F, self.qp_a, i + vleak)
-            np.add.at(F, self.qp_b, -(i + vleak))
-            F[self.qp_br] = (xg[self.qp_a] - xg[self.qp_b]
-                             - vj - self.qp_rn * i - vl)
-            dv_di = self.qp_vc * np.cos(_W * q) * _W * alpha
-            np.add.at(Jf, self._qp_row_flat, -dv_di)
-        F[N] = 0.0
-        return F, J
-
-    # --- Newton ------------------------------------------------------------
-
-    def _newton(self, x0, t, h, method):
+    def _newton(self, xg, t, h, method):
+        """Converged unknowns of a step, with the ground slot, or None."""
         cfg = self.cfg
-        co = self._coeffs(h, method)
-        jbase = self._jbase(h, method, co)
-        n, N = self.n, self.N
-        x = x0.copy()
+        for m in self.models:
+            m.begin_step(h, method == TRAPEZOIDAL)
+        if (h, method) not in self._static:
+            self._static[h, method] = np.concatenate(
+                [m.static() for m in self.models])
+        N = self.N
         delta_ok = False
         for _ in range(cfg.max_newton_iters):
-            F, J = self._assemble(x, t, co, jbase)
-            res_ok = (np.max(np.abs(F[:n]), initial=0.0) < cfg.abstol_i
-                      and np.max(np.abs(F[n:N]), initial=0.0) < cfg.abstol_v)
-            if res_ok and delta_ok:
-                return x
+            F, J = self._assemble(xg, t, self._static[h, method])
+            if delta_ok and (np.abs(F[:N]) < self._ftol).all():
+                return xg
             try:
                 dx = np.linalg.solve(J[:N, :N], -F[:N])
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(np.isfinite(dx)):
+            if not np.isfinite(dx).all():
                 return None
             # damp the step so no junction jumps minima within one iteration
-            max_angle = 0.0
-            if len(self.qp):
-                max_angle = np.max(np.abs(dx[self.qp_br])) * _W * co["qp_alpha"]
-            if len(self.jj):
-                dv = np.abs(np.take(np.append(dx, 0.0), self.jj_a)
-                            - np.take(np.append(dx, 0.0), self.jj_b))
-                max_angle = max(max_angle, np.max(dv) * co["jj_beta"])
+            dxg = np.concatenate((dx, _GROUND))
+            max_angle = max((m.angle_step(dxg) for m in self.models
+                             if m.junction), default=0.0)
             if max_angle > cfg.max_angle_step:
-                dx *= cfg.max_angle_step / max_angle
-            x = x + dx
-            dv, di = dx[:n], dx[n:]
-            delta_ok = (np.all(np.abs(dv) < cfg.reltol * np.abs(x[:n])
-                               + cfg.abstol_v)
-                        and np.all(np.abs(di) < cfg.reltol * np.abs(x[n:])
-                                   + cfg.abstol_i))
+                dxg *= cfg.max_angle_step / max_angle
+            xg = xg + dxg
+            delta_ok = (np.abs(dxg[:N])
+                        < cfg.reltol * np.abs(xg[:N]) + self._xtol).all()
         return None
 
-    # --- state commit ------------------------------------------------------
+    def _commit(self):
+        """Accept the device states of the last assembly (a converged one)."""
+        if not all([m.commit() for m in self.models]):
+            raise EngineError("non-finite device state after timestep")
 
-    def _commit(self, x, co):
-        xg = np.append(x, 0.0)
-        k_old = co["k_old"]
-        if len(self.cap):
-            v = xg[self.cap_a] - xg[self.cap_b]
-            i = co["cap_g"] * (v - self.cap_vold) - k_old * self.cap_iold
-            self.cap_vold, self.cap_iold = v, i
-        if len(self.ind):
-            i = x[self.ind_br]
-            vl = co["ind_r"] * (i - self.ind_iold) - k_old * self.ind_vlold
-            self.ind_iold, self.ind_vlold = i, vl
-        if len(self.jj):
-            v = xg[self.jj_a] - xg[self.jj_b]
-            beta = co["jj_beta"]
-            phi = self.jj_phi + k_old * beta * self.jj_vold + beta * v
-            icap = co["jj_gc"] * (v - self.jj_vold) - k_old * self.jj_icold
-            self.jj_phi, self.jj_vold, self.jj_icold = phi, v, icap
-        if len(self.qp):
-            i = x[self.qp_br]
-            alpha = co["qp_alpha"]
-            q = self.qp_q + k_old * alpha * self.qp_iold + alpha * i
-            vl = co["qp_cl"] * (i - self.qp_iold) - k_old * self.qp_vlold
-            self.qp_q, self.qp_iold, self.qp_vlold = q, i, vl
-        for arr in (self.cap_vold, self.ind_iold, self.jj_phi, self.qp_q):
-            if len(arr) and not np.all(np.isfinite(arr)):
-                raise EngineError("non-finite device state after timestep")
-
-    # --- DC ----------------------------------------------------------------
-
-    def solve_dc(self):
-        """Static solution: capacitors open, inductors/JJs shorted, QPSJs open."""
-        n = self.n
-        nb = len(self.vsrc) + len(self.ind) + len(self.qp) + len(self.jj)
-        N = n + nb
-        A = np.zeros((N, N))
-        b = np.zeros(N)
-        gmin = self.cfg.gmin
-        for k in range(n):
-            A[k, k] += gmin  # weak tie to ground keeps floating nodes defined
-
-        def at(i, j, s):
-            if i != GROUND and j != GROUND:
-                A[i, j] += s
-
-        for d in self.res:
-            g = 1.0 / d.params["value"]
-            a, bn = d.nodes
-            at(a, a, g)
-            at(bn, bn, g)
-            at(a, bn, -g)
-            at(bn, a, -g)
-        for dev_list in (self.jj, self.qp):
-            for d in dev_list:
-                a, bn = d.nodes
-                at(a, a, gmin)
-                at(bn, bn, gmin)
-                at(a, bn, -gmin)
-                at(bn, a, -gmin)
-        for d in self.isrc:
-            i = _source_value(d.params, 0.0)
-            a, bn = d.nodes
-            if a != GROUND:
-                b[a] -= i
-            if bn != GROUND:
-                b[bn] += i
-        row = n
-        branch_rows = {}
-        for d in self.vsrc:
-            a, bn = d.nodes
-            if a != GROUND:
-                A[a, row] += 1.0
-                A[row, a] += 1.0
-            if bn != GROUND:
-                A[bn, row] -= 1.0
-                A[row, bn] -= 1.0
-            b[row] = _source_value(d.params, 0.0)
-            branch_rows[d.name] = row
-            row += 1
-        # tiny series resistance on shorted branches keeps superconducting
-        # loops (JJ-L-JJ) nonsingular at DC; the split it picks is the
-        # flux-free one
-        eps = 1e-9
-        for d in self.ind:
-            a, bn = d.nodes
-            if a != GROUND:
-                A[a, row] += 1.0
-                A[row, a] += 1.0
-            if bn != GROUND:
-                A[bn, row] -= 1.0
-                A[row, bn] -= 1.0
-            A[row, row] -= eps
-            branch_rows[d.name] = row
-            row += 1
-        for d in self.qp:
-            a, bn = d.nodes
-            if a != GROUND:
-                A[a, row] += 1.0
-            if bn != GROUND:
-                A[bn, row] -= 1.0
-            A[row, row] = 1.0  # blockade: branch current forced to zero
-            branch_rows[d.name] = row
-            row += 1
-        for d in self.jj:
-            a, bn = d.nodes
-            if a != GROUND:
-                A[a, row] += 1.0
-                A[row, a] += 1.0
-            if bn != GROUND:
-                A[bn, row] -= 1.0
-                A[row, bn] -= 1.0
-            A[row, row] -= eps
-            branch_rows[d.name] = row
-            row += 1
-
-        x = self._dc_solve_with_stepping(A, b)
-        return x, branch_rows
-
-    def _dc_solve_with_stepping(self, A, b):
+    def seed_from_dc(self):
+        """Solve the static system and seed every device state from it.
+        Returns the solution (DC-only branches last) and a ground slot."""
+        n, Nd = self.n, self.N_dc
+        M = Nd + 1
+        nodes = np.arange(n)
+        tie = (nodes, nodes, np.full(n, self.cfg.gmin))  # keeps floating nodes defined
+        entries, rhs = zip(*[m.dc() for m in self.models])
+        rows, cols, vals = (np.concatenate(z) for z in zip(tie, *entries))
+        A = np.bincount(_flat(rows, cols, M), vals, minlength=M * M)
+        A = A.reshape(M, M)[:Nd, :Nd]
+        rows, vals = (np.concatenate(z) for z in zip(*rhs))
+        b = np.bincount(rows % M, vals, minlength=M)[:Nd]
         try:
             x = np.linalg.solve(A, b)
-            if np.all(np.isfinite(x)):
-                return x
         except np.linalg.LinAlgError:
-            pass
-        # source stepping: ramp the excitation in 10 steps (the system is
-        # linear under the DC junction treatment, so this mainly guards
-        # against near-singular assemblies)
-        x = None
-        for k in range(1, 11):
-            try:
-                x = np.linalg.solve(A, b * (k / 10.0))
-            except np.linalg.LinAlgError:
-                x = None
+            x = None
         if x is None or not np.all(np.isfinite(x)):
-            resid = np.abs(A @ (x if x is not None else np.zeros_like(b)) - b)
-            worst = int(np.argmax(resid[:self.n])) if self.n else 0
-            name = self.circuit.node_names[worst] if self.n else "?"
+            resid = np.abs(A @ (np.zeros(Nd) if x is None else x) - b)
+            worst = int(np.argmax(resid[:n])) if n else 0
+            name = self.circuit.node_names[worst] if n else "?"
             raise ConvergenceError(
                 f"DC operating point did not converge; worst residual at node "
                 f"{name!r}")
-        return x
+        xg = np.concatenate((x, _GROUND))
+        for m in self.models:
+            m.seed(xg)
+        self._commit()
+        return xg
 
-    def init_from_dc(self):
-        """Solve DC, seed junction/linear states, return transient x0."""
-        xdc, branch_rows = self.solve_dc()
-        n = self.n
-
-        def volt(idx):
-            return 0.0 if idx == GROUND else xdc[idx]
-
-        for k, d in enumerate(self.cap):
-            self.cap_vold[k] = volt(d.nodes[0]) - volt(d.nodes[1])
-            self.cap_iold[k] = 0.0
-        for k, d in enumerate(self.ind):
-            self.ind_iold[k] = xdc[branch_rows[d.name]]
-            self.ind_vlold[k] = 0.0
-        for k, d in enumerate(self.jj):
-            i = xdc[branch_rows[d.name]]
-            if "phi0" in d.params:
-                self.jj_phi[k] = d.params["phi0"]
-            else:
-                self.jj_phi[k] = math.asin(max(-1.0, min(1.0, i / self.jj_ic[k])))
-            self.jj_vold[k] = volt(d.nodes[0]) - volt(d.nodes[1])
-            self.jj_icold[k] = 0.0
-        for k, d in enumerate(self.qp):
-            v = volt(d.nodes[0]) - volt(d.nodes[1])
-            if "q0" in d.params:
-                self.qp_q[k] = d.params["q0"]
-            else:
-                self.qp_q[k] = (math.asin(max(-1.0, min(1.0, v / self.qp_vc[k])))
-                                / _W)
-            self.qp_iold[k] = 0.0
-            self.qp_vlold[k] = 0.0
-
-        x0 = np.zeros(self.N)
-        x0[:n] = xdc[:n]
-        for k, d in enumerate(self.vsrc):
-            x0[self.vsrc_br[k]] = xdc[branch_rows[d.name]]
-        for k, d in enumerate(self.ind):
-            x0[self.ind_br[k]] = xdc[branch_rows[d.name]]
-        for k, d in enumerate(self.qp):
-            x0[self.qp_br[k]] = 0.0
-        self._xdc = xdc
-        self._dc_branch_rows = branch_rows
-        return x0
-
-    # --- probes ------------------------------------------------------------
-
-    def resolve_probes(self):
+    def probes(self):
+        """Channel names, and a function of (xg, t) giving their values."""
         c = self.circuit
-        probes = c.save_list
-        if not probes:
-            probes = [("v", name) for name in c.node_names]
-            probes += [("i", d.name) for d in self.qp + self.jj]
-        out = []
-        for quantity, target in probes:
-            out.append((f"{quantity}({target})", self._extractor(quantity, target)))
-        return out
+        probes = c.save_list or (
+            [("v", name) for name in c.node_names]
+            + [("i", name) for m in self.models if m.junction for name in m.names])
+        targets = {t for q, t in probes if q == "i"}
+        probed = [m for m in self.models if targets.intersection(m.names)]
+        # values(xg, t) indexes xg followed by the probed models' currents
+        currents = [name for m in probed for name in m.names]
+        index = np.array([c.node_index(t) % (self.N + 1) if q == "v"
+                          else self.N + 1 + currents.index(t) for q, t in probes],
+                         dtype=np.intp)
 
-    def _extractor(self, quantity, target):
-        if quantity == "v":
-            if target == "0":
-                return lambda x, t: 0.0
-            idx = self.circuit.node_index(target)
-            return lambda x, t, i=idx: x[i]
+        def values(xg, t):
+            return np.concatenate([xg] + [m.current(xg, t) for m in probed])[index]
 
-        dev = self.circuit.device(target)
-
-        def vd(x, d=dev):
-            a, b = d.nodes
-            va = x[a] if a != GROUND else 0.0
-            vb = x[b] if b != GROUND else 0.0
-            return va - vb
-
-        if dev.kind is DeviceKind.QPSJ:
-            k = self.qp.index(dev)
-            return lambda x, t, k=k: x[self.qp_br[k]]
-        if dev.kind in (DeviceKind.JJ, DeviceKind.MJJ):
-            k = self.jj.index(dev)
-
-            def jj_i(x, t, k=k):
-                v = self.jj_vold[k]
-                return (self.jj_ic[k] * math.sin(self.jj_phi[k])
-                        + v / self.jj_rn[k] + self.jj_icold[k])
-            return jj_i
-        if dev.kind is DeviceKind.VSOURCE:
-            k = self.vsrc.index(dev)
-            return lambda x, t, k=k: x[self.vsrc_br[k]]
-        if dev.kind is DeviceKind.INDUCTOR:
-            k = self.ind.index(dev)
-            return lambda x, t, k=k: x[self.ind_br[k]]
-        if dev.kind is DeviceKind.RESISTOR:
-            g = 1.0 / dev.params["value"]
-            return lambda x, t, g=g: g * vd(x)
-        if dev.kind is DeviceKind.CAPACITOR:
-            k = self.cap.index(dev)
-            return lambda x, t, k=k: self.cap_iold[k]
-        if dev.kind is DeviceKind.ISOURCE:
-            return lambda x, t, d=dev: _source_value(d.params, t)
-        raise EngineError(f"cannot probe device {target!r}")
+        return [f"{q}({t})" for q, t in probes], values
 
 
 def dc_operating_point(circuit, cfg=None):
-    """Newton solution of the static system (see module docstring)."""
-    cfg = cfg or SolverConfig()
-    sys_ = _System(circuit, cfg)
-    sys_.init_from_dc()
-    xdc = sys_._xdc
-    rows = sys_._dc_branch_rows
-    node_voltages = {name: xdc[i] for i, name in enumerate(circuit.node_names)}
-    branch_currents = {}
-    for d in circuit.devices:
-        if d.name in rows:
-            branch_currents[d.name] = xdc[rows[d.name]]
-        elif d.kind is DeviceKind.RESISTOR:
-            a, b = d.nodes
-            va = xdc[a] if a != GROUND else 0.0
-            vb = xdc[b] if b != GROUND else 0.0
-            branch_currents[d.name] = (va - vb) / d.params["value"]
-        elif d.kind is DeviceKind.ISOURCE:
-            branch_currents[d.name] = _source_value(d.params, 0.0)
-        elif d.kind is DeviceKind.CAPACITOR:
-            branch_currents[d.name] = 0.0
-    junction_states = {}
-    for k, d in enumerate(sys_.qp):
-        junction_states[d.name] = sys_.qp_q[k]
-    for k, d in enumerate(sys_.jj):
-        junction_states[d.name] = sys_.jj_phi[k]
-    return OperatingPoint(node_voltages, branch_currents, junction_states)
+    """Static solution (see module docstring) and the states it seeds.
+
+    ``branch_currents`` holds each device's probe current at t = 0, the
+    first sample :func:`tran` records.
+    """
+    sys_ = _System(circuit, cfg or SolverConfig())
+    xg = sys_.seed_from_dc()
+    currents = {name: i for m in sys_.models
+                for name, i in zip(m.names, m.current(xg, 0.0))}
+    states = {name: s for m in sys_.models if m.junction
+              for name, s in zip(m.names, getattr(m, m.state[0]))}
+    return OperatingPoint(
+        {name: xg[i] for i, name in enumerate(circuit.node_names)},
+        {d.name: currents[d.name] for d in circuit.devices}, states)
 
 
 def tran(circuit, tstep=None, tstop=None, cfg=None):
@@ -624,23 +224,16 @@ def tran(circuit, tstep=None, tstop=None, cfg=None):
         raise EngineError("tran requires 0 < tstep < tstop")
 
     sys_ = _System(circuit, cfg)
-    x = sys_.init_from_dc()
-    probes = sys_.resolve_probes()
+    x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
+    names, values = sys_.probes()
 
     n_total = int(round(tstop / tstep))
     grid = np.arange(n_total + 1) * tstep
-    record_mask = grid >= tstart - 1e-9 * tstep
-    times = grid[record_mask]
-    data = {name: np.empty(len(times)) for name, _ in probes}
-
-    def record(slot, t, xs):
-        for name, fn in probes:
-            data[name][slot] = fn(xs, t)
-
-    slot = 0
-    if record_mask[0]:
-        record(0, 0.0, x)
-        slot = 1
+    skip = int(np.count_nonzero(grid < tstart - 1e-9 * tstep))  # before tstart
+    times = grid[skip:]
+    data = np.empty((len(names), len(times)))
+    if not skip:
+        data[:, 0] = values(x, 0.0)
 
     t = 0.0
     first = True
@@ -660,17 +253,16 @@ def tran(circuit, tstep=None, tstop=None, cfg=None):
                         f"Newton failed to converge at t = {t + h_try:.6g} ps "
                         f"after {cfg.max_halvings} halvings", t=t + h_try)
                 continue
-            sys_._commit(x_new, sys_._coeffs(h_try, method))
+            sys_._commit()
             x = x_new
             t += h_try
             first = False
             if h_cur < tstep:
                 h_cur = min(h_cur * 2.0, tstep)
         t = t_target  # snap accumulated float error to the grid
-        if record_mask[k]:
-            record(slot, t, x)
-            slot += 1
+        if k >= skip:
+            data[:, k - skip] = values(x, t)
 
-    if not np.all([np.all(np.isfinite(v)) for v in data.values()]):
+    if not all(np.all(np.isfinite(row)) for row in data):
         raise EngineError("non-finite waveform sample")
-    return WaveformSet(times, {name: data[name] for name, _ in probes})
+    return WaveformSet(times, dict(zip(names, data)))

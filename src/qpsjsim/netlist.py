@@ -53,9 +53,6 @@ class DeviceKind(str, Enum):
     MJJ = "mjj"
 
 
-JUNCTION_KINDS = (DeviceKind.QPSJ, DeviceKind.JJ, DeviceKind.MJJ)
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """SPICE-style pulse source description (periodic)."""

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .engine import EngineError, WaveformSet, _source_value
+from .devices import _source_value
+from .engine import EngineError, WaveformSet
 from .netlist import GROUND, DeviceKind
 from .units import PHI0, TWO_E
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qpsjsim.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, OUT_DIR_ENV, main
+from qpsjsim.engine import EngineError
 
 RC_NETLIST = """rc demo
 Iin 0 n1 pulse(0 1u 5p 0.1p 0.1p 1000p 2000p)
@@ -109,3 +110,34 @@ def test_sweep_empty_values_is_input_error(tmp_path, capsys):
     assert main(["sweep", "damping", "l", ",", "--out", str(tmp_path)]) \
         == EXIT_INPUT
     assert "empty value list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--tstep", "0"], ["--tstep", "-1"],
+                                   ["--tstep", "1", "--tstop", "1"],
+                                   ["--tstop", "inf"]])
+def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
+    net = _write(tmp_path, RC_NETLIST)
+    assert main(["sim", str(net), "--out", str(tmp_path), *flags]) \
+        == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):
+    net = _write(tmp_path, "t\nV1 n1 0 dc 1m\nV2 n1 0 dc 2m\nR1 n1 0 1k\n"
+                           ".tran 1p 10p\n.end\n")
+    assert main(["sim", str(net), "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+    assert "'n1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sim", "NETLIST"], ["figure", "fig4a"]])
+def test_engine_error_is_exit_3(tmp_path, capsys, monkeypatch, argv):
+    def failing_tran(*args, **kwargs):
+        raise EngineError("non-finite device state after timestep")
+
+    monkeypatch.setattr("qpsjsim.cli.tran", failing_tran)
+    net = _write(tmp_path, RC_NETLIST)
+    argv = [str(net) if a == "NETLIST" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == \
+        "error: non-finite device state after timestep\n"

@@ -1,17 +1,20 @@
-"""Device constitutive relations, stamps and the charge/flux duality."""
+"""Device constitutive relations, the engine's device models evaluated on
+one-element arrays, and the charge/flux duality."""
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from qpsjsim.devices import (BACKWARD_EULER, TRAPEZOIDAL, JjParams, MjjParams,
-                             QpsjParams, capacitor_stamp, damping_parameter,
-                             inductor_stamp, jj_current, jj_stamp,
-                             mjj_set_state, qpsj_stamp, qpsj_voltage,
-                             resistor_stamp)
-from qpsjsim.units import TWO_E, TWO_E_SI
+from qpsjsim.devices import (CapacitorModel, InductorModel, JjParams,
+                             JosephsonModel, MjjParams, PhaseSlipModel,
+                             QpsjParams, ResistorModel, damping_parameter,
+                             jj_current, mjj_set_state, qpsj_voltage)
+from qpsjsim.engine import BACKWARD_EULER, TRAPEZOIDAL
+from qpsjsim.netlist import GROUND, DeviceInstance, DeviceKind
+from qpsjsim.units import PHI0, TWO_E
 
 
 # --- parameter validation ---------------------------------------------------
@@ -118,41 +121,86 @@ def test_damping_inverse_square_in_resistance(r, k):
         b1 / (k * k), rel=1e-9)
 
 
-# --- companion stamps -------------------------------------------------------
+# --- companion stamps of the device models --------------------------------
+
+def _model(cls, kind, params, br=None):
+    """One-device model between node 0 and ground, without gmin."""
+    dev = DeviceInstance(kind, "x1", (0, GROUND), params)
+    return cls([dev], None if br is None else np.array([br]), gmin=0.0)
+
+
+def _step(model, xg, h, method, **state):
+    """Residual and Jacobian (ground slot dropped) of one Newton iterate."""
+    for name, value in state.items():
+        setattr(model, name, np.array([value]))
+    model.begin_step(h, method == TRAPEZOIDAL)
+    static = model.static()
+    f, nl = model.evaluate(np.asarray(xg, dtype=float), 0.0)
+    size = len(xg)
+    F = np.zeros(size)
+    J = np.zeros((size, size))
+    np.add.at(F, model.f_rows, f)
+    np.add.at(J, (model.s_rows, model.s_cols), static)
+    np.add.at(J, (model.nl_rows, model.nl_cols), nl)
+    return F[:-1], J[:-1, :-1]
+
 
 def test_resistor_capacitor_inductor_stamps():
-    assert resistor_stamp(2.0).geq == 0.5
-    s = capacitor_stamp(3.0, 0.5, v_old=2.0, i_old=1.0)
-    assert s.geq == pytest.approx(12.0)
-    assert s.ieq == pytest.approx(-12.0 * 2.0 - 1.0)
-    s = inductor_stamp(3.0, 0.5, i_old=2.0, v_old=1.0, method=BACKWARD_EULER)
-    assert s.req == pytest.approx(6.0)
-    assert s.veq == pytest.approx(-12.0)
+    r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
+    F, J = _step(r, [3.0, 0.0], 0.5, TRAPEZOIDAL)
+    assert J[0, 0] == 0.5 and F[0] == 1.5
+    # trapezoidal capacitor: i = geq*(v - v_old) - i_old, geq = 2C/h
+    c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
+    F, J = _step(c, [0.0, 0.0], 0.5, TRAPEZOIDAL, vold=2.0, iold=1.0)
+    assert J[0, 0] == pytest.approx(12.0)
+    assert F[0] == pytest.approx(-12.0 * 2.0 - 1.0)
+    # backward-Euler inductor: v = req*(i - i_old), req = L/h, in row 1
+    ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
+    F, J = _step(ind, [0.0, 0.0, 0.0], 0.5, BACKWARD_EULER,
+                 iold=2.0, vlold=1.0)
+    assert J[1, 1] == pytest.approx(-6.0)
+    assert F[1] == pytest.approx(12.0)
+    assert J[0, 1] == 1.0 and J[1, 0] == 1.0
 
 
-def _dual_pair(method, h, q_old, i_old, vl_old, i_at, two_e):
-    """QPSJ stamp and the JJ stamp of its exact dual device.
+def test_mjj_model_is_jj_with_active_state():
+    mjj = _model(JosephsonModel, DeviceKind.MJJ,
+                 {"states": [200.0, 300.0], "state": 1, "rn": 0.005, "cj": 1.0})
+    jj = _model(JosephsonModel, DeviceKind.JJ,
+                {"ic": 300.0, "rn": 0.005, "cj": 1.0})
+    state = dict(phi=0.3, vold=0.1, icold=0.2)
+    Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, TRAPEZOIDAL, **state)
+    Fj, Jj = _step(jj, [0.4, 0.0], 0.01, TRAPEZOIDAL, **state)
+    assert Fm[0] == Fj[0] and Jm[0, 0] == Jj[0, 0]
+
+
+def _dual_pair(method, h, q_old, i_old, vl_old, i_at):
+    """QPSJ model and the JJ model of its exact dual device, one iterate.
 
     Under the exchange v <-> i, q <-> (2e/2pi)*phi, Vc <-> Ic,
-    Rn <-> 1/Rn, Ls <-> Cj and 2e <-> Phi0 the two branch relations are
-    the same equation, so the discretized update coefficients must agree:
-    req(QPSJ) = geq(JJ) and veq(QPSJ) = ieq(JJ).
+    Rn <-> 1/Rn, Ls <-> Cj*2e/Phi0 and h <-> h*2e/Phi0 the two branch
+    relations are the same discretized equation, so the QPSJ's branch
+    voltage v(i) and its slope must equal the JJ's current i(v) and its
+    slope: -F(QPSJ row) = F(JJ node), -J(QPSJ row) = J(JJ node).
     """
-    qp = QpsjParams(vc=0.7, rn=10.0, ls=0.1)
-    jj = JjParams(ic=qp.vc, rn=1.0 / qp.rn, cj=qp.ls)
-    sq = qpsj_stamp(qp, q_old, i_old, vl_old, h, method,
-                    two_e=two_e, i_at=i_at)
-    sj = jj_stamp(jj, 2.0 * math.pi * q_old / two_e, i_old, vl_old, h, method,
-                  phi0=two_e, v_at=i_at)
-    return sq, sj
+    scale = PHI0 / TWO_E
+    qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
+                {"vc": 0.7, "rn": 10.0, "ls": 0.1}, br=1)
+    jj = _model(JosephsonModel, DeviceKind.JJ,
+                {"ic": 0.7, "rn": 1.0 / 10.0, "cj": 0.1 * scale}, br=1)
+    fq, jq = _step(qp, [0.0, i_at, 0.0], h, method,
+                   q=q_old, iold=i_old, vlold=vl_old)
+    fj, jjac = _step(jj, [i_at, 0.0], h * scale, method,
+                     phi=2.0 * math.pi * q_old / TWO_E, vold=i_old,
+                     icold=vl_old)
+    return (-fq[1], -jq[1, 1]), (fj[0], jjac[0, 0])
 
 
 @pytest.mark.parametrize("method", [TRAPEZOIDAL, BACKWARD_EULER])
 def test_qpsj_jj_duality_structural(method):
     sq, sj = _dual_pair(method, h=0.01, q_old=0.05, i_old=0.3, vl_old=0.2,
-                        i_at=0.4, two_e=TWO_E)
-    assert sq.req == pytest.approx(sj.geq, rel=1e-9)
-    assert sq.veq == pytest.approx(sj.ieq, rel=1e-9)
+                        i_at=0.4)
+    assert sq == pytest.approx(sj, rel=1e-9)
 
 
 @given(h=st.floats(min_value=1e-4, max_value=1.0),
@@ -162,6 +210,5 @@ def test_qpsj_jj_duality_structural(method):
        i_at=st.floats(min_value=-1.0, max_value=1.0),
        method=st.sampled_from([TRAPEZOIDAL, BACKWARD_EULER]))
 def test_qpsj_jj_duality_property(h, q_old, i_old, vl_old, i_at, method):
-    sq, sj = _dual_pair(method, h, q_old, i_old, vl_old, i_at, TWO_E)
-    assert sq.req == pytest.approx(sj.geq, rel=1e-9, abs=1e-12)
-    assert sq.veq == pytest.approx(sj.ieq, rel=1e-9, abs=1e-12)
+    sq, sj = _dual_pair(method, h, q_old, i_old, vl_old, i_at)
+    assert sq == pytest.approx(sj, rel=1e-9, abs=1e-12)

@@ -68,6 +68,41 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n q0=5e-20
     assert op.junction_states["q1"] == pytest.approx(0.05, rel=1e-9)
 
 
+def test_dc_clamp_outside_blockade_warns():
+    # 1.5 mV on a 0.7 mV junction: outside the blockade, q seeded at 2e/4
+    with pytest.warns(RuntimeWarning, match=r"q1: .*\|v\|/Vc = 2\.143"):
+        op = dc_operating_point(_circ("""t
+Vb n1 0 dc 1.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=0
+.tran 0.01p 20p
+.end
+"""))
+    assert op.junction_states["q1"] == pytest.approx(TWO_E / 4.0, rel=1e-12)
+
+
+def test_dc_clamp_outside_superconducting_window_warns():
+    with pytest.warns(RuntimeWarning, match=r"j1: .*\|i\|/Ic = 1\.5"):
+        op = dc_operating_point(_circ("""t
+Ib 0 n1 dc 300u
+jj J1 n1 0 ic=200u rn=5 cj=0
+.tran 0.005p 50p
+.end
+"""))
+    assert op.junction_states["j1"] == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+
+def test_dc_singular_system_names_node():
+    # two DC sources in parallel: no operating point exists
+    with pytest.raises(ConvergenceError, match="'n1'"):
+        dc_operating_point(_circ("""t
+V1 n1 0 dc 1m
+V2 n1 0 dc 2m
+R1 n1 0 1k
+.tran 1p 10p
+.end
+"""))
+
+
 # --- linear transients ------------------------------------------------------
 
 def test_rc_step_response_matches_analytic():
