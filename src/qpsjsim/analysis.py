@@ -7,9 +7,7 @@ uA, charges in aC (uA*ps), energies in zJ unless stated otherwise.
 from __future__ import annotations
 
 import csv
-import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

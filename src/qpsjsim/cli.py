@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input error (parse/elaboration/usage),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DetectorConfig, detect_pulses, export_csv
+from .analysis import detect_pulses, export_csv
 from .devices import damping_parameter
 from .engine import EngineError, SolverConfig, tran
 from .netlist import NetlistError, elaborate, parse_netlist
@@ -107,9 +106,9 @@ def cmd_sim(args):
         return EXIT_INPUT
     tstep = circuit.tstep if args.tstep is None else args.tstep
     tstop = circuit.tstop if args.tstop is None else args.tstop
-    if not (0 < tstep < tstop and math.isfinite(tstop)):
-        print(f"error: need 0 < tstep < tstop < inf (ps), got {tstep} and"
-              f" {tstop}", file=sys.stderr)
+    if not (0 < tstep < tstop < math.inf and circuit.tstart <= tstop):
+        print(f"error: need 0 < tstep < tstop < inf and tstart <= tstop (ps),"
+              f" got {tstep}, {tstop} and {circuit.tstart}", file=sys.stderr)
         return EXIT_INPUT
     try:
         waves = tran(circuit, tstep=tstep, tstop=tstop)
@@ -133,7 +132,7 @@ def cmd_sim(args):
     return EXIT_OK
 
 
-def _neuron_summary(waves, load="i(rload)", per_junction="i(q1)"):
+def _neuron_summary(waves, load="i(rload)"):
     firings = [e for e in detect_pulses(waves.time, waves.channel(load)).events
                if e.charge / TWO_E > _FIRING_QUANTA]
     lines = [f"firings: {len(firings)}"]
@@ -148,7 +147,7 @@ def _count_quanta(waves, channel):
                if round(e.charge / TWO_E) >= 1)
 
 
-def _figure_fig2(out):
+def _figure_fig2():
     p = NeuronParams(n_pulses=22)
     netlist = neuron_netlist(p)
     waves = tran(elaborate(build_neuron(p)))
@@ -163,7 +162,7 @@ def _figure_fig2(out):
     return netlist, waves, lines
 
 
-def _figure_fig4(out, state):
+def _figure_fig4(state):
     p = SynapseBinaryParams(state=state)
     netlist = binary_synapse_netlist(p)
     waves = tran(elaborate(build_binary_synapse(p)))
@@ -174,7 +173,7 @@ def _figure_fig4(out, state):
     return netlist, waves, lines
 
 
-def _figure_fig6(out, state):
+def _figure_fig6(state):
     p = SynapseMultiParams(state=state)
     netlist = multistate_synapse_netlist(p)
     waves = tran(elaborate(build_multistate_synapse(p)))
@@ -190,7 +189,7 @@ _NETWORK_WEIGHTS = {
 }
 
 
-def _figure_network(out, fig):
+def _figure_network(fig):
     spec = NetworkSpec(weights=_NETWORK_WEIGHTS[fig],
                        input_periods=(60e-12, 90e-12, 120e-12))
     netlist = network_netlist(spec)
@@ -212,13 +211,13 @@ def cmd_figure(args):
     fig = args.id
     try:
         if fig == "fig2":
-            netlist, waves, lines = _figure_fig2(out)
+            netlist, waves, lines = _figure_fig2()
         elif fig in ("fig4a", "fig4b"):
-            netlist, waves, lines = _figure_fig4(out, {"fig4a": 0, "fig4b": 1}[fig])
+            netlist, waves, lines = _figure_fig4({"fig4a": 0, "fig4b": 1}[fig])
         elif fig in ("fig6a", "fig6b", "fig6c", "fig6d"):
-            netlist, waves, lines = _figure_fig6(out, "abcd".index(fig[-1]))
+            netlist, waves, lines = _figure_fig6("abcd".index(fig[-1]))
         elif fig in _NETWORK_WEIGHTS:
-            netlist, waves, lines = _figure_network(out, fig)
+            netlist, waves, lines = _figure_network(fig)
         else:
             print(f"error: unknown figure id {fig!r}", file=sys.stderr)
             return EXIT_INPUT
@@ -301,8 +300,7 @@ def cmd_sweep(args):
         except (EngineError, NetlistError, ValueError) as exc:
             return {"value": v, "status": f"failed: {exc}"}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(point, values))
+    rows = [point(v) for v in values]
 
     fields = ["value", "status"]
     for row in rows:

@@ -220,8 +220,8 @@ def tran(circuit, tstep=None, tstop=None, cfg=None):
     tstep = circuit.tstep if tstep is None else tstep
     tstop = circuit.tstop if tstop is None else tstop
     tstart = circuit.tstart
-    if not tstep > 0 or not tstop > tstep:
-        raise EngineError("tran requires 0 < tstep < tstop")
+    if not 0 < tstep < tstop < np.inf:
+        raise EngineError("tran requires 0 < tstep < tstop < inf")
 
     sys_ = _System(circuit, cfg)
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))

@@ -20,13 +20,21 @@ Grammar (line oriented, case-insensitive):
 Node "0" is ground.  Values use SI-suffix notation (f p n u m k meg g).
 Parsed card values are in base SI units; :func:`elaborate` converts them
 to the internal scaled unit system (see :mod:`qpsjsim.units`).
+
+Parsing, checking, scaling and serializing read one ``_CARDS`` row per
+device kind: its form ("value", "source" or "junction", as above), its
+head (leading letter or keyword) and, in serialized order, each
+parameter's SI-to-scaled multiplier and rule: "positive", "non-negative",
+"list" (non-empty, each positive), "index" (into "states") or "optional"
+(unbounded, and the only rule that lets a card leave it out).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 from . import units
@@ -169,16 +177,27 @@ def _logical_lines(text):
 
 _PULSE_RE = re.compile(r"^pulse\s*\((.*)\)$", re.IGNORECASE | re.DOTALL)
 
-_REQUIRED_PARAMS = {
-    DeviceKind.QPSJ: ("vc", "rn", "ls"),
-    DeviceKind.JJ: ("ic", "rn", "cj"),
-    DeviceKind.MJJ: ("states", "state", "rn", "cj"),
+_Card = namedtuple("_Card", "form head params")
+
+_CARDS = {
+    DeviceKind.RESISTOR: _Card("value", "r", {"value": (units.OHM, "positive")}),
+    DeviceKind.INDUCTOR: _Card("value", "l", {"value": (units.HENRY, "positive")}),
+    DeviceKind.CAPACITOR: _Card("value", "c", {"value": (units.FARAD, "positive")}),
+    DeviceKind.VSOURCE: _Card("source", "v", {"dc": (units.VOLT, "optional"),
+                                              "pulse": (units.VOLT, "optional")}),
+    DeviceKind.ISOURCE: _Card("source", "i", {"dc": (units.AMP, "optional"),
+                                              "pulse": (units.AMP, "optional")}),
+    DeviceKind.QPSJ: _Card("junction", "qpsj", {
+        "vc": (units.VOLT, "positive"), "rn": (units.OHM, "positive"),
+        "ls": (units.HENRY, "non-negative"), "q0": (units.COULOMB, "optional")}),
+    DeviceKind.JJ: _Card("junction", "jj", {
+        "ic": (units.AMP, "positive"), "rn": (units.OHM, "positive"),
+        "cj": (units.FARAD, "non-negative"), "phi0": (1.0, "optional")}),
+    DeviceKind.MJJ: _Card("junction", "mjj", {
+        "states": (units.AMP, "list"), "state": (1, "index"),
+        "rn": (units.OHM, "positive"), "cj": (units.FARAD, "non-negative")}),
 }
-_OPTIONAL_PARAMS = {
-    DeviceKind.QPSJ: ("q0",),
-    DeviceKind.JJ: ("phi0",),
-    DeviceKind.MJJ: (),
-}
+_HEADS = {row.head: kind for kind, row in _CARDS.items()}
 
 
 def _parse_source(kind, name, tokens, line_no):
@@ -210,29 +229,30 @@ def _parse_junction(kind, tokens, line_no):
         raise NetlistError(f"{kind.value} card: too few tokens", line_no)
     name = tokens[1].lower()
     nodes = (tokens[2].lower(), tokens[3].lower())
+    rules = _CARDS[kind].params
     params = {}
     for tok in tokens[4:]:
         if "=" not in tok:
             raise NetlistError(f"expected key=value parameter, got {tok!r}", line_no)
         key, _, val = tok.partition("=")
         key = key.lower()
-        allowed = _REQUIRED_PARAMS[kind] + _OPTIONAL_PARAMS[kind]
-        if key not in allowed:
+        if key not in rules:
             raise NetlistError(f"unknown parameter {key!r} for {kind.value}", line_no)
-        if key == "states":
+        rule = rules[key][1]
+        if rule == "list":
             params[key] = [parse_value(v, line_no) for v in val.split(",") if v]
-        elif key == "state":
+        elif rule == "index":
             try:
                 params[key] = int(val)
             except ValueError:
-                raise NetlistError(f"state index must be an integer, got {val!r}",
+                raise NetlistError(f"{key} index must be an integer, got {val!r}",
                                    line_no) from None
         else:
             params[key] = parse_value(val, line_no)
-    for req in _REQUIRED_PARAMS[kind]:
-        if req not in params:
+    for key, (_, rule) in rules.items():
+        if rule != "optional" and key not in params:
             raise NetlistError(
-                f"{kind.value} {name}: missing required parameter {req!r}", line_no)
+                f"{kind.value} {name}: missing required parameter {key!r}", line_no)
     return DeviceCard(kind, name, nodes, params, line_no)
 
 
@@ -300,39 +320,25 @@ def parse_netlist(text):
 
 def _parse_card(tokens, line_no):
     head = tokens[0].lower()
-    if head in ("qpsj", "jj", "mjj"):
-        return _parse_junction(DeviceKind(head), tokens, line_no)
-    first = head[0]
-    name = head
-    if first in "rlc":
-        if len(tokens) != 4:
-            raise NetlistError(f"{name}: expected '<name> n+ n- <value>'", line_no)
-        kind = {"r": DeviceKind.RESISTOR, "l": DeviceKind.INDUCTOR,
-                "c": DeviceKind.CAPACITOR}[first]
-        nodes = (tokens[1].lower(), tokens[2].lower())
-        return DeviceCard(kind, name, nodes,
-                          {"value": parse_value(tokens[3], line_no)}, line_no)
-    if first == "v":
-        return _parse_source(DeviceKind.VSOURCE, name, tokens[1:], line_no)
-    if first == "i":
-        return _parse_source(DeviceKind.ISOURCE, name, tokens[1:], line_no)
-    raise NetlistError(f"unknown device kind for card {name!r}", line_no)
+    # a junction card starts with its keyword, any other card with its letter
+    kind = _HEADS.get(head) or _HEADS.get(head[0])
+    if kind is None:
+        raise NetlistError(f"unknown device kind for card {head!r}", line_no)
+    form = _CARDS[kind].form
+    if form == "junction":
+        return _parse_junction(kind, tokens, line_no)
+    if form == "source":
+        return _parse_source(kind, head, tokens[1:], line_no)
+    if len(tokens) != 4:
+        raise NetlistError(f"{head}: expected '<name> n+ n- <value>'", line_no)
+    nodes = (tokens[1].lower(), tokens[2].lower())
+    return DeviceCard(kind, head, nodes,
+                      {"value": parse_value(tokens[3], line_no)}, line_no)
 
 
 # --- elaboration -----------------------------------------------------------
 
 GROUND = -1
-
-_SCALE = {
-    DeviceKind.RESISTOR: {"value": units.OHM},
-    DeviceKind.INDUCTOR: {"value": units.HENRY},
-    DeviceKind.CAPACITOR: {"value": units.FARAD},
-    DeviceKind.QPSJ: {"vc": units.VOLT, "rn": units.OHM, "ls": units.HENRY,
-                      "q0": units.COULOMB},
-    DeviceKind.JJ: {"ic": units.AMP, "rn": units.OHM, "cj": units.FARAD,
-                    "phi0": 1.0},
-    DeviceKind.MJJ: {"rn": units.OHM, "cj": units.FARAD},
-}
 
 
 @dataclass
@@ -374,67 +380,36 @@ class Circuit:
         raise KeyError(name)
 
 
-def _scale_params(card):
-    kind = card.kind
-    if kind in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
-        vmult = units.VOLT if kind is DeviceKind.VSOURCE else units.AMP
-        if "dc" in card.params:
-            return {"dc": card.params["dc"] * vmult}
-        return {"pulse": card.params["pulse"].scaled(vmult, units.SECOND)}
-    scaled = {}
-    for key, val in card.params.items():
-        if key == "states":
-            scaled[key] = [v * units.AMP for v in val]
-        elif key == "state":
-            scaled[key] = val
-        else:
-            scaled[key] = val * _SCALE[kind][key]
-    return scaled
-
-
 def _check_physical(card):
     p = card.params
     no = card.line_no
-
-    def positive(key, value):
-        if not (value > 0):
-            raise NetlistError(
-                f"{card.name}: parameter {key} must be positive, got {value}", no)
-
-    def nonneg(key, value):
-        if value < 0:
-            raise NetlistError(
-                f"{card.name}: parameter {key} must be non-negative, got {value}", no)
-
-    if card.kind in (DeviceKind.RESISTOR, DeviceKind.INDUCTOR,
-                     DeviceKind.CAPACITOR):
-        positive("value", p["value"])
-    elif card.kind is DeviceKind.QPSJ:
-        positive("vc", p["vc"])
-        positive("rn", p["rn"])
-        nonneg("ls", p["ls"])
-    elif card.kind in (DeviceKind.JJ, DeviceKind.MJJ):
-        positive("rn", p["rn"])
-        nonneg("cj", p["cj"])
-        if card.kind is DeviceKind.JJ:
-            positive("ic", p["ic"])
-        else:
-            if not p["states"]:
-                raise NetlistError(f"{card.name}: states list is empty", no)
-            for s in p["states"]:
-                positive("states", s)
-            if not 0 <= p["state"] < len(p["states"]):
-                raise NetlistError(
-                    f"{card.name}: state index {p['state']} out of range", no)
+    for key, (_, rule) in _CARDS[card.kind].params.items():
+        if rule == "list" and not p[key]:
+            raise NetlistError(f"{card.name}: {key} list is empty", no)
+        if rule == "index" and not 0 <= p[key] < len(p["states"]):
+            raise NetlistError(f"{card.name}: state index {p[key]} out of range", no)
+        if rule in ("positive", "non-negative", "list"):
+            bound = "positive" if rule == "list" else rule
+            for v in p[key] if rule == "list" else [p[key]]:
+                if not (v >= 0 if bound == "non-negative" else v > 0):
+                    raise NetlistError(
+                        f"{card.name}: parameter {key} must be {bound}, got {v}", no)
     for key, value in p.items():
-        vals = value if isinstance(value, list) else [value]
-        for v in vals:
-            if isinstance(v, PulseSpec):
-                vals = [v.v1, v.v2, v.td, v.tr, v.tf, v.pw, v.per]
-                if not all(math.isfinite(x) for x in vals):
-                    raise NetlistError(f"{card.name}: non-finite pulse value", no)
-            elif isinstance(v, float) and not math.isfinite(v):
-                raise NetlistError(f"{card.name}: non-finite value for {key}", no)
+        if isinstance(value, PulseSpec):
+            if not all(math.isfinite(x) for x in astuple(value)):
+                raise NetlistError(f"{card.name}: non-finite pulse value", no)
+        elif not all(math.isfinite(v) for v in
+                     (value if isinstance(value, list) else [value])):
+            raise NetlistError(f"{card.name}: non-finite value for {key}", no)
+
+
+def _scale(value, mult):
+    """SI card value -> scaled units; :func:`_card_text` undoes it."""
+    if isinstance(value, PulseSpec):
+        return value.scaled(mult, units.SECOND)
+    if isinstance(value, list):
+        return [v * mult for v in value]
+    return value * mult
 
 
 def elaborate(ast):
@@ -455,6 +430,10 @@ def elaborate(ast):
         raise NetlistError(".tran: tstep must be positive", tran.line_no)
     if not tstop > tstep:
         raise NetlistError(".tran: tstop must exceed tstep", tran.line_no)
+    if not all(math.isfinite(x) for x in tran.args):
+        raise NetlistError(".tran: non-finite value", tran.line_no)
+    if tstart > tstop:
+        raise NetlistError(".tran: tstart must not exceed tstop", tran.line_no)
 
     node_names = []
     node_map = {}
@@ -477,8 +456,9 @@ def elaborate(ast):
             ground_seen = True
         for n in card.nodes:
             terminal_count[n] = terminal_count.get(n, 0) + 1
-        devices.append(DeviceInstance(card.kind, card.name, idx,
-                                      _scale_params(card)))
+        rules = _CARDS[card.kind].params
+        params = {k: _scale(v, rules[k][0]) for k, v in card.params.items()}
+        devices.append(DeviceInstance(card.kind, card.name, idx, params))
     if not devices:
         raise NetlistError("netlist contains no devices")
     if not ground_seen:
@@ -507,6 +487,18 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _card_text(value, mult):
+    """Card text of a scaled value, in base SI units."""
+    if isinstance(value, PulseSpec):
+        ps = value.scaled(1.0 / mult, 1.0 / units.SECOND)
+        return f"pulse({' '.join(_fmt(x) for x in astuple(ps))})"
+    if isinstance(value, list):
+        return ",".join(_fmt(v / mult) for v in value)
+    if isinstance(value, int):  # an index
+        return str(value)
+    return _fmt(value / mult)
+
+
 def serialize_circuit(circuit):
     """Render a Circuit back to netlist text (base SI values).
 
@@ -519,37 +511,15 @@ def serialize_circuit(circuit):
     lines = ["* serialized by qpsjsim"]
     for dev in circuit.devices:
         a, b = (node(i) for i in dev.nodes)
-        k, p = dev.kind, dev.params
-        if k in (DeviceKind.RESISTOR, DeviceKind.INDUCTOR, DeviceKind.CAPACITOR):
-            scale = _SCALE[k]["value"]
-            lines.append(f"{dev.name} {a} {b} {_fmt(p['value'] / scale)}")
-        elif k in (DeviceKind.VSOURCE, DeviceKind.ISOURCE):
-            mult = units.VOLT if k is DeviceKind.VSOURCE else units.AMP
-            if "dc" in p:
-                lines.append(f"{dev.name} {a} {b} dc {_fmt(p['dc'] / mult)}")
-            else:
-                ps = p["pulse"].scaled(1.0 / mult, 1.0 / units.SECOND)
-                lines.append(
-                    f"{dev.name} {a} {b} pulse({_fmt(ps.v1)} {_fmt(ps.v2)} "
-                    f"{_fmt(ps.td)} {_fmt(ps.tr)} {_fmt(ps.tf)} {_fmt(ps.pw)} "
-                    f"{_fmt(ps.per)})")
-        elif k is DeviceKind.QPSJ:
-            card = (f"qpsj {dev.name} {a} {b} vc={_fmt(p['vc'] / units.VOLT)} "
-                    f"rn={_fmt(p['rn'] / units.OHM)} ls={_fmt(p['ls'] / units.HENRY)}")
-            if "q0" in p:
-                card += f" q0={_fmt(p['q0'] / units.COULOMB)}"
-            lines.append(card)
-        elif k is DeviceKind.JJ:
-            card = (f"jj {dev.name} {a} {b} ic={_fmt(p['ic'] / units.AMP)} "
-                    f"rn={_fmt(p['rn'] / units.OHM)} cj={_fmt(p['cj'] / units.FARAD)}")
-            if "phi0" in p:
-                card += f" phi0={_fmt(p['phi0'])}"
-            lines.append(card)
-        elif k is DeviceKind.MJJ:
-            states = ",".join(_fmt(s / units.AMP) for s in p["states"])
-            lines.append(
-                f"mjj {dev.name} {a} {b} states={states} state={p['state']} "
-                f"rn={_fmt(p['rn'] / units.OHM)} cj={_fmt(p['cj'] / units.FARAD)}")
+        row = _CARDS[dev.kind]
+        values = [(key, _card_text(dev.params[key], mult))
+                  for key, (mult, _) in row.params.items() if key in dev.params]
+        if row.form == "junction":
+            fields = [row.head, dev.name, a, b] + [f"{k}={t}" for k, t in values]
+        else:  # the value, "dc <value>" or "pulse(...)"
+            fields = [dev.name, a, b] + [f"dc {t}" if k == "dc" else t
+                                         for k, t in values]
+        lines.append(" ".join(fields))
     step = circuit.tstep / units.SECOND
     stop = circuit.tstop / units.SECOND
     start = circuit.tstart / units.SECOND

@@ -29,7 +29,7 @@ higher the MJJ state, down to none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .netlist import NetlistAst, parse_netlist
 from .units import TWO_E_SI

@@ -229,4 +229,52 @@ R1 n1 0 1k
 .tran 10p 5p
 .end
 """, "tstop must exceed tstep"),
+    ("""tran starts after it stops
+Vb n1 0 dc 1.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=0
+.tran 0.01p 5p 20p
+.end
+""", "tstart must not exceed tstop"),
+    ("""non-finite tran stop
+Vs n1 0 dc 1m
+R1 n1 0 1k
+.tran 1p 1e999
+.end
+""", ".tran: non-finite value"),
+    ("""negative qpsj inductance
+Vb n1 0 dc 0.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=-0.1n
+.tran 1p 10p
+.end
+""", "parameter ls must be non-negative"),
+    ("""negative jj capacitance
+Ib 0 n1 dc 100u
+jj J1 n1 0 ic=200u rn=5 cj=-1f
+.tran 1p 10p
+.end
+""", "parameter cj must be non-negative"),
+    ("""zero jj critical current
+Ib 0 n1 dc 100u
+jj J1 n1 0 ic=0 rn=5 cj=1f
+.tran 1p 10p
+.end
+""", "parameter ic must be positive"),
+    ("""empty mjj states
+Ib 0 n1 dc 1u
+mjj J1 n1 0 states= state=0 rn=7 cj=1f
+.tran 1p 10p
+.end
+""", "states list is empty"),
+    ("""negative mjj state
+Ib 0 n1 dc 1u
+mjj J1 n1 0 states=1u,-2u state=0 rn=7 cj=1f
+.tran 1p 10p
+.end
+""", "parameter states must be positive"),
+    ("""non-finite qpsj charge
+Vb n1 0 dc 0.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n q0=1e999
+.tran 1p 10p
+.end
+""", "non-finite value for q0"),
 ]

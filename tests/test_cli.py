@@ -123,6 +123,19 @@ def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tran_line,flags", [(".tran 0.01p 5p 20p", []),
+                                             (".tran 0.01p 20p 5p",
+                                              ["--tstop", "2"])])
+def test_sim_tstart_after_tstop_is_input_error(tmp_path, capsys, tran_line,
+                                               flags):
+    net = _write(tmp_path, QPSJ_NETLIST.replace(".tran 0.01p 20p", tran_line))
+    assert main(["sim", str(net), "--out", str(tmp_path), *flags]) \
+        == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tstart" in err
+
+
 def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):
     net = _write(tmp_path, "t\nV1 n1 0 dc 1m\nV2 n1 0 dc 2m\nR1 n1 0 1k\n"
                            ".tran 1p 10p\n.end\n")

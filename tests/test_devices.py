@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpsjsim import devices, netlist
 from qpsjsim.devices import (CapacitorModel, InductorModel, JjParams,
                              JosephsonModel, MjjParams, PhaseSlipModel,
                              QpsjParams, ResistorModel, damping_parameter,
@@ -15,6 +16,12 @@ from qpsjsim.devices import (CapacitorModel, InductorModel, JjParams,
 from qpsjsim.engine import BACKWARD_EULER, TRAPEZOIDAL
 from qpsjsim.netlist import GROUND, DeviceInstance, DeviceKind
 from qpsjsim.units import PHI0, TWO_E
+
+
+def test_every_device_kind_has_one_card_row_and_one_model():
+    assert sorted(netlist._CARDS) == sorted(DeviceKind)
+    held = [kind for cls in devices._MODELS for kind in cls.kinds]
+    assert sorted(held) == sorted(DeviceKind)
 
 
 # --- parameter validation ---------------------------------------------------

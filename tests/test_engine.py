@@ -228,6 +228,8 @@ def test_tran_argument_validation():
         tran(circ, tstep=0.0, tstop=10.0)
     with pytest.raises(EngineError):
         tran(circ, tstep=5.0, tstop=1.0)
+    with pytest.raises(EngineError):
+        tran(circ, tstop=math.inf)
 
 
 def test_solver_config_validation():
