@@ -132,9 +132,9 @@ def cmd_sim(args):
     return EXIT_OK
 
 
-def _neuron_summary(waves, load="i(rload)"):
-    firings = [e for e in detect_pulses(waves.time, waves.channel(load)).events
-               if e.charge / TWO_E > _FIRING_QUANTA]
+def _neuron_summary(waves):
+    train = detect_pulses(waves.time, waves.channel("i(rload)"))
+    firings = [e for e in train.events if e.charge / TWO_E > _FIRING_QUANTA]
     lines = [f"firings: {len(firings)}"]
     for e in firings:
         lines.append(f"  t={e.t_peak:.1f} ps  charge={e.charge / TWO_E:.2f} x 2e")

@@ -210,6 +210,19 @@ def dc_operating_point(circuit, cfg=None):
         {d.name: currents[d.name] for d in circuit.devices}, states)
 
 
+def _time_grid(circuit, tstep=None, tstop=None):
+    """The uniform output grid from 0 to tstop, and how many of its
+    points lie before the circuit's tstart (they are not recorded).
+    None takes the circuit's own tstep or tstop."""
+    tstep = circuit.tstep if tstep is None else tstep
+    tstop = circuit.tstop if tstop is None else tstop
+    if not (0 < tstep < tstop < np.inf and circuit.tstart <= tstop):
+        raise EngineError("need 0 < tstep < tstop < inf and tstart <= tstop")
+    grid = np.arange(int(round(tstop / tstep)) + 1) * tstep
+    skip = int(np.count_nonzero(grid < circuit.tstart - 1e-9 * tstep))
+    return grid, skip
+
+
 def tran(circuit, tstep=None, tstop=None, cfg=None):
     """Integrate the circuit through time; returns a :class:`WaveformSet`.
 
@@ -217,19 +230,13 @@ def tran(circuit, tstep=None, tstop=None, cfg=None):
     the engine sub-steps internally when Newton fails on a full step.
     """
     cfg = cfg or SolverConfig()
-    tstep = circuit.tstep if tstep is None else tstep
-    tstop = circuit.tstop if tstop is None else tstop
-    tstart = circuit.tstart
-    if not 0 < tstep < tstop < np.inf:
-        raise EngineError("tran requires 0 < tstep < tstop < inf")
-
+    grid, skip = _time_grid(circuit, tstep, tstop)
     sys_ = _System(circuit, cfg)
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
     names, values = sys_.probes()
 
-    n_total = int(round(tstop / tstep))
-    grid = np.arange(n_total + 1) * tstep
-    skip = int(np.count_nonzero(grid < tstart - 1e-9 * tstep))  # before tstart
+    n_total = len(grid) - 1
+    tstep = float(grid[1])
     times = grid[skip:]
     data = np.empty((len(names), len(times)))
     if not skip:

@@ -372,13 +372,6 @@ class Circuit:
             return GROUND
         return self.node_names.index(name)
 
-    def device(self, name):
-        name = name.lower()
-        for dev in self.devices:
-            if dev.name == name:
-                return dev
-        raise KeyError(name)
-
 
 def _check_physical(card):
     p = card.params

@@ -1,9 +1,11 @@
 """Independent high-order reference integrator for single-junction circuits.
 
-Used in tests as a brute-force oracle for the MNA engine: the circuit's
-ODE is formed explicitly for a small set of recognized topologies and
-integrated with classical 4-stage Runge-Kutta at 1/100 of the requested
-timestep.  Supported topologies (at most two dynamic state variables):
+Used in tests as an oracle for the MNA engine: the circuit's ODE is
+formed explicitly for a small set of recognized topologies and integrated
+on plain floats by the Dormand-Prince 5(4) pair with local error control
+(1e-12 relative per component).  No step crosses an output time, so every
+sample on the tstep grid is an accepted step end.  Supported topologies
+(at most two state variables):
 
 * voltage-biased QPSJ: vsource (+ optional series resistor) driving a
   single QPSJ to ground; states (q, i), or q alone when ls = 0
@@ -16,17 +18,28 @@ timestep.  Supported topologies (at most two dynamic state variables):
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
 from .devices import _source_value
-from .engine import EngineError, WaveformSet
+from .engine import EngineError, WaveformSet, _time_grid
 from .netlist import GROUND, DeviceKind
 from .units import PHI0, TWO_E
 
 _W = 2.0 * math.pi / TWO_E
 
-SUBSTEPS = 100
+# Dormand-Prince 5(4): the nodes and stage rows (the last row is the
+# 5th-order solution, whose derivative is the next step's first stage),
+# and the 5th- minus 4th-order weights over all seven stages
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+_TOL = 1e-12  # per component: |error| <= _TOL * (1 + max(|y|, |y_new|))
 
 
 class UnsupportedTopologyError(EngineError):
@@ -40,35 +53,41 @@ def _kinds(circuit):
     return out
 
 
-def _rk4(f, y, t, h):
+def _march(f, y0, outputs, grid, skip):
+    """Integrate from t = 0 with local error control, landing on every
+    grid point; outputs maps name -> fn(t, y), sampled on grid[skip:]."""
+    t, y = 0.0, tuple(y0)
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = float(grid[1])
+    hmin = 1e-12 * h
+    data = np.empty((len(outputs), len(grid) - skip))
+    for k, t_out in enumerate(map(float, grid)):
+        while t < t_out:
+            h_try = min(h, t_out - t)
+            ks = [k1]
+            for c, row in zip(_C, _A):
+                yi = tuple(yj + h_try * sum(map(mul, row, kj))
+                           for yj, kj in zip(y, zip(*ks)))
+                ks.append(f(t + c * h_try, yi))
+            err = max(abs(h_try * sum(map(mul, _E, kj)))
+                      / (1.0 + max(abs(a), abs(b)))
+                      for a, b, kj in zip(y, yi, zip(*ks))) / _TOL
+            if not math.isfinite(err):
+                raise EngineError(
+                    f"reference state non-finite at t = {t:.6g} ps")
+            h = h_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+            if err <= 1.0:
+                t = t_out if h_try == t_out - t else t + h_try
+                y, k1 = yi, ks[-1]
+            elif h < hmin:
+                raise EngineError(
+                    f"reference step below {hmin:.3g} ps at t = {t:.6g} ps")
+        if k >= skip:
+            data[:, k - skip] = [fn(t, y) for fn in outputs.values()]
+    return WaveformSet(grid[skip:], dict(zip(outputs, data)))
 
 
-def _march(f, y0, outputs, tstep, tstop):
-    """Integrate and sample every tstep; outputs maps name -> fn(t, y)."""
-    n_out = int(round(tstop / tstep))
-    h = tstep / SUBSTEPS
-    times = np.arange(n_out + 1) * tstep
-    data = {name: np.empty(n_out + 1) for name in outputs}
-    y = np.asarray(y0, dtype=float)
-    for name, fn in outputs.items():
-        data[name][0] = fn(0.0, y)
-    t = 0.0
-    for k in range(1, n_out + 1):
-        for _ in range(SUBSTEPS):
-            y = _rk4(f, y, t, h)
-            t += h
-        t = times[k]
-        for name, fn in outputs.items():
-            data[name][k] = fn(t, y)
-    return WaveformSet(times, data)
-
-
-def _qpsj_case(circuit, kinds, tstep, tstop):
+def _qpsj_case(circuit, kinds, grid, skip):
     qp = kinds[DeviceKind.QPSJ][0]
     vs = kinds[DeviceKind.VSOURCE][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -87,7 +106,7 @@ def _qpsj_case(circuit, kinds, tstep, tstop):
         def f(t, y):
             q, i = y
             didt = (src(t) - vc * math.sin(_W * q) - rtot * i) / ls
-            return np.array([i, didt])
+            return (i, didt)
 
         def cur(t, y):
             return y[1]
@@ -95,7 +114,7 @@ def _qpsj_case(circuit, kinds, tstep, tstop):
     else:
         def f(t, y):
             q = y[0]
-            return np.array([(src(t) - vc * math.sin(_W * q)) / rtot])
+            return ((src(t) - vc * math.sin(_W * q)) / rtot,)
 
         def cur(t, y):
             return (src(t) - vc * math.sin(_W * y[0])) / rtot
@@ -105,10 +124,10 @@ def _qpsj_case(circuit, kinds, tstep, tstop):
         f"i({qp.name})": cur,
         f"v({node_name})": lambda t, y: src(t),
     }
-    return _march(f, y0, outputs, tstep, tstop)
+    return _march(f, y0, outputs, grid, skip)
 
 
-def _jj_case(circuit, kinds, tstep, tstop):
+def _jj_case(circuit, kinds, grid, skip):
     jj = (kinds.get(DeviceKind.JJ, []) + kinds.get(DeviceKind.MJJ, []))[0]
     isrc = kinds[DeviceKind.ISOURCE][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -129,7 +148,7 @@ def _jj_case(circuit, kinds, tstep, tstop):
         def f(t, y):
             phi, v = y
             dv = (src(t) - ic * math.sin(phi) - g * v) / cj
-            return np.array([2.0 * math.pi * v / PHI0, dv])
+            return (2.0 * math.pi * v / PHI0, dv)
 
         def volt(t, y):
             return y[1]
@@ -138,7 +157,7 @@ def _jj_case(circuit, kinds, tstep, tstop):
         def f(t, y):
             phi = y[0]
             v = (src(t) - ic * math.sin(phi)) / g
-            return np.array([2.0 * math.pi * v / PHI0])
+            return (2.0 * math.pi * v / PHI0,)
 
         def volt(t, y):
             return (src(t) - ic * math.sin(y[0])) / g
@@ -148,10 +167,10 @@ def _jj_case(circuit, kinds, tstep, tstop):
         f"v({node_name})": volt,
         f"i({jj.name})": lambda t, y: ic * math.sin(y[0]),
     }
-    return _march(f, y0, outputs, tstep, tstop)
+    return _march(f, y0, outputs, grid, skip)
 
 
-def _lc_case(circuit, kinds, tstep, tstop):
+def _lc_case(circuit, kinds, grid, skip):
     ind = kinds[DeviceKind.INDUCTOR][0]
     cap = kinds[DeviceKind.CAPACITOR][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -166,22 +185,21 @@ def _lc_case(circuit, kinds, tstep, tstop):
 
     def f(t, y):
         v, il = y
-        return np.array([(src(t) - il - g * v) / c, v / l])
+        return ((src(t) - il - g * v) / c, v / l)
 
     outputs = {
         f"v({node_name})": lambda t, y: y[0],
         f"i({ind.name})": lambda t, y: y[1],
     }
-    return _march(f, [0.0, 0.0], outputs, tstep, tstop)
+    return _march(f, [0.0, 0.0], outputs, grid, skip)
 
 
 def reference_integrate(circuit, tstep=None, tstop=None):
-    """RK4 oracle for single-junction / LC test circuits.
-
-    Raises :class:`UnsupportedTopologyError` for anything else.
-    """
-    tstep = circuit.tstep if tstep is None else tstep
-    tstop = circuit.tstop if tstop is None else tstop
+    """Reference waveforms of a single-junction or LC test circuit, on
+    :func:`~qpsjsim.engine.tran`'s output grid.  Raises
+    :class:`UnsupportedTopologyError` for any other topology and
+    :class:`EngineError` for a bad time grid or a failed integration."""
+    grid, skip = _time_grid(circuit, tstep, tstop)
     kinds = _kinds(circuit)
     n_jj = len(kinds.get(DeviceKind.JJ, [])) + len(kinds.get(DeviceKind.MJJ, []))
     n_qp = len(kinds.get(DeviceKind.QPSJ, []))
@@ -190,16 +208,16 @@ def reference_integrate(circuit, tstep=None, tstop=None):
             and not kinds.get(DeviceKind.ISOURCE) \
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
-        return _qpsj_case(circuit, kinds, tstep, tstop)
+        return _qpsj_case(circuit, kinds, grid, skip)
     if n_jj == 1 and n_qp == 0 and len(kinds.get(DeviceKind.ISOURCE, [])) == 1 \
             and not kinds.get(DeviceKind.VSOURCE) \
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
-        return _jj_case(circuit, kinds, tstep, tstop)
+        return _jj_case(circuit, kinds, grid, skip)
     if n_jj == 0 and n_qp == 0 \
             and len(kinds.get(DeviceKind.INDUCTOR, [])) == 1 \
             and len(kinds.get(DeviceKind.CAPACITOR, [])) == 1 \
             and not kinds.get(DeviceKind.VSOURCE):
-        return _lc_case(circuit, kinds, tstep, tstop)
+        return _lc_case(circuit, kinds, grid, skip)
     raise UnsupportedTopologyError(
         "reference integrator supports only single-junction or LC test circuits")

@@ -297,7 +297,8 @@ jj J1 n1 0 ic=200u rn=5 cj=0
 
     ok = rms_q < 0.01 and rms_j < 0.01 and josephson < 0.01 and bloch < 0.01
     _report("AC9 oracle equivalence", ok,
-            f"RMS vs RK4: QPSJ {rms_q * 100:.2f}%, JJ {rms_j * 100:.2f}%; "
+            f"RMS vs reference: QPSJ {rms_q * 100:.2f}%, "
+            f"JJ {rms_j * 100:.2f}%; "
             f"f = Vbar/Phi0 within {josephson * 100:.2f}%, "
             f"rate = Ibar/2e within {bloch * 100:.2f}%")
 

@@ -230,6 +230,9 @@ def test_tran_argument_validation():
         tran(circ, tstep=5.0, tstop=1.0)
     with pytest.raises(EngineError):
         tran(circ, tstop=math.inf)
+    late = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 0.01p 2p 1p\n.end\n")
+    with pytest.raises(EngineError):
+        tran(late, tstop=0.5)  # stops before the 1 ps tstart
 
 
 def test_solver_config_validation():

@@ -1,17 +1,26 @@
-"""Reference RK4 integrator: analytic checks and topology gating."""
+"""Reference Dormand-Prince integrator: analytic and exact (Adler
+equation) solutions, the shared output grid, argument checks and topology
+gating."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qpsjsim.engine import tran
+from qpsjsim.engine import EngineError, tran
 from qpsjsim.netlist import elaborate, parse_netlist
-from qpsjsim.reference import UnsupportedTopologyError, reference_integrate
+from qpsjsim.reference import (UnsupportedTopologyError, _march,
+                               reference_integrate)
+from qpsjsim.units import PHI0, TWO_E
 
 
 def _circ(text):
     return elaborate(parse_netlist(text))
+
+
+# an overdriven ls=0 QPSJ (Bloch oscillating), with its .tran arguments open
+_BLOCH = ("t\nVb n1 0 dc 1.5m\nqpsj Q1 n1 0 vc=0.7m rn=10k ls=0\n"
+          ".tran {}\n.end\n")
 
 
 def test_lc_tank_matches_analytic():
@@ -45,6 +54,75 @@ R1 n1 0 100meg
     err = np.sqrt(np.mean((eng.channel("i(l1)") - ref.channel("i(l1)")) ** 2))
     scale = np.sqrt(np.mean(ref.channel("i(l1)") ** 2))
     assert err / scale < 0.01
+
+
+def _adler(t, a, b, theta0):
+    """Exact solution of dtheta/dt = a - b*sin(theta), a > b > 0, from
+    theta(0) = theta0 in (-pi, pi): tan(theta/2) = (b + w*tan(s))/a with
+    w = sqrt(a^2 - b^2) and s = w*(t - t0)/2; theta gains 2*pi each time s
+    passes a pole of tan."""
+    w = math.sqrt(a * a - b * b)
+    s = math.atan((a * math.tan(theta0 / 2) - b) / w) + w * t / 2
+    n = np.floor(s / np.pi + 0.5)
+    return 2 * np.arctan((b + w * np.tan(s)) / a) + 2 * np.pi * n
+
+
+def test_reference_matches_exact_adler_solutions():
+    # the AC9 circuits: an ls=0 QPSJ across 1.5 mV and a cj=0 JJ fed
+    # 300 uA, both overdriven, so both start at angle pi/2 (clamped DC)
+    qpsj = _circ(_BLOCH.format("0.0025p 20p"))
+    jj = _circ("""t
+Ib 0 n1 dc 300u
+jj J1 n1 0 ic=200u rn=5 cj=0
+.tran 0.005p 20p
+.end
+""")
+    w = 2 * math.pi / TWO_E  # charge angle per aC
+    wq = reference_integrate(qpsj)
+    theta = _adler(wq.time, w * 1.5 / 10, w * 0.7 / 10, math.pi / 2)
+    exact_q = {"i(q1)": (1.5 - 0.7 * np.sin(theta)) / 10,  # uA; rn in kohm
+               "v(n1)": np.full_like(theta, 1.5)}
+    g = 1 / 0.005  # 1/kohm
+    wj = reference_integrate(jj)
+    phi = _adler(wj.time, 2 * math.pi * 300 / (PHI0 * g),
+                 2 * math.pi * 200 / (PHI0 * g), math.pi / 2)
+    exact_j = {"v(n1)": (300 - 200 * np.sin(phi)) / g,  # mV
+               "i(j1)": 200 * np.sin(phi)}
+    for got, exact in ((wq, exact_q), (wj, exact_j)):
+        assert sorted(got.channels) == sorted(exact)
+        for name, want in exact.items():
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got.channel(name) - want)) < 1e-9 * scale
+
+
+def test_reference_samples_the_tran_grid_from_tstart():
+    circ = _circ(_BLOCH.format("0.01p 2p 1p"))
+    ref = reference_integrate(circ)
+    assert len(ref.time) == 101 and ref.time[0] == pytest.approx(1.0)
+    np.testing.assert_array_equal(ref.time, tran(circ).time)
+    full = reference_integrate(_circ(_BLOCH.format("0.01p 2p")))
+    # the samples before tstart are integrated through, only not recorded
+    np.testing.assert_array_equal(ref.channel("i(q1)"),
+                                  full.channel("i(q1)")[100:])
+
+
+@pytest.mark.parametrize("tstep, tstop", [
+    (0.0, 2.0), (-0.01, 2.0), (0.01, math.nan), (0.01, math.inf),
+    (3.0, 2.0), (0.01, 0.5)])  # the last stops before the 1 ps tstart
+def test_reference_rejects_bad_time_grid_like_tran(tstep, tstop):
+    circ = _circ(_BLOCH.format("0.01p 2p 1p"))
+    with pytest.raises(EngineError):
+        reference_integrate(circ, tstep=tstep, tstop=tstop)
+    with pytest.raises(EngineError):
+        tran(circ, tstep=tstep, tstop=tstop)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t, y: (y[0] * y[0],),  # y = 1/(1 - t) blows up at t = 1
+    lambda t, y: (math.nan,)])
+def test_reference_march_raises_instead_of_looping(f):
+    with pytest.raises(EngineError, match="at t ="):
+        _march(f, [1.0], {"y": lambda t, y: y[0]}, np.arange(3.0), 0)
 
 
 def test_qpsj_reference_transports_positive_charge():
