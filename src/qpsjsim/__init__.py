@@ -2,17 +2,15 @@
 
 from .netlist import (Circuit, DeviceKind, NetlistAst, NetlistError,
                       elaborate, parse_netlist, parse_value, serialize_circuit)
-from .devices import (JjParams, MjjParams, QpsjParams, damping_parameter,
-                      jj_current, mjj_set_state, qpsj_voltage)
-from .engine import (ConvergenceError, EngineError, SolverConfig, WaveformSet,
+from .devices import damping_parameter
+from .engine import (ConvergenceError, EngineError, WaveformSet,
                      dc_operating_point, tran)
 
 __all__ = [
     "Circuit", "DeviceKind", "NetlistAst", "NetlistError",
     "elaborate", "parse_netlist", "parse_value", "serialize_circuit",
-    "JjParams", "MjjParams", "QpsjParams", "damping_parameter",
-    "jj_current", "mjj_set_state", "qpsj_voltage",
-    "ConvergenceError", "EngineError", "SolverConfig", "WaveformSet",
+    "damping_parameter",
+    "ConvergenceError", "EngineError", "WaveformSet",
     "dc_operating_point", "tran",
 ]
 

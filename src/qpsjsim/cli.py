@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -25,13 +24,12 @@ import numpy as np
 from . import __version__
 from .analysis import detect_pulses, export_csv
 from .devices import damping_parameter
-from .engine import EngineError, SolverConfig, tran
+from .engine import SOLVER_SETTINGS, EngineError, _time_grid, tran
 from .netlist import NetlistError, elaborate, parse_netlist
 from .templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
                         SynapseMultiParams, binary_synapse_netlist,
-                        build_binary_synapse, build_multistate_synapse,
-                        build_network, build_neuron, multistate_synapse_netlist,
-                        network_netlist, neuron_netlist)
+                        multistate_synapse_netlist, network_netlist,
+                        neuron_netlist)
 from .units import TWO_E
 
 EXIT_OK = 0
@@ -101,17 +99,12 @@ def cmd_sim(args):
         return EXIT_INPUT
     try:
         circuit = elaborate(parse_netlist(text))
-    except NetlistError as exc:
+        _time_grid(circuit, args.tstep, args.tstop)
+    except (NetlistError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    tstep = circuit.tstep if args.tstep is None else args.tstep
-    tstop = circuit.tstop if args.tstop is None else args.tstop
-    if not (0 < tstep < tstop < math.inf and circuit.tstart <= tstop):
-        print(f"error: need 0 < tstep < tstop < inf and tstart <= tstop (ps),"
-              f" got {tstep}, {tstop} and {circuit.tstart}", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        waves = tran(circuit, tstep=tstep, tstop=tstop)
+        waves = tran(circuit, tstep=args.tstep, tstop=args.tstop)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -123,7 +116,7 @@ def cmd_sim(args):
         command="sim",
         params={"netlist": str(args.netlist), "tstep_ps": args.tstep,
                 "tstop_ps": args.tstop},
-        solver=dataclasses.asdict(SolverConfig()),
+        solver=SOLVER_SETTINGS,
         outputs=[wave_path.name, spike_path.name],
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
@@ -132,9 +125,18 @@ def cmd_sim(args):
     return EXIT_OK
 
 
+def _simulate(netlist):
+    return tran(elaborate(parse_netlist(netlist)))
+
+
+def _firings(waves, channel):
+    """The pulses on a neuron's output channel that count as firings."""
+    train = detect_pulses(waves.time, waves.channel(channel))
+    return [e for e in train.events if e.charge / TWO_E > _FIRING_QUANTA]
+
+
 def _neuron_summary(waves):
-    train = detect_pulses(waves.time, waves.channel("i(rload)"))
-    firings = [e for e in train.events if e.charge / TWO_E > _FIRING_QUANTA]
+    firings = _firings(waves, "i(rload)")
     lines = [f"firings: {len(firings)}"]
     for e in firings:
         lines.append(f"  t={e.t_peak:.1f} ps  charge={e.charge / TWO_E:.2f} x 2e")
@@ -150,7 +152,7 @@ def _count_quanta(waves, channel):
 def _figure_fig2():
     p = NeuronParams(n_pulses=22)
     netlist = neuron_netlist(p)
-    waves = tran(elaborate(build_neuron(p)))
+    waves = _simulate(netlist)
     firings, lines = _neuron_summary(waves)
     if firings:
         gaps = np.diff([e.t_peak for e in firings])
@@ -165,7 +167,7 @@ def _figure_fig2():
 def _figure_fig4(state):
     p = SynapseBinaryParams(state=state)
     netlist = binary_synapse_netlist(p)
-    waves = tran(elaborate(build_binary_synapse(p)))
+    waves = _simulate(netlist)
     n = _count_quanta(waves, "i(q1)")
     lines = [f"binary synapse, Ic={p.ic_states[state] * 1e6:.0f} uA"
              f" (weight {1 - state})",
@@ -176,7 +178,7 @@ def _figure_fig4(state):
 def _figure_fig6(state):
     p = SynapseMultiParams(state=state)
     netlist = multistate_synapse_netlist(p)
-    waves = tran(elaborate(build_multistate_synapse(p)))
+    waves = _simulate(netlist)
     n = _count_quanta(waves, "i(q1)")
     lines = [f"multi-state synapse, Ic={p.ic_j2_states[state] * 1e6:.0f} uA",
              f"output pulses over {p.n_pulses} inputs: {n}"]
@@ -193,13 +195,10 @@ def _figure_network(fig):
     spec = NetworkSpec(weights=_NETWORK_WEIGHTS[fig],
                        input_periods=(60e-12, 90e-12, 120e-12))
     netlist = network_netlist(spec)
-    waves = tran(elaborate(build_network(spec)))
+    waves = _simulate(netlist)
     lines = [f"3x2 network, weights {list(map(list, spec.weights))}"]
     for y in range(spec.n_outputs):
-        firings = [e for e in
-                   detect_pulses(waves.time,
-                                 waves.channel(f"i(rloadn{y})")).events
-                   if e.charge / TWO_E > _FIRING_QUANTA]
+        firings = _firings(waves, f"i(rloadn{y})")
         lines.append(f"output neuron {y}: {len(firings)} firings at "
                      + ", ".join(f"{e.t_peak:.0f} ps" for e in firings))
     return netlist, waves, lines
@@ -233,7 +232,7 @@ def cmd_figure(args):
     manifest = RunManifest(
         command="figure",
         params={"id": fig},
-        solver=dataclasses.asdict(SolverConfig()),
+        solver=SOLVER_SETTINGS,
         outputs=[net_path.name, wave_path.name, spike_path.name],
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
@@ -246,8 +245,7 @@ def cmd_figure(args):
 def _sweep_neuron(value):
     n = int(value)
     p = NeuronParams(n_threshold=n, n_pulses=max(12, 3 * n))
-    waves = tran(elaborate(build_neuron(p)))
-    firings, _ = _neuron_summary(waves)
+    firings = _firings(_simulate(neuron_netlist(p)), "i(rload)")
     if len(firings) >= 2:
         period = float(np.mean(np.diff([e.t_peak for e in firings])))
     elif firings:
@@ -262,7 +260,7 @@ def _sweep_synapse(value):
     p = SynapseBinaryParams()
     state = 0 if abs(ic - p.ic_states[0]) <= abs(ic - p.ic_states[1]) else 1
     p = SynapseBinaryParams(state=state)
-    waves = tran(elaborate(build_binary_synapse(p)))
+    waves = _simulate(binary_synapse_netlist(p))
     n = _count_quanta(waves, "i(q1)")
     return {"output_pulses": n, "pulses_per_input": n / p.n_pulses}
 
@@ -316,7 +314,7 @@ def cmd_sweep(args):
         command="sweep",
         params={"template": args.template, "param": args.param,
                 "values": values},
-        solver=dataclasses.asdict(SolverConfig()),
+        solver=SOLVER_SETTINGS,
         outputs=[sweep_path.name],
         wall_time_s=round(time.perf_counter() - t0, 3),
     )

@@ -1,4 +1,4 @@
-"""Device equations: parameter records and one vectorized model per kind.
+"""Device equations: one vectorized model per device kind.
 
 The quantum phase-slip junction (QPSJ) is the exact charge/flux dual of
 the Josephson junction: where a JJ carries a supercurrent Ic*sin(phi)
@@ -8,108 +8,22 @@ Vc*sin(2*pi*q/2e) with i = dq/dt.  The full branch relations are
     QPSJ:   v = Vc*sin(2*pi*q/2e) + Rn*dq/dt + Ls*d2q/dt2
     JJ:     i = Ic*sin(phi) + v/Rn + Cj*dv/dt,   dphi/dt = 2*pi*v/Phi0
 
-The parameter records and scalar helpers are unit-agnostic: pass SI
-values with the SI constants (the default), or scaled values with the
-scaled constants.  The models, in the scaled units of
-:mod:`qpsjsim.units`, are where the engine finds every device equation:
-:func:`build_models` gives one :class:`DeviceModel` per device kind.
+The models work in the scaled units of :mod:`qpsjsim.units` on the
+parameters that :func:`qpsjsim.netlist.elaborate` checked against each
+kind's card rules.  They are where the engine finds every device
+equation: :func:`build_models` gives one :class:`DeviceModel` per device
+kind.  :func:`damping_parameter` alone takes SI values.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .netlist import DeviceKind
 from .units import PHI0, TWO_E, TWO_E_SI
-
-
-@dataclass(frozen=True)
-class QpsjParams:
-    vc: float  # critical voltage
-    rn: float  # normal-state series resistance
-    ls: float  # series inductance
-    q0: float = 0.0  # initial charge
-
-    def __post_init__(self):
-        if not self.vc > 0:
-            raise ValueError("vc must be positive")
-        if not self.rn > 0:
-            raise ValueError("rn must be positive")
-        if self.ls < 0:
-            raise ValueError("ls must be non-negative")
-
-
-@dataclass(frozen=True)
-class JjParams:
-    ic: float  # critical current
-    rn: float  # shunt resistance
-    cj: float  # junction capacitance
-    phi_init: float = 0.0
-
-    def __post_init__(self):
-        if not self.ic > 0:
-            raise ValueError("ic must be positive")
-        if not self.rn > 0:
-            raise ValueError("rn must be positive")
-        if self.cj < 0:
-            raise ValueError("cj must be non-negative")
-
-
-@dataclass(frozen=True)
-class MjjParams:
-    """JJ with a critical current switchable between discrete states.
-
-    The state is written out-of-band (an external magnetic field in
-    hardware); electrically the device behaves as a JJ with
-    ic = states[active_state].
-    """
-
-    states: tuple  # ordered critical currents
-    active_state: int
-    rn: float
-    cj: float
-    phi_init: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
-            raise ValueError("states must be non-empty")
-        if any(not s > 0 for s in self.states):
-            raise ValueError("all states must be positive")
-        if not 0 <= self.active_state < len(self.states):
-            raise IndexError(f"active_state {self.active_state} out of range")
-        if not self.rn > 0:
-            raise ValueError("rn must be positive")
-
-    @property
-    def ic(self):
-        return self.states[self.active_state]
-
-    def as_jj(self):
-        return JjParams(self.ic, self.rn, self.cj, self.phi_init)
-
-
-
-
-def qpsj_voltage(q, p, *, two_e=TWO_E_SI):
-    """Junction voltage Vc*sin(2*pi*q/2e); 2e-periodic and odd in q."""
-    return p.vc * np.sin(2.0 * math.pi / two_e * q)
-
-
-def jj_current(phi, p):
-    """Supercurrent Ic*sin(phi)."""
-    return p.ic * np.sin(phi)
-
-
-def mjj_set_state(p, idx):
-    """Return a copy of p with the active critical-current state changed."""
-    if not 0 <= idx < len(p.states):
-        raise IndexError(f"state index {idx} out of range for {len(p.states)} states")
-    return replace(p, active_state=idx)
 
 
 def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
@@ -354,9 +268,9 @@ class InductorModel(DeviceModel):
 
 
 class JosephsonModel(DeviceModel):
-    """JJs, then MJJs (a JJ with ic = states[state]); the fields ic, rn and
-    cj mirror :class:`JjParams`.  At DC a JJ is a short: a DC-only branch
-    through a tiny series resistance, whose current gives the phase."""
+    """JJs, then MJJs (a JJ with ic = states[state]).  At DC a JJ is a
+    short: a DC-only branch through a tiny series resistance, whose current
+    gives the phase."""
 
     kinds = (DeviceKind.JJ, DeviceKind.MJJ)
     branch = "dc"
@@ -382,7 +296,7 @@ class JosephsonModel(DeviceModel):
         v = xg[self.a] - xg[self.b]
         phi = self.phi + self.k_old * self.beta * self.vold + self.beta * v
         icap = self.gc * (v - self.vold) - self.k_old * self.icold
-        i = jj_current(phi, self) + v / self.rn + icap + self.gmin * v
+        i = self.ic * np.sin(phi) + v / self.rn + icap + self.gmin * v
         self._trial = (phi, v, icap)
         return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * self.beta)
 
@@ -404,13 +318,12 @@ class JosephsonModel(DeviceModel):
         self._trial = (phi, xg[self.a] - xg[self.b], np.zeros(len(self.ic)))
 
     def current(self, xg, t):
-        return jj_current(self.phi, self) + self.vold / self.rn + self.icold
+        return self.ic * np.sin(self.phi) + self.vold / self.rn + self.icold
 
 
 class PhaseSlipModel(DeviceModel):
-    """QPSJs; the fields vc, rn and ls mirror :class:`QpsjParams`.  At DC
-    a QPSJ is in Coulomb blockade: its branch current is held at zero and
-    its branch voltage gives the initial charge."""
+    """QPSJs.  At DC a QPSJ is in Coulomb blockade: its branch current is
+    held at zero and its branch voltage gives the initial charge."""
 
     kinds = (DeviceKind.QPSJ,)
     branch = "tran"
@@ -440,7 +353,7 @@ class PhaseSlipModel(DeviceModel):
         v = xg[self.a] - xg[self.b]
         ileak = i + self.gmin * v
         self._trial = (q, i, vl)
-        vj = qpsj_voltage(q, self, two_e=TWO_E)
+        vj = self.vc * np.sin(_W * q)
         dv_di = self.vc * np.cos(_W * q) * _W * self.alpha
         return np.concatenate([ileak, -ileak, v - vj - self.rn * i - vl]), -dv_di
 

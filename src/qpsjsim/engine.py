@@ -7,7 +7,9 @@ per residual and Jacobian, and solves it: at DC (capacitors open,
 inductors and JJs shorted, QPSJs in Coulomb blockade) to seed the device
 states, then per timestep by damped Newton iteration on the companion
 discretization.  Output is sampled on the requested uniform grid while
-the engine may sub-step (step halving, backward-Euler fallback).
+the engine may sub-step (step halving, backward-Euler fallback).  The
+numerics are fixed: the tolerances and limits below are module constants,
+and run manifests record them as :data:`SOLVER_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,24 @@ import numpy as np
 
 from .devices import build_models
 
-TRAPEZOIDAL = "trapezoidal"
-BACKWARD_EULER = "backward-euler"
+# Fixed solver numerics.  Steps are trapezoidal; the first step and every
+# halved sub-step use backward Euler.
+RELTOL = 1e-3
+ABSTOL_V = 1e-6  # mV
+ABSTOL_I = 1e-6  # uA
+MAX_NEWTON_ITERS = 50
+GMIN = 1e-9  # 1/kohm: junction leak and the DC tie of every node to ground
+MAX_HALVINGS = 8
+MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
+
+# The settings a run manifest records.
+SOLVER_SETTINGS = {
+    "reltol": RELTOL, "abstol_v": ABSTOL_V, "abstol_i": ABSTOL_I,
+    "max_newton_iters": MAX_NEWTON_ITERS, "gmin": GMIN,
+    "method": "trapezoidal", "max_halvings": MAX_HALVINGS,
+    "max_angle_step": MAX_ANGLE_STEP,
+}
+
 _GROUND = np.zeros(1)  # the slot appended to the unknowns for ground
 
 
@@ -31,26 +49,6 @@ class ConvergenceError(EngineError):
     def __init__(self, message, t=None):
         self.t = t
         super().__init__(message)
-
-
-@dataclass
-class SolverConfig:
-    reltol: float = 1e-3
-    abstol_v: float = 1e-6  # mV
-    abstol_i: float = 1e-6  # uA
-    max_newton_iters: int = 50
-    gmin: float = 1e-9  # 1/kohm
-    method: str = TRAPEZOIDAL
-    max_halvings: int = 8
-    max_angle_step: float = 1.5  # junction phase/charge-angle limit per iter, rad
-
-    def __post_init__(self):
-        if min(self.reltol, self.abstol_v, self.abstol_i) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_halvings < 1:
-            raise ValueError("max_halvings must be >= 1")
-        if self.method not in (TRAPEZOIDAL, BACKWARD_EULER):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -82,22 +80,21 @@ def _flat(rows, cols, size):
 class _System:
     """The MNA system of one circuit, assembled from its device models."""
 
-    def __init__(self, circuit, cfg):
+    def __init__(self, circuit):
         self.circuit = circuit
-        self.cfg = cfg
         self.n = circuit.node_count
-        self.models, self.N, self.N_dc = build_models(circuit, cfg.gmin)
+        self.models, self.N, self.N_dc = build_models(circuit, GMIN)
         M = self.N + 1  # the last slot collects ground entries
         self._f_idx = np.concatenate([m.f_rows for m in self.models]) % M
         self._j_idx = np.concatenate(
             [_flat(m.s_rows, m.s_cols, M) for m in self.models]
             + [_flat(m.nl_rows, m.nl_cols, M) for m in self.models])
-        self._static = {}  # static Jacobian values per (h, method)
+        self._static = {}  # static Jacobian values per (h, trap)
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
-        self._ftol = np.repeat([cfg.abstol_i, cfg.abstol_v], counts)
-        self._xtol = np.repeat([cfg.abstol_v, cfg.abstol_i], counts)
+        self._ftol = np.repeat([ABSTOL_I, ABSTOL_V], counts)
+        self._xtol = np.repeat([ABSTOL_V, ABSTOL_I], counts)
 
     def _assemble(self, xg, t, static):
         f, nl = zip(*[m.evaluate(xg, t) for m in self.models])
@@ -107,18 +104,18 @@ class _System:
                         minlength=M * M)
         return F, J.reshape(M, M)
 
-    def _newton(self, xg, t, h, method):
-        """Converged unknowns of a step, with the ground slot, or None."""
-        cfg = self.cfg
+    def _newton(self, xg, t, h, trap):
+        """Converged unknowns of a trapezoidal (or, if not trap, backward
+        Euler) step, with the ground slot, or None."""
         for m in self.models:
-            m.begin_step(h, method == TRAPEZOIDAL)
-        if (h, method) not in self._static:
-            self._static[h, method] = np.concatenate(
+            m.begin_step(h, trap)
+        if (h, trap) not in self._static:
+            self._static[h, trap] = np.concatenate(
                 [m.static() for m in self.models])
         N = self.N
         delta_ok = False
-        for _ in range(cfg.max_newton_iters):
-            F, J = self._assemble(xg, t, self._static[h, method])
+        for _ in range(MAX_NEWTON_ITERS):
+            F, J = self._assemble(xg, t, self._static[h, trap])
             if delta_ok and (np.abs(F[:N]) < self._ftol).all():
                 return xg
             try:
@@ -131,11 +128,11 @@ class _System:
             dxg = np.concatenate((dx, _GROUND))
             max_angle = max((m.angle_step(dxg) for m in self.models
                              if m.junction), default=0.0)
-            if max_angle > cfg.max_angle_step:
-                dxg *= cfg.max_angle_step / max_angle
+            if max_angle > MAX_ANGLE_STEP:
+                dxg *= MAX_ANGLE_STEP / max_angle
             xg = xg + dxg
             delta_ok = (np.abs(dxg[:N])
-                        < cfg.reltol * np.abs(xg[:N]) + self._xtol).all()
+                        < RELTOL * np.abs(xg[:N]) + self._xtol).all()
         return None
 
     def _commit(self):
@@ -149,7 +146,7 @@ class _System:
         n, Nd = self.n, self.N_dc
         M = Nd + 1
         nodes = np.arange(n)
-        tie = (nodes, nodes, np.full(n, self.cfg.gmin))  # keeps floating nodes defined
+        tie = (nodes, nodes, np.full(n, GMIN))  # keeps floating nodes defined
         entries, rhs = zip(*[m.dc() for m in self.models])
         rows, cols, vals = (np.concatenate(z) for z in zip(tie, *entries))
         A = np.bincount(_flat(rows, cols, M), vals, minlength=M * M)
@@ -193,13 +190,13 @@ class _System:
         return [f"{q}({t})" for q, t in probes], values
 
 
-def dc_operating_point(circuit, cfg=None):
+def dc_operating_point(circuit):
     """Static solution (see module docstring) and the states it seeds.
 
     ``branch_currents`` holds each device's probe current at t = 0, the
     first sample :func:`tran` records.
     """
-    sys_ = _System(circuit, cfg or SolverConfig())
+    sys_ = _System(circuit)
     xg = sys_.seed_from_dc()
     currents = {name: i for m in sys_.models
                 for name, i in zip(m.names, m.current(xg, 0.0))}
@@ -217,21 +214,26 @@ def _time_grid(circuit, tstep=None, tstop=None):
     tstep = circuit.tstep if tstep is None else tstep
     tstop = circuit.tstop if tstop is None else tstop
     if not (0 < tstep < tstop < np.inf and circuit.tstart <= tstop):
-        raise EngineError("need 0 < tstep < tstop < inf and tstart <= tstop")
-    grid = np.arange(int(round(tstop / tstep)) + 1) * tstep
+        raise EngineError(f"need 0 < tstep < tstop < inf and tstart <= tstop"
+                          f" (ps), got {tstep}, {tstop} and {circuit.tstart}")
+    try:
+        grid = np.arange(int(round(tstop / tstep)) + 1) * tstep
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise EngineError(f"cannot hold a grid of tstop/tstep ="
+                          f" {tstop / tstep:.3g} steps, got {tstep} and"
+                          f" {tstop} (ps)") from exc
     skip = int(np.count_nonzero(grid < circuit.tstart - 1e-9 * tstep))
     return grid, skip
 
 
-def tran(circuit, tstep=None, tstop=None, cfg=None):
+def tran(circuit, tstep=None, tstop=None):
     """Integrate the circuit through time; returns a :class:`WaveformSet`.
 
     Output samples lie on the uniform tstep grid from tstart to tstop;
     the engine sub-steps internally when Newton fails on a full step.
     """
-    cfg = cfg or SolverConfig()
     grid, skip = _time_grid(circuit, tstep, tstop)
-    sys_ = _System(circuit, cfg)
+    sys_ = _System(circuit)
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
     names, values = sys_.probes()
 
@@ -244,21 +246,19 @@ def tran(circuit, tstep=None, tstop=None, cfg=None):
 
     t = 0.0
     first = True
-    base_method = cfg.method
     for k in range(1, n_total + 1):
         t_target = grid[k]
         h_cur = tstep
         while t < t_target - 1e-9 * tstep:
             h_try = min(h_cur, t_target - t)
             halved = h_cur < tstep * (1.0 - 1e-12)
-            method = BACKWARD_EULER if (first or halved) else base_method
-            x_new = sys_._newton(x, t + h_try, h_try, method)
+            x_new = sys_._newton(x, t + h_try, h_try, not (first or halved))
             if x_new is None:
                 h_cur = h_try / 2.0
-                if h_cur < tstep / (2.0 ** cfg.max_halvings):
+                if h_cur < tstep / (2.0 ** MAX_HALVINGS):
                     raise ConvergenceError(
                         f"Newton failed to converge at t = {t + h_try:.6g} ps "
-                        f"after {cfg.max_halvings} halvings", t=t + h_try)
+                        f"after {MAX_HALVINGS} halvings", t=t + h_try)
                 continue
             sys_._commit()
             x = x_new

@@ -41,7 +41,10 @@ def test_sim_writes_outputs_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "sim"
     assert manifest["deterministic"] is True
     assert sorted(manifest["outputs"]) == ["spikes.csv", "waveforms.csv"]
-    assert "reltol" in manifest["solver"]
+    assert manifest["solver"] == {
+        "reltol": 0.001, "abstol_v": 1e-06, "abstol_i": 1e-06,
+        "max_newton_iters": 50, "gmin": 1e-09, "method": "trapezoidal",
+        "max_halvings": 8, "max_angle_step": 1.5}
     assert "wrote" in capsys.readouterr().out
 
 
@@ -114,7 +117,9 @@ def test_sweep_empty_values_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--tstep", "0"], ["--tstep", "-1"],
                                    ["--tstep", "1", "--tstop", "1"],
-                                   ["--tstop", "inf"]])
+                                   ["--tstop", "inf"],
+                                   ["--tstep", "1e-300", "--tstop", "1e10"],
+                                   ["--tstep", "1e-6", "--tstop", "1e300"]])
 def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     net = _write(tmp_path, RC_NETLIST)
     assert main(["sim", str(net), "--out", str(tmp_path), *flags]) \

@@ -9,11 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpsjsim import devices, netlist
-from qpsjsim.devices import (CapacitorModel, InductorModel, JjParams,
-                             JosephsonModel, MjjParams, PhaseSlipModel,
-                             QpsjParams, ResistorModel, damping_parameter,
-                             jj_current, mjj_set_state, qpsj_voltage)
-from qpsjsim.engine import BACKWARD_EULER, TRAPEZOIDAL
+from qpsjsim.devices import (CapacitorModel, InductorModel, JosephsonModel,
+                             PhaseSlipModel, ResistorModel, damping_parameter)
 from qpsjsim.netlist import GROUND, DeviceInstance, DeviceKind
 from qpsjsim.units import PHI0, TWO_E
 
@@ -22,77 +19,6 @@ def test_every_device_kind_has_one_card_row_and_one_model():
     assert sorted(netlist._CARDS) == sorted(DeviceKind)
     held = [kind for cls in devices._MODELS for kind in cls.kinds]
     assert sorted(held) == sorted(DeviceKind)
-
-
-# --- parameter validation ---------------------------------------------------
-
-def test_qpsj_params_validation():
-    QpsjParams(vc=0.7e-3, rn=10e3, ls=0.0)
-    with pytest.raises(ValueError):
-        QpsjParams(vc=0.0, rn=10e3, ls=0.0)
-    with pytest.raises(ValueError):
-        QpsjParams(vc=0.7e-3, rn=0.0, ls=0.0)
-    with pytest.raises(ValueError):
-        QpsjParams(vc=0.7e-3, rn=10e3, ls=-1e-9)
-
-
-def test_jj_params_validation():
-    JjParams(ic=200e-6, rn=5.0, cj=0.0)
-    with pytest.raises(ValueError):
-        JjParams(ic=-1e-6, rn=5.0, cj=0.0)
-    with pytest.raises(ValueError):
-        JjParams(ic=200e-6, rn=0.0, cj=0.0)
-    with pytest.raises(ValueError):
-        JjParams(ic=200e-6, rn=5.0, cj=-1e-15)
-
-
-def test_mjj_params_and_state_switching():
-    p = MjjParams(states=[200e-6, 300e-6], active_state=0, rn=7.0, cj=1e-15)
-    assert p.ic == 200e-6
-    p2 = mjj_set_state(p, 1)
-    assert p2.ic == 300e-6
-    assert p.ic == 200e-6  # original untouched
-    assert p2.as_jj() == JjParams(300e-6, 7.0, 1e-15, 0.0)
-    with pytest.raises(IndexError):
-        mjj_set_state(p, 2)
-    with pytest.raises(IndexError):
-        MjjParams(states=(1e-6,), active_state=1, rn=7.0, cj=0.0)
-    with pytest.raises(ValueError):
-        MjjParams(states=(), active_state=0, rn=7.0, cj=0.0)
-    with pytest.raises(ValueError):
-        MjjParams(states=(1e-6, -2e-6), active_state=0, rn=7.0, cj=0.0)
-
-
-# --- branch relations -------------------------------------------------------
-
-_QP = QpsjParams(vc=0.7, rn=10.0, ls=0.1)  # scaled units
-_JJ = JjParams(ic=200.0, rn=0.005, cj=1.0)
-
-
-def test_qpsj_voltage_landmarks():
-    assert qpsj_voltage(0.0, _QP, two_e=TWO_E) == 0.0
-    assert qpsj_voltage(TWO_E / 4.0, _QP, two_e=TWO_E) == pytest.approx(0.7)
-    assert qpsj_voltage(TWO_E / 2.0, _QP, two_e=TWO_E) == pytest.approx(
-        0.0, abs=1e-12)
-
-
-@given(st.floats(min_value=-10.0 * TWO_E, max_value=10.0 * TWO_E))
-def test_qpsj_voltage_periodic_odd_bounded(q):
-    v = qpsj_voltage(q, _QP, two_e=TWO_E)
-    assert abs(v) <= _QP.vc + 1e-12
-    assert qpsj_voltage(q + TWO_E, _QP, two_e=TWO_E) == pytest.approx(
-        v, abs=1e-6 * _QP.vc)
-    assert qpsj_voltage(-q, _QP, two_e=TWO_E) == pytest.approx(
-        -v, abs=1e-12)
-
-
-@given(st.floats(min_value=-20.0 * math.pi, max_value=20.0 * math.pi))
-def test_jj_current_periodic_odd_bounded(phi):
-    i = jj_current(phi, _JJ)
-    assert abs(i) <= _JJ.ic + 1e-9
-    assert jj_current(phi + 2.0 * math.pi, _JJ) == pytest.approx(
-        i, abs=1e-6 * _JJ.ic)
-    assert jj_current(-phi, _JJ) == pytest.approx(-i, abs=1e-9)
 
 
 # --- damping figure of merit ------------------------------------------------
@@ -136,11 +62,12 @@ def _model(cls, kind, params, br=None):
     return cls([dev], None if br is None else np.array([br]), gmin=0.0)
 
 
-def _step(model, xg, h, method, **state):
-    """Residual and Jacobian (ground slot dropped) of one Newton iterate."""
+def _step(model, xg, h, trap, **state):
+    """Residual and Jacobian (ground slot dropped) of one Newton iterate of
+    a trapezoidal (or, if not trap, backward-Euler) step."""
     for name, value in state.items():
         setattr(model, name, np.array([value]))
-    model.begin_step(h, method == TRAPEZOIDAL)
+    model.begin_step(h, trap)
     static = model.static()
     f, nl = model.evaluate(np.asarray(xg, dtype=float), 0.0)
     size = len(xg)
@@ -154,17 +81,16 @@ def _step(model, xg, h, method, **state):
 
 def test_resistor_capacitor_inductor_stamps():
     r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
-    F, J = _step(r, [3.0, 0.0], 0.5, TRAPEZOIDAL)
+    F, J = _step(r, [3.0, 0.0], 0.5, True)
     assert J[0, 0] == 0.5 and F[0] == 1.5
     # trapezoidal capacitor: i = geq*(v - v_old) - i_old, geq = 2C/h
     c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
-    F, J = _step(c, [0.0, 0.0], 0.5, TRAPEZOIDAL, vold=2.0, iold=1.0)
+    F, J = _step(c, [0.0, 0.0], 0.5, True, vold=2.0, iold=1.0)
     assert J[0, 0] == pytest.approx(12.0)
     assert F[0] == pytest.approx(-12.0 * 2.0 - 1.0)
     # backward-Euler inductor: v = req*(i - i_old), req = L/h, in row 1
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    F, J = _step(ind, [0.0, 0.0, 0.0], 0.5, BACKWARD_EULER,
-                 iold=2.0, vlold=1.0)
+    F, J = _step(ind, [0.0, 0.0, 0.0], 0.5, False, iold=2.0, vlold=1.0)
     assert J[1, 1] == pytest.approx(-6.0)
     assert F[1] == pytest.approx(12.0)
     assert J[0, 1] == 1.0 and J[1, 0] == 1.0
@@ -176,12 +102,57 @@ def test_mjj_model_is_jj_with_active_state():
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 300.0, "rn": 0.005, "cj": 1.0})
     state = dict(phi=0.3, vold=0.1, icold=0.2)
-    Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, TRAPEZOIDAL, **state)
-    Fj, Jj = _step(jj, [0.4, 0.0], 0.01, TRAPEZOIDAL, **state)
+    Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, True, **state)
+    Fj, Jj = _step(jj, [0.4, 0.0], 0.01, True, **state)
     assert Fm[0] == Fj[0] and Jm[0, 0] == Jj[0, 0]
 
 
-def _dual_pair(method, h, q_old, i_old, vl_old, i_at):
+# --- junction branch relations ----------------------------------------------
+
+_VC, _IC = 0.7, 200.0  # scaled units
+
+
+def _junction_voltage(q):
+    """Vc*sin(2*pi*q/2e): the QPSJ model's junction voltage at charge q,
+    with zero branch current and node voltage."""
+    qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
+                {"vc": _VC, "rn": 10.0, "ls": 0.1}, br=1)
+    F, _ = _step(qp, [0.0, 0.0, 0.0], 0.01, True, q=q, iold=0.0, vlold=0.0)
+    return -F[1]
+
+
+def _supercurrent(phi):
+    """Ic*sin(phi): the JJ model's current at phase phi, with zero node
+    voltage."""
+    jj = _model(JosephsonModel, DeviceKind.JJ,
+                {"ic": _IC, "rn": 0.005, "cj": 1.0})
+    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi, vold=0.0, icold=0.0)
+    return F[0]
+
+
+def test_qpsj_voltage_landmarks():
+    assert _junction_voltage(0.0) == 0.0
+    assert _junction_voltage(TWO_E / 4.0) == pytest.approx(_VC)
+    assert _junction_voltage(TWO_E / 2.0) == pytest.approx(0.0, abs=1e-12)
+
+
+@given(st.floats(min_value=-10.0 * TWO_E, max_value=10.0 * TWO_E))
+def test_qpsj_voltage_periodic_odd_bounded(q):
+    v = _junction_voltage(q)
+    assert abs(v) <= _VC + 1e-12
+    assert _junction_voltage(q + TWO_E) == pytest.approx(v, abs=1e-6 * _VC)
+    assert _junction_voltage(-q) == pytest.approx(-v, abs=1e-12)
+
+
+@given(st.floats(min_value=-20.0 * math.pi, max_value=20.0 * math.pi))
+def test_jj_current_periodic_odd_bounded(phi):
+    i = _supercurrent(phi)
+    assert abs(i) <= _IC + 1e-9
+    assert _supercurrent(phi + 2.0 * math.pi) == pytest.approx(i, abs=1e-6 * _IC)
+    assert _supercurrent(-phi) == pytest.approx(-i, abs=1e-9)
+
+
+def _dual_pair(trap, h, q_old, i_old, vl_old, i_at):
     """QPSJ model and the JJ model of its exact dual device, one iterate.
 
     Under the exchange v <-> i, q <-> (2e/2pi)*phi, Vc <-> Ic,
@@ -195,17 +166,18 @@ def _dual_pair(method, h, q_old, i_old, vl_old, i_at):
                 {"vc": 0.7, "rn": 10.0, "ls": 0.1}, br=1)
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 0.7, "rn": 1.0 / 10.0, "cj": 0.1 * scale}, br=1)
-    fq, jq = _step(qp, [0.0, i_at, 0.0], h, method,
+    fq, jq = _step(qp, [0.0, i_at, 0.0], h, trap,
                    q=q_old, iold=i_old, vlold=vl_old)
-    fj, jjac = _step(jj, [i_at, 0.0], h * scale, method,
+    fj, jjac = _step(jj, [i_at, 0.0], h * scale, trap,
                      phi=2.0 * math.pi * q_old / TWO_E, vold=i_old,
                      icold=vl_old)
     return (-fq[1], -jq[1, 1]), (fj[0], jjac[0, 0])
 
 
-@pytest.mark.parametrize("method", [TRAPEZOIDAL, BACKWARD_EULER])
-def test_qpsj_jj_duality_structural(method):
-    sq, sj = _dual_pair(method, h=0.01, q_old=0.05, i_old=0.3, vl_old=0.2,
+@pytest.mark.parametrize("trap", [True, False],
+                         ids=["trapezoidal", "backward-euler"])
+def test_qpsj_jj_duality_structural(trap):
+    sq, sj = _dual_pair(trap, h=0.01, q_old=0.05, i_old=0.3, vl_old=0.2,
                         i_at=0.4)
     assert sq == pytest.approx(sj, rel=1e-9)
 
@@ -215,7 +187,7 @@ def test_qpsj_jj_duality_structural(method):
        i_old=st.floats(min_value=-1.0, max_value=1.0),
        vl_old=st.floats(min_value=-1.0, max_value=1.0),
        i_at=st.floats(min_value=-1.0, max_value=1.0),
-       method=st.sampled_from([TRAPEZOIDAL, BACKWARD_EULER]))
-def test_qpsj_jj_duality_property(h, q_old, i_old, vl_old, i_at, method):
-    sq, sj = _dual_pair(method, h, q_old, i_old, vl_old, i_at)
+       trap=st.booleans())
+def test_qpsj_jj_duality_property(h, q_old, i_old, vl_old, i_at, trap):
+    sq, sj = _dual_pair(trap, h, q_old, i_old, vl_old, i_at)
     assert sq == pytest.approx(sj, rel=1e-9, abs=1e-12)

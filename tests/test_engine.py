@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qpsjsim.engine import (ConvergenceError, EngineError, SolverConfig,
-                            WaveformSet, dc_operating_point, tran)
+from qpsjsim import engine
+from qpsjsim.engine import (ConvergenceError, EngineError, WaveformSet,
+                            dc_operating_point, tran)
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.units import PHI0, TWO_E
 
@@ -208,17 +209,18 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
     assert q[0.02] == pytest.approx(round(q[0.02] / TWO_E) * TWO_E, rel=0.01)
 
 
-# --- failure modes and configuration ----------------------------------------
+# --- failure modes ------------------------------------------------------------
 
-def test_convergence_error_carries_time():
-    cfg = SolverConfig(max_newton_iters=1, max_halvings=1)
+def test_convergence_error_carries_time(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(engine, "MAX_HALVINGS", 1)
     with pytest.raises(ConvergenceError) as err:
         tran(_circ("""t
 Vb n1 0 dc 1.5m
 qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
 .tran 0.1p 10p
 .end
-"""), cfg=cfg)
+"""))
     assert err.value.t is not None and err.value.t > 0
 
 
@@ -230,18 +232,14 @@ def test_tran_argument_validation():
         tran(circ, tstep=5.0, tstop=1.0)
     with pytest.raises(EngineError):
         tran(circ, tstop=math.inf)
+    # grids too long to size: no traceback beyond EngineError
+    with pytest.raises(EngineError, match="cannot hold"):
+        tran(circ, tstep=1e-300, tstop=1e10)  # tstop/tstep overflows
+    with pytest.raises(EngineError, match="cannot hold"):
+        tran(circ, tstep=1e-6, tstop=1e300)  # too many samples to index
     late = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 0.01p 2p 1p\n.end\n")
     with pytest.raises(EngineError):
         tran(late, tstop=0.5)  # stops before the 1 ps tstart
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(reltol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_halvings=0)
-    with pytest.raises(ValueError):
-        SolverConfig(method="rk4")
 
 
 # --- probes and sampling ----------------------------------------------------

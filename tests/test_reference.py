@@ -108,7 +108,8 @@ def test_reference_samples_the_tran_grid_from_tstart():
 
 @pytest.mark.parametrize("tstep, tstop", [
     (0.0, 2.0), (-0.01, 2.0), (0.01, math.nan), (0.01, math.inf),
-    (3.0, 2.0), (0.01, 0.5)])  # the last stops before the 1 ps tstart
+    (3.0, 2.0), (0.01, 0.5),  # this one stops before the 1 ps tstart
+    (1e-300, 1e10), (1e-6, 1e300)])  # grids too long to size
 def test_reference_rejects_bad_time_grid_like_tran(tstep, tstop):
     circ = _circ(_BLOCH.format("0.01p 2p 1p"))
     with pytest.raises(EngineError):
