@@ -90,7 +90,6 @@ def _detect_all(waves):
 
 
 def cmd_sim(args):
-    out = _out_dir(args)
     t0 = time.perf_counter()
     try:
         text = Path(args.netlist).read_text()
@@ -108,6 +107,7 @@ def cmd_sim(args):
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    out = _out_dir(args)
     wave_path = out / "waveforms.csv"
     spike_path = out / "spikes.csv"
     export_csv(waves, wave_path)
@@ -205,7 +205,6 @@ def _figure_network(fig):
 
 
 def cmd_figure(args):
-    out = _out_dir(args)
     t0 = time.perf_counter()
     fig = args.id
     try:
@@ -223,6 +222,7 @@ def cmd_figure(args):
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    out = _out_dir(args)
     net_path = out / f"{fig}.cir"
     net_path.write_text(netlist)
     wave_path = out / "waveforms.csv"
@@ -278,7 +278,6 @@ _SWEEPS = {
 
 
 def cmd_sweep(args):
-    out = _out_dir(args)
     t0 = time.perf_counter()
     key = (args.template, args.param)
     if key not in _SWEEPS:
@@ -305,6 +304,7 @@ def cmd_sweep(args):
         for k in row:
             if k not in fields:
                 fields.append(k)
+    out = _out_dir(args)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")

@@ -8,11 +8,17 @@ Vc*sin(2*pi*q/2e) with i = dq/dt.  The full branch relations are
     QPSJ:   v = Vc*sin(2*pi*q/2e) + Rn*dq/dt + Ls*d2q/dt2
     JJ:     i = Ic*sin(phi) + v/Rn + Cj*dv/dt,   dphi/dt = 2*pi*v/Phi0
 
-The models work in the scaled units of :mod:`qpsjsim.units` on the
-parameters that :func:`qpsjsim.netlist.elaborate` checked against each
-kind's card rules.  They are where the engine finds every device
-equation: :func:`build_models` gives one :class:`DeviceModel` per device
-kind.  :func:`damping_parameter` alone takes SI values.
+Here the duality is structural: the JJ model is the capacitor model
+(Cj) plus Rn and Ic*sin(phi); the QPSJ model is the inductor model (Ls)
+plus Rn and Vc*sin(2*pi*q/2e).  Within one companion step every other
+term is affine in the unknowns, so only the junctions' sin terms are
+computed per Newton iteration.
+
+The models work in the scaled units of :mod:`qpsjsim.units` on
+parameters that :func:`qpsjsim.netlist.elaborate` checked.  They hold
+every device equation the engine uses: :func:`build_models` gives one
+:class:`DeviceModel` per device kind.  :func:`damping_parameter` alone
+takes SI values.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ _DC_SHORT = 1e-9
 
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 _NO_VALUES = np.zeros(0)
-_NO_ENTRIES = (_NO_INDEX, _NO_INDEX, _NO_VALUES)
 _NO_RHS = (_NO_INDEX, _NO_VALUES)
 
 
@@ -96,19 +101,19 @@ class DeviceModel:
 
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
-    is that ground slot, which the engine drops.  Fixed at construction:
-    rows ``f_rows`` of the residual values, entries ``s_rows, s_cols`` and
-    ``nl_rows, nl_cols`` of the static and nonlinear Jacobian values.  Per
-    step the engine calls ``begin_step`` (and ``static``, once per step
-    size), per Newton iteration ``evaluate`` (and a junction's
-    ``angle_step``), and ``commit`` once converged.
+    is that ground slot, which the engine drops.  The residual of a step
+    to t is ``S @ xg + c + F_nl(xg)``: ``static`` gives S at ``s_rows,
+    s_cols``; ``history(t)`` gives c at ``f_rows`` (the sources at t and
+    the companion terms of the committed state); a junction's
+    ``nonlinear(xg)`` gives F_nl at ``f_rows`` and its Jacobian at
+    ``nl_rows, nl_cols``.  ``commit`` advances the state to the step's
+    converged unknowns.
     """
 
     kinds = ()  # device kinds held, grouped in this order
     branch = None  # "tran" or "dc": a branch unknown always, or at DC only
-    junction = False  # probed by default, has angle_step; state[0] is phi or q
-    state = ()  # names of the state arrays that _trial holds, primary first
-    _trial = ()
+    junction = False  # probed by default, has nonlinear and angle_step
+    state = ()  # names of the state arrays, primary (phi or q) first
 
     def __init__(self, devs, br=None, gmin=0.0):
         self.names = [d.name for d in devs]
@@ -120,7 +125,7 @@ class DeviceModel:
         self.f_rows = np.concatenate([self.a, self.b])
         self.s_rows = self.s_cols = self.nl_rows = self.nl_cols = _NO_INDEX
         if self.branch == "tran":  # branch currents from node a to b
-            self.f_rows = np.concatenate([self.f_rows, br])
+            self.f_rows = br
             self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
         self.setup()
 
@@ -142,23 +147,20 @@ class DeviceModel:
         """Static Jacobian values under the current coefficients."""
         return _NO_VALUES
 
-    def evaluate(self, xg, t):
-        """Residual and nonlinear Jacobian values at xg; sets _trial."""
-        i = self.current(xg, t)
-        return np.concatenate([i, -i]), _NO_VALUES
+    def history(self, t):
+        """Residual values at f_rows that stay fixed within a step to t."""
+        return np.zeros(len(self.f_rows))
 
-    def commit(self):
-        """Accept the trial state; False if its first array is not finite."""
-        for name, value in zip(self.state, self._trial):
-            setattr(self, name, value)
-        return not self.state or bool(np.isfinite(self._trial[0]).all())
+    def commit(self, xg):
+        """Advance the state from the converged unknowns xg."""
 
     def dc(self):
         """Entries (rows, cols, values) of A and (rows, values) of b."""
-        return _NO_ENTRIES, _NO_RHS
+        return (self.s_rows, self.s_cols, self.static()), (self.f_rows,
+                                                           -self.history(0.0))
 
     def seed(self, xg):
-        """Set the trial state from the DC solution xg (then committed)."""
+        """Set the state from the DC solution xg."""
 
     def current(self, xg, t):
         """Probe currents; by default the branch unknowns."""
@@ -174,9 +176,6 @@ class ResistorModel(DeviceModel):
 
     def static(self):
         return _g4(self.g)
-
-    def dc(self):
-        return (self.s_rows, self.s_cols, self.static()), _NO_RHS
 
     def current(self, xg, t):
         return self.g * (xg[self.a] - xg[self.b])
@@ -197,14 +196,19 @@ class CapacitorModel(DeviceModel):
     def static(self):
         return _g4(self.gc)
 
-    def evaluate(self, xg, t):
+    def history(self, t):
+        i = -self.gc * self.vold - self.k_old * self.iold
+        return np.concatenate([i, -i])
+
+    def commit(self, xg):
         v = xg[self.a] - xg[self.b]
-        i = self.gc * (v - self.vold) - self.k_old * self.iold
-        self._trial = (v, i)
-        return np.concatenate([i, -i]), _NO_VALUES
+        self.vold, self.iold = v, self.gc * (v - self.vold) - self.k_old * self.iold
+
+    def dc(self):
+        return (_NO_INDEX, _NO_INDEX, _NO_VALUES), _NO_RHS
 
     def seed(self, xg):
-        self._trial = (xg[self.a] - xg[self.b], np.zeros(len(self.c)))
+        self.vold, self.iold = xg[self.a] - xg[self.b], np.zeros(len(self.c))
 
     def current(self, xg, t):
         return self.iold
@@ -213,9 +217,9 @@ class CapacitorModel(DeviceModel):
 class CurrentSourceModel(DeviceModel):
     kinds = (DeviceKind.ISOURCE,)
 
-    def dc(self):
-        i = self._sources(0.0)
-        return _NO_ENTRIES, (self.f_rows, np.concatenate([-i, i]))
+    def history(self, t):
+        i = self._sources(t)
+        return np.concatenate([i, -i])
 
     def current(self, xg, t):
         return self._sources(t)
@@ -228,14 +232,8 @@ class VoltageSourceModel(DeviceModel):
     def static(self):
         return _pm5(np.zeros(len(self.br)))
 
-    def evaluate(self, xg, t):
-        i = xg[self.br]
-        v = xg[self.a] - xg[self.b] - self._sources(t)
-        return np.concatenate([i, -i, v]), _NO_VALUES
-
-    def dc(self):
-        return ((self.s_rows, self.s_cols, self.static()),
-                (self.br, self._sources(0.0)))
+    def history(self, t):
+        return -self._sources(t)
 
 
 class InductorModel(DeviceModel):
@@ -253,55 +251,61 @@ class InductorModel(DeviceModel):
     def static(self):
         return _pm5(self.r)
 
-    def evaluate(self, xg, t):
+    def history(self, t):
+        return self.r * self.iold + self.k_old * self.vlold
+
+    def commit(self, xg):
         i = xg[self.br]
-        vl = self.r * (i - self.iold) - self.k_old * self.vlold
-        self._trial = (i, vl)
-        return np.concatenate([i, -i, xg[self.a] - xg[self.b] - vl]), _NO_VALUES
+        self.iold, self.vlold = i, self.r * (i - self.iold) - self.k_old * self.vlold
 
     def dc(self):
         short = _pm5(np.full(len(self.l), _DC_SHORT))
         return (self.s_rows, self.s_cols, short), _NO_RHS
 
     def seed(self, xg):
-        self._trial = (xg[self.br], np.zeros(len(self.l)))
+        self.iold, self.vlold = xg[self.br], np.zeros(len(self.l))
 
 
-class JosephsonModel(DeviceModel):
-    """JJs, then MJJs (a JJ with ic = states[state]).  At DC a JJ is a
+class JosephsonModel(CapacitorModel):
+    """JJs, then MJJs (a JJ with ic = states[state]): the capacitance Cj in
+    parallel with Rn and the supercurrent Ic*sin(phi).  At DC a JJ is a
     short: a DC-only branch through a tiny series resistance, whose current
     gives the phase."""
 
     kinds = (DeviceKind.JJ, DeviceKind.MJJ)
     branch = "dc"
     junction = True
-    state = ("phi", "vold", "icold")
+    state = ("phi", "vold", "iold")
 
     def setup(self):
         self.ic = np.array([p["states"][p["state"]] if "states" in p else p["ic"]
                             for p in self.params])
-        self.rn, self.cj = self._param("rn"), self._param("cj")
+        self.rn, self.c = self._param("rn"), self._param("cj")
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
         self.nl_rows, self.nl_cols = self.s_rows, self.s_cols
 
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
         self.beta = 2.0 * math.pi / self.k * h / PHI0  # d(phi)/dv over the step
-        self.gc = self.k * self.cj / h
 
     def static(self):
         return _g4(1.0 / self.rn + self.gc + self.gmin)
 
-    def evaluate(self, xg, t):
+    def _phase(self, xg):
         v = xg[self.a] - xg[self.b]
-        phi = self.phi + self.k_old * self.beta * self.vold + self.beta * v
-        icap = self.gc * (v - self.vold) - self.k_old * self.icold
-        i = self.ic * np.sin(phi) + v / self.rn + icap + self.gmin * v
-        self._trial = (phi, v, icap)
+        return self.phi + self.k_old * self.beta * self.vold + self.beta * v
+
+    def nonlinear(self, xg):
+        phi = self._phase(xg)
+        i = self.ic * np.sin(phi)
         return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * self.beta)
 
     def angle_step(self, dxg):
         return np.abs(dxg[self.a] - dxg[self.b]).max() * self.beta
+
+    def commit(self, xg):
+        self.phi = self._phase(xg)
+        super().commit(xg)
 
     def dc(self):
         k = len(self.ic)
@@ -312,26 +316,27 @@ class JosephsonModel(DeviceModel):
                  np.concatenate(values)), _NO_RHS)
 
     def seed(self, xg):
-        phi = _dc_state(self.names, xg[self.br] / self.ic,
-                        [p.get("phi0") for p in self.params], 1.0, "|i|/Ic",
-                        "superconducting window")
-        self._trial = (phi, xg[self.a] - xg[self.b], np.zeros(len(self.ic)))
+        self.phi = _dc_state(self.names, xg[self.br] / self.ic,
+                             [p.get("phi0") for p in self.params], 1.0,
+                             "|i|/Ic", "superconducting window")
+        super().seed(xg)
 
     def current(self, xg, t):
-        return self.ic * np.sin(self.phi) + self.vold / self.rn + self.icold
+        return self.ic * np.sin(self.phi) + self.vold / self.rn + self.iold
 
 
-class PhaseSlipModel(DeviceModel):
-    """QPSJs.  At DC a QPSJ is in Coulomb blockade: its branch current is
-    held at zero and its branch voltage gives the initial charge."""
+class PhaseSlipModel(InductorModel):
+    """QPSJs: the inductance Ls in series with Rn and the voltage
+    Vc*sin(2*pi*q/2e).  At DC a QPSJ is in Coulomb blockade: its branch
+    current is held at zero and its branch voltage gives the initial
+    charge."""
 
     kinds = (DeviceKind.QPSJ,)
-    branch = "tran"
     junction = True
     state = ("q", "iold", "vlold")
 
     def setup(self):
-        self.vc, self.rn, self.ls = (self._param(k) for k in ("vc", "rn", "ls"))
+        self.vc, self.rn, self.l = (self._param(k) for k in ("vc", "rn", "ls"))
         g_rows, g_cols = _conductance(self.a, self.b)
         self.s_rows = np.concatenate([self.s_rows, g_rows])
         self.s_cols = np.concatenate([self.s_cols, g_cols])
@@ -340,42 +345,37 @@ class PhaseSlipModel(DeviceModel):
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
         self.alpha = h / self.k  # dq/di over the step
-        self.cl = self.k * self.ls / h
 
     def static(self):
-        return np.concatenate([_pm5(self.rn + self.cl),
+        return np.concatenate([_pm5(self.rn + self.r),
                                _g4(np.full(len(self.vc), self.gmin))])
 
-    def evaluate(self, xg, t):
-        i = xg[self.br]
-        q = self.q + self.k_old * self.alpha * self.iold + self.alpha * i
-        vl = self.cl * (i - self.iold) - self.k_old * self.vlold
-        v = xg[self.a] - xg[self.b]
-        ileak = i + self.gmin * v
-        self._trial = (q, i, vl)
-        vj = self.vc * np.sin(_W * q)
-        dv_di = self.vc * np.cos(_W * q) * _W * self.alpha
-        return np.concatenate([ileak, -ileak, v - vj - self.rn * i - vl]), -dv_di
+    def _charge(self, xg):
+        return self.q + self.k_old * self.alpha * self.iold + self.alpha * xg[self.br]
+
+    def nonlinear(self, xg):
+        wq = _W * self._charge(xg)
+        return -self.vc * np.sin(wq), -self.vc * np.cos(wq) * _W * self.alpha
 
     def angle_step(self, dxg):
         return np.abs(dxg[self.br]).max() * _W * self.alpha
 
+    def commit(self, xg):
+        self.q = self._charge(xg)
+        super().commit(xg)
+
     def dc(self):
-        k = len(self.vc)
-        g_rows, g_cols = _conductance(self.a, self.b)
-        values = [_g4(np.full(k, self.gmin)), np.ones(k), -np.ones(k), np.ones(k)]
-        return ((np.concatenate([g_rows, self.a, self.b, self.br]),
-                 np.concatenate([g_cols, self.br, self.br, self.br]),
-                 np.concatenate(values)), _NO_RHS)
+        ones, zeros = np.ones(len(self.vc)), np.zeros(len(self.vc))
+        values = [ones, -ones, zeros, zeros, ones, _g4(self.gmin * ones)]
+        return (self.s_rows, self.s_cols, np.concatenate(values)), _NO_RHS
 
     def seed(self, xg):
         """Also sets the branch currents in xg to their blockade value 0."""
-        q = _dc_state(self.names, (xg[self.a] - xg[self.b]) / self.vc,
-                      [p.get("q0") for p in self.params], _W, "|v|/Vc",
-                      "Coulomb blockade")
-        zeros = np.zeros(len(self.vc))
-        self._trial = (q, zeros, zeros)
+        self.q = _dc_state(self.names, (xg[self.a] - xg[self.b]) / self.vc,
+                           [p.get("q0") for p in self.params], _W, "|v|/Vc",
+                           "Coulomb blockade")
         xg[self.br] = 0.0
+        super().seed(xg)
 
 
 _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,

@@ -2,14 +2,14 @@
 
 Unknown vector layout: node voltages (mV) first, then branch currents
 (uA).  The device equations live in the models of :mod:`qpsjsim.devices`;
-this module scatters their values into the system, one ``np.bincount``
-per residual and Jacobian, and solves it: at DC (capacitors open,
-inductors and JJs shorted, QPSJs in Coulomb blockade) to seed the device
-states, then per timestep by damped Newton iteration on the companion
-discretization.  Output is sampled on the requested uniform grid while
-the engine may sub-step (step halving, backward-Euler fallback).  The
-numerics are fixed: the tolerances and limits below are module constants,
-and run manifests record them as :data:`SOLVER_SETTINGS`.
+this module scatters their values with ``np.bincount`` and solves: at DC
+(capacitors open, inductors and JJs shorted, QPSJs in Coulomb blockade)
+to seed the device states, then per timestep by damped Newton iteration
+on the companion discretization F = S @ x + c + F_nl(x), whose S and c
+are fixed once per step; only the junctions' F_nl run per iteration.
+Output is sampled on the requested uniform grid while the engine may
+sub-step (step halving, backward-Euler fallback).  The numerics are
+fixed module constants; run manifests record :data:`SOLVER_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import build_models
+from .devices import _NO_INDEX, _NO_VALUES, build_models
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # halved sub-step use backward Euler.
@@ -46,8 +46,11 @@ class EngineError(Exception):
 
 
 class ConvergenceError(EngineError):
-    def __init__(self, message, t=None):
-        self.t = t
+    """Newton gave up at time t on a step of size h (ps); worst names the
+    node or branch device with the largest residual."""
+
+    def __init__(self, message, t=None, h=None, worst=None):
+        self.t, self.h, self.worst = t, h, worst
         super().__init__(message)
 
 
@@ -77,6 +80,12 @@ def _flat(rows, cols, size):
     return np.ravel_multi_index((rows % size, cols % size), (size, size))
 
 
+def _scatter(idx, parts, size):
+    """The values of parts summed into a zero vector of size at idx."""
+    return np.bincount(idx, np.concatenate([_NO_VALUES, *parts]),
+                       minlength=size)
+
+
 class _System:
     """The MNA system of one circuit, assembled from its device models."""
 
@@ -84,60 +93,72 @@ class _System:
         self.circuit = circuit
         self.n = circuit.node_count
         self.models, self.N, self.N_dc = build_models(circuit, GMIN)
+        self.junctions = [m for m in self.models if m.junction]
         M = self.N + 1  # the last slot collects ground entries
         self._f_idx = np.concatenate([m.f_rows for m in self.models]) % M
-        self._j_idx = np.concatenate(
-            [_flat(m.s_rows, m.s_cols, M) for m in self.models]
-            + [_flat(m.nl_rows, m.nl_cols, M) for m in self.models])
-        self._static = {}  # static Jacobian values per (h, trap)
+        self._s_idx = np.concatenate(
+            [_flat(m.s_rows, m.s_cols, M) for m in self.models])
+        # the junctions' F_nl and J_nl, scattered into one vector
+        self._nl_idx = np.concatenate([_NO_INDEX] + [
+            idx for m in self.junctions
+            for idx in (m.f_rows % M, M + _flat(m.nl_rows, m.nl_cols, M))])
+        self._static = {}  # static Jacobian S per (h, trap)
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
         self._ftol = np.repeat([ABSTOL_I, ABSTOL_V], counts)
         self._xtol = np.repeat([ABSTOL_V, ABSTOL_I], counts)
 
-    def _assemble(self, xg, t, static):
-        f, nl = zip(*[m.evaluate(xg, t) for m in self.models])
-        M = self.N + 1
-        F = np.bincount(self._f_idx, np.concatenate(f), minlength=M)
-        J = np.bincount(self._j_idx, np.concatenate((static,) + nl),
-                        minlength=M * M)
-        return F, J.reshape(M, M)
-
     def _newton(self, xg, t, h, trap):
         """Converged unknowns of a trapezoidal (or, if not trap, backward
-        Euler) step, with the ground slot, or None."""
+        Euler) step to t, with the ground slot, or None."""
         for m in self.models:
             m.begin_step(h, trap)
+        N, M = self.N, self.N + 1
         if (h, trap) not in self._static:
-            self._static[h, trap] = np.concatenate(
-                [m.static() for m in self.models])
-        N = self.N
+            self._static[h, trap] = _scatter(
+                self._s_idx, [m.static() for m in self.models], M * M)
+        S = self._static[h, trap].reshape(M, M)
+        c = _scatter(self._f_idx, [m.history(t) for m in self.models], M)
         delta_ok = False
         for _ in range(MAX_NEWTON_ITERS):
-            F, J = self._assemble(xg, t, self._static[h, trap])
-            if delta_ok and (np.abs(F[:N]) < self._ftol).all():
+            nl = _scatter(self._nl_idx, [v for m in self.junctions
+                                         for v in m.nonlinear(xg)], M + M * M)
+            F = (S @ xg + c + nl[:M])[:N]
+            if delta_ok and (np.abs(F) < self._ftol).all():
                 return xg
+            J = S + nl[M:].reshape(M, M)
             try:
-                dx = np.linalg.solve(J[:N, :N], -F[:N])
+                dx = np.linalg.solve(J[:N, :N], -F)
             except np.linalg.LinAlgError:
-                return None
+                break
             if not np.isfinite(dx).all():
-                return None
+                break
             # damp the step so no junction jumps minima within one iteration
             dxg = np.concatenate((dx, _GROUND))
-            max_angle = max((m.angle_step(dxg) for m in self.models
-                             if m.junction), default=0.0)
+            max_angle = max((m.angle_step(dxg) for m in self.junctions),
+                            default=0.0)
             if max_angle > MAX_ANGLE_STEP:
                 dxg *= MAX_ANGLE_STEP / max_angle
             xg = xg + dxg
             delta_ok = (np.abs(dxg[:N])
                         < RELTOL * np.abs(xg[:N]) + self._xtol).all()
+        self.failed_f = F  # the residual that ConvergenceError reports
         return None
 
-    def _commit(self):
-        """Accept the device states of the last assembly (a converged one)."""
-        if not all([m.commit() for m in self.models]):
+    def _worst(self, resid):
+        """The node or branch device of the largest entry of resid."""
+        names = ([f"node {name!r}" for name in self.circuit.node_names]
+                 + [f"device {name!r}" for m in self.models
+                    if m.branch == "tran" for name in m.names])
+        return names[int(np.argmax(np.abs(resid)))] if len(resid) else "node '?'"
+
+    def _advance(self, xg, how):
+        """Seed ("seed") or commit ("commit") every device state from xg."""
+        for m in self.models:
+            getattr(m, how)(xg)
+        states = [getattr(m, name) for m in self.models for name in m.state]
+        if not np.isfinite(np.concatenate([_NO_VALUES, *states])).all():
             raise EngineError("non-finite device state after timestep")
 
     def seed_from_dc(self):
@@ -158,16 +179,12 @@ class _System:
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all(np.isfinite(x)):
-            resid = np.abs(A @ (np.zeros(Nd) if x is None else x) - b)
-            worst = int(np.argmax(resid[:n])) if n else 0
-            name = self.circuit.node_names[worst] if n else "?"
-            raise ConvergenceError(
-                f"DC operating point did not converge; worst residual at node "
-                f"{name!r}")
+            resid = A @ (np.zeros(Nd) if x is None else x) - b
+            worst = self._worst(resid[:n])
+            raise ConvergenceError(f"DC operating point did not converge;"
+                                   f" worst residual at {worst}", worst=worst)
         xg = np.concatenate((x, _GROUND))
-        for m in self.models:
-            m.seed(xg)
-        self._commit()
+        self._advance(xg, "seed")
         return xg
 
     def probes(self):
@@ -237,7 +254,6 @@ def tran(circuit, tstep=None, tstop=None):
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
     names, values = sys_.probes()
 
-    n_total = len(grid) - 1
     tstep = float(grid[1])
     times = grid[skip:]
     data = np.empty((len(names), len(times)))
@@ -245,27 +261,27 @@ def tran(circuit, tstep=None, tstop=None):
         data[:, 0] = values(x, 0.0)
 
     t = 0.0
-    first = True
-    for k in range(1, n_total + 1):
+    for k in range(1, len(grid)):
         t_target = grid[k]
         h_cur = tstep
         while t < t_target - 1e-9 * tstep:
             h_try = min(h_cur, t_target - t)
             halved = h_cur < tstep * (1.0 - 1e-12)
-            x_new = sys_._newton(x, t + h_try, h_try, not (first or halved))
+            x_new = sys_._newton(x, t + h_try, h_try, not (t == 0.0 or halved))
             if x_new is None:
                 h_cur = h_try / 2.0
                 if h_cur < tstep / (2.0 ** MAX_HALVINGS):
+                    worst = sys_._worst(sys_.failed_f)
                     raise ConvergenceError(
                         f"Newton failed to converge at t = {t + h_try:.6g} ps "
-                        f"after {MAX_HALVINGS} halvings", t=t + h_try)
+                        f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
+                        f"halvings; worst residual at {worst}",
+                        t=t + h_try, h=h_try, worst=worst)
                 continue
-            sys_._commit()
+            sys_._advance(x_new, "commit")
             x = x_new
             t += h_try
-            first = False
-            if h_cur < tstep:
-                h_cur = min(h_cur * 2.0, tstep)
+            h_cur = min(h_cur * 2.0, tstep)
         t = t_target  # snap accumulated float error to the grid
         if k >= skip:
             data[:, k - skip] = values(x, t)

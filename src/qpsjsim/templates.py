@@ -1,9 +1,9 @@
 """Builders for the neuron, synapse and network circuits.
 
-Each builder renders a netlist in the simulator's own dialect and parses
-it back, so the returned AST is guaranteed to round-trip through the
-grammar.  All numeric parameters are in base SI units here; elaboration
-converts to the internal scaled system.
+Each builder renders a netlist in the simulator's own dialect, as text:
+``elaborate(parse_netlist(neuron_netlist(p)))`` gives the circuit.  All
+numeric parameters are in base SI units here; elaboration converts to
+the internal scaled system.
 
 Circuit notes
 -------------
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .netlist import NetlistAst, parse_netlist
 from .units import TWO_E_SI
 
 
@@ -112,10 +111,6 @@ def neuron_netlist(p: NeuronParams | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_neuron(p: NeuronParams | None = None) -> NetlistAst:
-    return parse_netlist(neuron_netlist(p))
-
-
 @dataclass(frozen=True)
 class SynapseBinaryParams:
     ic_states: tuple = (200e-6, 300e-6)  # A, (weight-1, weight-0)
@@ -165,10 +160,6 @@ def binary_synapse_netlist(p: SynapseBinaryParams | None = None) -> str:
     lines.append(".save v(nj) i(J1) i(Q1)")
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def build_binary_synapse(p: SynapseBinaryParams | None = None) -> NetlistAst:
-    return parse_netlist(binary_synapse_netlist(p))
 
 
 @dataclass(frozen=True)
@@ -228,10 +219,6 @@ def multistate_synapse_netlist(p: SynapseMultiParams | None = None) -> str:
     lines.append(".save v(nj) v(n2) i(J1) i(J2) i(Q1)")
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def build_multistate_synapse(p: SynapseMultiParams | None = None) -> NetlistAst:
-    return parse_netlist(multistate_synapse_netlist(p))
 
 
 @dataclass(frozen=True)
@@ -328,7 +315,3 @@ def network_netlist(spec: NetworkSpec) -> str:
     lines.append(f".save {probes}")
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def build_network(spec: NetworkSpec) -> NetlistAst:
-    return parse_netlist(network_netlist(spec))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qpsjsim.engine import tran
-from qpsjsim.netlist import elaborate
+from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.templates import (NeuronParams, SynapseBinaryParams,
-                               build_binary_synapse, build_neuron)
+                               binary_synapse_netlist, neuron_netlist)
 
 
 def run_scenario(ast):
@@ -25,7 +25,7 @@ def run_scenario(ast):
 def neuron_run():
     """Threshold-10 neuron driven by 22 input pulses (two firing cycles)."""
     p = NeuronParams(n_pulses=22)
-    out = run_scenario(build_neuron(p))
+    out = run_scenario(parse_netlist(neuron_netlist(p)))
     out.params = p
     return out
 
@@ -34,7 +34,7 @@ def neuron_run():
 def binary_on_run():
     """Binary synapse in the low-Ic (weight 1) state, 10 inputs."""
     p = SynapseBinaryParams(state=0)
-    out = run_scenario(build_binary_synapse(p))
+    out = run_scenario(parse_netlist(binary_synapse_netlist(p)))
     out.params = p
     return out
 
@@ -43,7 +43,7 @@ def binary_on_run():
 def binary_off_run():
     """Binary synapse in the high-Ic (weight 0) state, 10 inputs."""
     p = SynapseBinaryParams(state=1)
-    out = run_scenario(build_binary_synapse(p))
+    out = run_scenario(parse_netlist(binary_synapse_netlist(p)))
     out.params = p
     return out
 

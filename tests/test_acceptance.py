@@ -22,8 +22,8 @@ from qpsjsim.devices import damping_parameter
 from qpsjsim.engine import tran
 from qpsjsim.netlist import NetlistError, elaborate, parse_netlist
 from qpsjsim.reference import reference_integrate
-from qpsjsim.templates import (NetworkSpec, SynapseMultiParams, build_network,
-                               build_multistate_synapse)
+from qpsjsim.templates import (NetworkSpec, SynapseMultiParams,
+                               multistate_synapse_netlist, network_netlist)
 from qpsjsim.units import PHI0, TWO_E, TWO_E_SI
 
 
@@ -166,7 +166,7 @@ def test_ac5_multistate_synapse():
     currents = []
     for state in range(4):
         p = SynapseMultiParams(state=state, n_pulses=5)
-        waves = tran(elaborate(build_multistate_synapse(p)))
+        waves = tran(elaborate(parse_netlist(multistate_synapse_netlist(p))))
         counts.append(_quantized_count(waves, "i(q1)"))
         currents.append(p.ic_j2_states[state] * 1e6)
     elapsed = time.perf_counter() - t0
@@ -198,7 +198,7 @@ def test_ac6_network():
     for weights in (((1, 1, 1), (0, 1, 1)), ((1, 0, 1), (0, 0, 1))):
         spec = NetworkSpec(weights=weights,
                            input_periods=(60e-12, 90e-12, 120e-12))
-        waves = tran(elaborate(build_network(spec)))
+        waves = tran(elaborate(parse_netlist(network_netlist(spec))))
         for y, row in enumerate(spec.weights):
             expected = _expected_weight1_pulses(spec, row) \
                 // spec.neuron.n_threshold

@@ -86,8 +86,10 @@ def test_out_dir_env_variable(tmp_path, monkeypatch):
 
 
 def test_figure_unknown_id_is_input_error(tmp_path, capsys):
-    assert main(["figure", "fig99", "--out", str(tmp_path)]) == EXIT_INPUT
+    out = tmp_path / "out"
+    assert main(["figure", "fig99", "--out", str(out)]) == EXIT_INPUT
     assert "unknown figure id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_damping_is_linear_in_inductance(tmp_path):
@@ -104,15 +106,19 @@ def test_sweep_damping_is_linear_in_inductance(tmp_path):
 
 
 def test_sweep_unknown_combination_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
     assert main(["sweep", "neuron", "bogus", "1,2",
-                 "--out", str(tmp_path)]) == EXIT_INPUT
+                 "--out", str(out)]) == EXIT_INPUT
     assert "no sweep" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_values_is_input_error(tmp_path, capsys):
-    assert main(["sweep", "damping", "l", ",", "--out", str(tmp_path)]) \
+    out = tmp_path / "out"
+    assert main(["sweep", "damping", "l", ",", "--out", str(out)]) \
         == EXIT_INPUT
     assert "empty value list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--tstep", "0"], ["--tstep", "-1"],
@@ -122,10 +128,11 @@ def test_sweep_empty_values_is_input_error(tmp_path, capsys):
                                    ["--tstep", "1e-6", "--tstop", "1e300"]])
 def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     net = _write(tmp_path, RC_NETLIST)
-    assert main(["sim", str(net), "--out", str(tmp_path), *flags]) \
-        == EXIT_INPUT
+    out = tmp_path / "out"
+    assert main(["sim", str(net), "--out", str(out), *flags]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tran_line,flags", [(".tran 0.01p 5p 20p", []),

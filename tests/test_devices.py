@@ -1,5 +1,5 @@
 """Device constitutive relations, the engine's device models evaluated on
-one-element arrays, and the charge/flux duality."""
+one-element arrays in their split form, and the charge/flux duality."""
 
 import math
 
@@ -63,19 +63,22 @@ def _model(cls, kind, params, br=None):
 
 
 def _step(model, xg, h, trap, **state):
-    """Residual and Jacobian (ground slot dropped) of one Newton iterate of
-    a trapezoidal (or, if not trap, backward-Euler) step."""
+    """Residual S @ xg + c + F_nl(xg) and Jacobian S + J_nl(xg) (ground slot
+    dropped) of one Newton iterate of a trapezoidal (or, if not trap,
+    backward-Euler) step."""
     for name, value in state.items():
         setattr(model, name, np.array([value]))
     model.begin_step(h, trap)
-    static = model.static()
-    f, nl = model.evaluate(np.asarray(xg, dtype=float), 0.0)
+    xg = np.asarray(xg, dtype=float)
     size = len(xg)
-    F = np.zeros(size)
-    J = np.zeros((size, size))
-    np.add.at(F, model.f_rows, f)
-    np.add.at(J, (model.s_rows, model.s_cols), static)
-    np.add.at(J, (model.nl_rows, model.nl_cols), nl)
+    S = np.zeros((size, size))
+    np.add.at(S, (model.s_rows, model.s_cols), model.static())
+    F, J = S @ xg, S
+    np.add.at(F, model.f_rows, model.history(0.0))
+    if model.junction:
+        f, nl = model.nonlinear(xg)
+        np.add.at(F, model.f_rows, f)
+        np.add.at(J, (model.nl_rows, model.nl_cols), nl)
     return F[:-1], J[:-1, :-1]
 
 
@@ -96,12 +99,25 @@ def test_resistor_capacitor_inductor_stamps():
     assert J[0, 1] == 1.0 and J[1, 0] == 1.0
 
 
+def test_commit_keeps_the_companion_current_of_the_converged_step():
+    # the capacitor current and the inductor voltage that commit carries
+    # into the next step are the ones the step's residual holds at xg
+    c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
+    F, _ = _step(c, [5.0, 0.0], 0.5, True, vold=2.0, iold=1.0)
+    c.commit(np.array([5.0, 0.0]))
+    assert c.vold[0] == 5.0 and c.iold[0] == pytest.approx(F[0])
+    ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
+    F, _ = _step(ind, [0.0, 4.0, 0.0], 0.5, True, iold=2.0, vlold=1.0)
+    ind.commit(np.array([0.0, 4.0, 0.0]))
+    assert ind.iold[0] == 4.0 and ind.vlold[0] == pytest.approx(-F[1])
+
+
 def test_mjj_model_is_jj_with_active_state():
     mjj = _model(JosephsonModel, DeviceKind.MJJ,
                  {"states": [200.0, 300.0], "state": 1, "rn": 0.005, "cj": 1.0})
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 300.0, "rn": 0.005, "cj": 1.0})
-    state = dict(phi=0.3, vold=0.1, icold=0.2)
+    state = dict(phi=0.3, vold=0.1, iold=0.2)
     Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, True, **state)
     Fj, Jj = _step(jj, [0.4, 0.0], 0.01, True, **state)
     assert Fm[0] == Fj[0] and Jm[0, 0] == Jj[0, 0]
@@ -126,7 +142,7 @@ def _supercurrent(phi):
     voltage."""
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": _IC, "rn": 0.005, "cj": 1.0})
-    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi, vold=0.0, icold=0.0)
+    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi, vold=0.0, iold=0.0)
     return F[0]
 
 
@@ -170,7 +186,7 @@ def _dual_pair(trap, h, q_old, i_old, vl_old, i_at):
                    q=q_old, iold=i_old, vlold=vl_old)
     fj, jjac = _step(jj, [i_at, 0.0], h * scale, trap,
                      phi=2.0 * math.pi * q_old / TWO_E, vold=i_old,
-                     icold=vl_old)
+                     iold=vl_old)
     return (-fq[1], -jq[1, 1]), (fj[0], jjac[0, 0])
 
 

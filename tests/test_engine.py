@@ -222,6 +222,11 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
 .end
 """))
     assert err.value.t is not None and err.value.t > 0
+    # one halving of the 0.1 ps step, then the branch row of the QPSJ
+    # (biased past Vc) holds the largest residual
+    assert err.value.h == pytest.approx(0.05)
+    assert err.value.worst == "device 'q1'"
+    assert "step 0.05 ps" in str(err.value) and "device 'q1'" in str(err.value)
 
 
 def test_tran_argument_validation():

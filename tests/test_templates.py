@@ -5,9 +5,9 @@ import pytest
 from qpsjsim.netlist import DeviceKind, elaborate, parse_netlist, \
     serialize_circuit
 from qpsjsim.templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
-                               SynapseMultiParams, build_binary_synapse,
-                               build_multistate_synapse, build_network,
-                               build_neuron, network_netlist, neuron_netlist)
+                               SynapseMultiParams, binary_synapse_netlist,
+                               multistate_synapse_netlist, network_netlist,
+                               neuron_netlist)
 from qpsjsim.units import TWO_E_SI
 
 
@@ -48,7 +48,7 @@ def test_neuron_param_validation():
 
 def test_neuron_netlist_structure():
     p = NeuronParams(n_threshold=7)
-    ast = build_neuron(p)
+    ast = parse_netlist(neuron_netlist(p))
     kinds = _kinds(ast)
     assert len(kinds[DeviceKind.QPSJ]) == 8  # input junction + 7 parallel
     assert len(kinds[DeviceKind.CAPACITOR]) == 2  # storage + bypass
@@ -59,7 +59,7 @@ def test_neuron_netlist_structure():
 
 
 def test_neuron_netlist_round_trips_through_serializer():
-    circuit = elaborate(build_neuron(NeuronParams()))
+    circuit = elaborate(parse_netlist(neuron_netlist(NeuronParams())))
     circuit2 = elaborate(parse_netlist(serialize_circuit(circuit)))
     assert len(circuit2.devices) == len(circuit.devices)
     assert circuit2.node_names == circuit.node_names
@@ -78,7 +78,8 @@ def test_binary_synapse_validation():
 
 def test_binary_synapse_netlist_structure():
     for state in (0, 1):
-        ast = build_binary_synapse(SynapseBinaryParams(state=state))
+        p = SynapseBinaryParams(state=state)
+        ast = parse_netlist(binary_synapse_netlist(p))
         kinds = _kinds(ast)
         mjj = kinds[DeviceKind.MJJ][0]
         assert mjj.params["state"] == state
@@ -97,7 +98,8 @@ def test_multistate_synapse_validation():
 
 
 def test_multistate_synapse_netlist_structure():
-    ast = build_multistate_synapse(SynapseMultiParams(state=2))
+    p = SynapseMultiParams(state=2)
+    ast = parse_netlist(multistate_synapse_netlist(p))
     kinds = _kinds(ast)
     assert len(kinds[DeviceKind.JJ]) == 1  # input pump junction
     mjj = kinds[DeviceKind.MJJ][0]
@@ -125,7 +127,7 @@ def test_network_spec_validation():
 def test_network_netlist_structure():
     spec = NetworkSpec(weights=((1, 1, 1), (0, 1, 1)),
                        input_periods=(60e-12, 90e-12, 120e-12))
-    ast = build_network(spec)
+    ast = parse_netlist(network_netlist(spec))
     kinds = _kinds(ast)
     n_in, n_out = spec.n_inputs, spec.n_outputs
     n_thresh = spec.neuron.n_threshold
@@ -144,7 +146,7 @@ def test_network_netlist_structure():
 
 def test_network_input_pulse_timing():
     spec = NetworkSpec(weights=((1, 1),), input_periods=(60e-12, 90e-12))
-    ast = build_network(spec)
+    ast = parse_netlist(network_netlist(spec))
     pulses = [c.params["pulse"] for c in ast.cards
               if c.kind == DeviceKind.VSOURCE and "pulse" in c.params]
     assert [p.per for p in pulses] == pytest.approx([60e-12, 90e-12])
