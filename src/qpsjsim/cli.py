@@ -1,8 +1,9 @@
 """Command line front end: simulate netlists, canned scenarios, sweeps.
 
 Every command writes its outputs plus a manifest.json that records the
-exact inputs needed to reproduce the run.  Output CSVs are deterministic:
-the same inputs give byte-identical files.
+exact inputs needed to reproduce the run and what the solver did
+(``WaveformSet.stats``; a sweep lists them per point).  Output CSVs are
+deterministic: the same inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (parse/elaboration/usage),
 3 simulation failure (no convergence, or a non-finite result).
@@ -47,6 +48,7 @@ class RunManifest:
     params: dict
     solver: dict
     outputs: list
+    stats: dict | list = dataclasses.field(default_factory=dict)
     deterministic: bool = True
     wall_time_s: float = 0.0
     version: str = __version__
@@ -118,6 +120,7 @@ def cmd_sim(args):
                 "tstop_ps": args.tstop},
         solver=SOLVER_SETTINGS,
         outputs=[wave_path.name, spike_path.name],
+        stats=waves.stats,
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
     manifest.write(out)
@@ -234,6 +237,7 @@ def cmd_figure(args):
         params={"id": fig},
         solver=SOLVER_SETTINGS,
         outputs=[net_path.name, wave_path.name, spike_path.name],
+        stats=waves.stats,
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
     manifest.write(out)
@@ -242,17 +246,20 @@ def cmd_figure(args):
     return EXIT_OK
 
 
+# Each sweep point gives its sweep.csv columns and its solver stats.
+
 def _sweep_neuron(value):
     n = int(value)
     p = NeuronParams(n_threshold=n, n_pulses=max(12, 3 * n))
-    firings = _firings(_simulate(neuron_netlist(p)), "i(rload)")
+    waves = _simulate(neuron_netlist(p))
+    firings = _firings(waves, "i(rload)")
     if len(firings) >= 2:
         period = float(np.mean(np.diff([e.t_peak for e in firings])))
     elif firings:
         period = float("nan")
     else:
         period = float("inf")
-    return {"firings": len(firings), "firing_period_ps": period}
+    return {"firings": len(firings), "firing_period_ps": period}, waves.stats
 
 
 def _sweep_synapse(value):
@@ -262,12 +269,13 @@ def _sweep_synapse(value):
     p = SynapseBinaryParams(state=state)
     waves = _simulate(binary_synapse_netlist(p))
     n = _count_quanta(waves, "i(q1)")
-    return {"output_pulses": n, "pulses_per_input": n / p.n_pulses}
+    return ({"output_pulses": n, "pulses_per_input": n / p.n_pulses},
+            waves.stats)
 
 
 def _sweep_damping(value):
     l = float(value)
-    return {"beta_l": damping_parameter(0.7e-3, l, 10e3)}
+    return {"beta_l": damping_parameter(0.7e-3, l, 10e3)}, {}
 
 
 _SWEEPS = {
@@ -293,11 +301,12 @@ def cmd_sweep(args):
 
     def point(v):
         try:
-            return {"value": v, "status": "ok", **fn(v)}
+            columns, stats = fn(v)
+            return {"value": v, "status": "ok", **columns}, stats
         except (EngineError, NetlistError, ValueError) as exc:
-            return {"value": v, "status": f"failed: {exc}"}
+            return {"value": v, "status": f"failed: {exc}"}, {}
 
-    rows = [point(v) for v in values]
+    rows, stats = zip(*[point(v) for v in values])
 
     fields = ["value", "status"]
     for row in rows:
@@ -316,6 +325,7 @@ def cmd_sweep(args):
                 "values": values},
         solver=SOLVER_SETTINGS,
         outputs=[sweep_path.name],
+        stats=list(stats),
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
     manifest.write(out)

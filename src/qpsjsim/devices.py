@@ -83,6 +83,11 @@ def _pm5(r):
     return np.concatenate([ones, -ones, ones, -ones, -r])
 
 
+def _series(l):
+    """The C part of _pm5(k*l/h): -l on the branch diagonal alone."""
+    return np.concatenate([np.zeros(4 * len(l)), -l])
+
+
 def _dc_state(names, ratio, preset, scale, bias, window):
     """Initial junction state asin(ratio)/scale, or the preset one.  A
     ratio outside [-1, 1] (a DC bias outside the junction's window) is
@@ -102,12 +107,13 @@ class DeviceModel:
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
     is that ground slot, which the engine drops.  The residual of a step
-    to t is ``S @ xg + c + F_nl(xg)``: ``static`` gives S at ``s_rows,
-    s_cols``; ``history(t)`` gives c at ``f_rows`` (the sources at t and
-    the companion terms of the committed state); a junction's
-    ``nonlinear(xg)`` gives F_nl at ``f_rows`` and its Jacobian at
-    ``nl_rows, nl_cols``.  ``commit`` advances the state to the step's
-    converged unknowns.
+    of size h to t is ``S @ xg + c + F_nl(xg)``, with k = 2 (trapezoidal)
+    or 1 (backward Euler).  ``static`` gives the values of G and C, fixed
+    per circuit, in S = G + (k/h)*C at ``s_rows, s_cols``; ``history(t)``
+    gives c at ``f_rows`` (the sources at t and the companion terms of the
+    committed state); a junction's ``nonlinear(xg)`` gives F_nl at
+    ``f_rows`` and its Jacobian at ``nl_rows, nl_cols``.  ``commit``
+    advances the state to the step's converged unknowns.
     """
 
     kinds = ()  # device kinds held, grouped in this order
@@ -140,24 +146,30 @@ class DeviceModel:
 
     def begin_step(self, h, trap):
         """Set the coefficients of a trapezoidal (or BE) step of size h."""
-        self.k = 2.0 if trap else 1.0  # companion factor: 2C/h or C/h
-        self.k_old = self.k - 1.0  # weight of the previous step's derivative
+        k = 2.0 if trap else 1.0
+        self.kh = k / h  # companion factor: 2/h or 1/h
+        self.k_old = k - 1.0  # weight of the previous step's derivative
 
     def static(self):
-        """Static Jacobian values under the current coefficients."""
-        return _NO_VALUES
+        """The parts G and C of the static Jacobian values G + (k/h)*C."""
+        return _NO_VALUES, _NO_VALUES
+
+    def source(self, t):
+        """Independent-source values at f_rows at time t."""
+        return np.zeros(len(self.f_rows))
 
     def history(self, t):
         """Residual values at f_rows that stay fixed within a step to t."""
-        return np.zeros(len(self.f_rows))
+        return self.source(t)
 
     def commit(self, xg):
         """Advance the state from the converged unknowns xg."""
 
     def dc(self):
-        """Entries (rows, cols, values) of A and (rows, values) of b."""
-        return (self.s_rows, self.s_cols, self.static()), (self.f_rows,
-                                                           -self.history(0.0))
+        """Entries (rows, cols, values) of A and (rows, values) of b: by
+        default the limit h -> inf of a step: G and the sources at 0."""
+        return (self.s_rows, self.s_cols, self.static()[0]), (self.f_rows,
+                                                              -self.source(0.0))
 
     def seed(self, xg):
         """Set the state from the DC solution xg."""
@@ -175,7 +187,8 @@ class ResistorModel(DeviceModel):
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
 
     def static(self):
-        return _g4(self.g)
+        g = _g4(self.g)
+        return g, np.zeros(len(g))
 
     def current(self, xg, t):
         return self.g * (xg[self.a] - xg[self.b])
@@ -191,10 +204,11 @@ class CapacitorModel(DeviceModel):
 
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
-        self.gc = self.k * self.c / h
+        self.gc = self.kh * self.c
 
     def static(self):
-        return _g4(self.gc)
+        c = _g4(self.c)
+        return np.zeros(len(c)), c
 
     def history(self, t):
         i = -self.gc * self.vold - self.k_old * self.iold
@@ -203,9 +217,6 @@ class CapacitorModel(DeviceModel):
     def commit(self, xg):
         v = xg[self.a] - xg[self.b]
         self.vold, self.iold = v, self.gc * (v - self.vold) - self.k_old * self.iold
-
-    def dc(self):
-        return (_NO_INDEX, _NO_INDEX, _NO_VALUES), _NO_RHS
 
     def seed(self, xg):
         self.vold, self.iold = xg[self.a] - xg[self.b], np.zeros(len(self.c))
@@ -217,7 +228,7 @@ class CapacitorModel(DeviceModel):
 class CurrentSourceModel(DeviceModel):
     kinds = (DeviceKind.ISOURCE,)
 
-    def history(self, t):
+    def source(self, t):
         i = self._sources(t)
         return np.concatenate([i, -i])
 
@@ -230,9 +241,10 @@ class VoltageSourceModel(DeviceModel):
     branch = "tran"
 
     def static(self):
-        return _pm5(np.zeros(len(self.br)))
+        g = _pm5(np.zeros(len(self.br)))
+        return g, np.zeros(len(g))
 
-    def history(self, t):
+    def source(self, t):
         return -self._sources(t)
 
 
@@ -246,10 +258,10 @@ class InductorModel(DeviceModel):
 
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
-        self.r = self.k * self.l / h
+        self.r = self.kh * self.l
 
     def static(self):
-        return _pm5(self.r)
+        return _pm5(np.zeros(len(self.l))), _series(self.l)
 
     def history(self, t):
         return self.r * self.iold + self.k_old * self.vlold
@@ -286,10 +298,10 @@ class JosephsonModel(CapacitorModel):
 
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
-        self.beta = 2.0 * math.pi / self.k * h / PHI0  # d(phi)/dv over the step
+        self.beta = 2.0 * math.pi / (self.kh * PHI0)  # d(phi)/dv over the step
 
     def static(self):
-        return _g4(1.0 / self.rn + self.gc + self.gmin)
+        return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
 
     def _phase(self, xg):
         v = xg[self.a] - xg[self.b]
@@ -344,11 +356,12 @@ class PhaseSlipModel(InductorModel):
 
     def begin_step(self, h, trap):
         super().begin_step(h, trap)
-        self.alpha = h / self.k  # dq/di over the step
+        self.alpha = 1.0 / self.kh  # dq/di over the step
 
     def static(self):
-        return np.concatenate([_pm5(self.rn + self.r),
-                               _g4(np.full(len(self.vc), self.gmin))])
+        gmin = _g4(np.full(len(self.vc), self.gmin))
+        return (np.concatenate([_pm5(self.rn), gmin]),
+                np.concatenate([_series(self.l), np.zeros(len(gmin))]))
 
     def _charge(self, xg):
         return self.q + self.k_old * self.alpha * self.iold + self.alpha * xg[self.br]

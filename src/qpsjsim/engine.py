@@ -7,21 +7,30 @@ this module scatters their values with ``np.bincount`` and solves: at DC
 to seed the device states, then per timestep by damped Newton iteration
 on the companion discretization F = S @ x + c + F_nl(x), whose S and c
 are fixed once per step; only the junctions' F_nl run per iteration.
-Output is sampled on the requested uniform grid while the engine may
-sub-step (step halving, backward-Euler fallback).  The numerics are
-fixed module constants; run manifests record :data:`SOLVER_SETTINGS`.
+S = G + (k/h)*C comes from two matrices fixed per circuit.
+
+Newton starts each step from the polynomial through the last three
+accepted points.  The difference between that prediction and the
+converged step estimates the trapezoidal local truncation error (LTE),
+and the step size follows it: it grows above the requested tstep where
+the estimate allows, and never falls below tstep on its account.  Steps
+land exactly on every pulse-source corner.  A Newton failure halves the
+step, down to tstep / 2**MAX_HALVINGS; steps halved below tstep use
+backward Euler.  The output is interpolated linearly onto the requested
+uniform tstep grid.  The numerics are fixed module constants; run
+manifests record :data:`SOLVER_SETTINGS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .devices import _NO_INDEX, _NO_VALUES, build_models
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
-# halved sub-step use backward Euler.
+# step halved below tstep use backward Euler.
 RELTOL = 1e-3
 ABSTOL_V = 1e-6  # mV
 ABSTOL_I = 1e-6  # uA
@@ -29,13 +38,14 @@ MAX_NEWTON_ITERS = 50
 GMIN = 1e-9  # 1/kohm: junction leak and the DC tie of every node to ground
 MAX_HALVINGS = 8
 MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
+LTE_FRACTION = 0.005  # LTE bound, as a fraction of RELTOL*|x| + abstol
 
 # The settings a run manifest records.
 SOLVER_SETTINGS = {
     "reltol": RELTOL, "abstol_v": ABSTOL_V, "abstol_i": ABSTOL_I,
     "max_newton_iters": MAX_NEWTON_ITERS, "gmin": GMIN,
     "method": "trapezoidal", "max_halvings": MAX_HALVINGS,
-    "max_angle_step": MAX_ANGLE_STEP,
+    "max_angle_step": MAX_ANGLE_STEP, "lte_fraction": LTE_FRACTION,
 }
 
 _GROUND = np.zeros(1)  # the slot appended to the unknowns for ground
@@ -56,10 +66,12 @@ class ConvergenceError(EngineError):
 
 @dataclass
 class WaveformSet:
-    """Uniformly sampled waveforms: time in ps, channels in mV or uA."""
+    """Uniformly sampled waveforms: time in ps, channels in mV or uA.
+    ``stats`` counts what the solver did (see :func:`tran`)."""
 
     time: np.ndarray
     channels: dict
+    stats: dict = field(default_factory=dict)
 
     def channel(self, name):
         return self.channels[name.lower()]
@@ -102,7 +114,10 @@ class _System:
         self._nl_idx = np.concatenate([_NO_INDEX] + [
             idx for m in self.junctions
             for idx in (m.f_rows % M, M + _flat(m.nl_rows, m.nl_cols, M))])
-        self._static = {}  # static Jacobian S per (h, trap)
+        G, C = zip(*[m.static() for m in self.models])
+        self._G = _scatter(self._s_idx, G, M * M).reshape(M, M)
+        self._C = _scatter(self._s_idx, C, M * M).reshape(M, M)
+        self.solves = 0  # LU solves, one per Newton iteration
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
@@ -115,10 +130,7 @@ class _System:
         for m in self.models:
             m.begin_step(h, trap)
         N, M = self.N, self.N + 1
-        if (h, trap) not in self._static:
-            self._static[h, trap] = _scatter(
-                self._s_idx, [m.static() for m in self.models], M * M)
-        S = self._static[h, trap].reshape(M, M)
+        S = self._G + (2.0 if trap else 1.0) / h * self._C
         c = _scatter(self._f_idx, [m.history(t) for m in self.models], M)
         delta_ok = False
         for _ in range(MAX_NEWTON_ITERS):
@@ -128,6 +140,7 @@ class _System:
             if delta_ok and (np.abs(F) < self._ftol).all():
                 return xg
             J = S + nl[M:].reshape(M, M)
+            self.solves += 1
             try:
                 dx = np.linalg.solve(J[:N, :N], -F)
             except np.linalg.LinAlgError:
@@ -243,49 +256,114 @@ def _time_grid(circuit, tstep=None, tstop=None):
     return grid, skip
 
 
+def _breakpoints(circuit, tstep, tend):
+    """The times a step must end on: the pulse-source corners in (0, tend),
+    each at least half a tstep past the one kept before it, then tend.  A
+    pulse whose period is under tstep has no corner the grid resolves."""
+    pulses = [d.params["pulse"] for d in circuit.devices if "pulse" in d.params]
+    points, last = [], 0.0
+    for c in sorted(c for p in pulses if not 0 < p.per < tstep
+                    for c in p.corners(tend)):
+        if last + tstep / 2 <= c <= tend - tstep / 2:
+            points.append(c)
+            last = c
+    return points + [tend]
+
+
+def _predict(past, t):
+    """The polynomial through the accepted points past, [(t_i, x_i)], at t."""
+    ts = [ti for ti, _ in past]
+    x = 0.0
+    for i, (ti, xi) in enumerate(past):
+        w = 1.0
+        for tj in ts[:i] + ts[i + 1:]:
+            w *= (t - tj) / (ti - tj)
+        x = x + w * xi
+    return x
+
+
 def tran(circuit, tstep=None, tstop=None):
     """Integrate the circuit through time; returns a :class:`WaveformSet`.
 
-    Output samples lie on the uniform tstep grid from tstart to tstop;
-    the engine sub-steps internally when Newton fails on a full step.
+    Output samples lie on the uniform tstep grid from tstart to tstop,
+    interpolated linearly between the accepted steps (see the module
+    docstring).  ``stats`` holds the counts ``accepted_steps``,
+    ``lte_rejections``, ``newton_halvings`` and ``newton_iterations``
+    (one LU solve each).
     """
     grid, skip = _time_grid(circuit, tstep, tstop)
     sys_ = _System(circuit)
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
     names, values = sys_.probes()
 
-    tstep = float(grid[1])
+    tstep, tend = float(grid[1]), float(grid[-1])
+    slack = 1e-9 * tstep  # float error of a sum of steps
+    xtol = np.concatenate((sys_._xtol, [1.0]))  # the ground slot stays 0
     times = grid[skip:]
     data = np.empty((len(names), len(times)))
+    p = values(x, 0.0)
     if not skip:
-        data[:, 0] = values(x, 0.0)
-
-    t = 0.0
-    for k in range(1, len(grid)):
-        t_target = grid[k]
-        h_cur = tstep
-        while t < t_target - 1e-9 * tstep:
-            h_try = min(h_cur, t_target - t)
-            halved = h_cur < tstep * (1.0 - 1e-12)
-            x_new = sys_._newton(x, t + h_try, h_try, not (t == 0.0 or halved))
-            if x_new is None:
-                h_cur = h_try / 2.0
-                if h_cur < tstep / (2.0 ** MAX_HALVINGS):
-                    worst = sys_._worst(sys_.failed_f)
-                    raise ConvergenceError(
-                        f"Newton failed to converge at t = {t + h_try:.6g} ps "
-                        f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
-                        f"halvings; worst residual at {worst}",
-                        t=t + h_try, h=h_try, worst=worst)
+        data[:, 0] = p
+    stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
+    breaks = iter(_breakpoints(circuit, tstep, tend))
+    bp = next(breaks)
+    past = [(0.0, x)]  # accepted points since the last breakpoint, oldest first
+    filled = 1  # grid points recorded so far
+    t, h = 0.0, tstep
+    while t < tend:
+        # land on the next breakpoint, without leaving a sliver before it
+        r = bp - t
+        h_try = r if r < h + slack else min(h, r / 2) if r < h + tstep else h
+        t_new = bp if h_try == r else t + h_try
+        xp = _predict(past, t_new)
+        x_new = sys_._newton(xp, t_new, h_try,
+                             t > 0.0 and h > tstep - slack)
+        if x_new is None:
+            stats["newton_halvings"] += 1
+            h = h_try / 2.0
+            if h < tstep / (2.0 ** MAX_HALVINGS):
+                worst = sys_._worst(sys_.failed_f)
+                raise ConvergenceError(
+                    f"Newton failed to converge at t = {t_new:.6g} ps "
+                    f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
+                    f"halvings; worst residual at {worst}",
+                    t=t_new, h=h_try, worst=worst)
+            continue
+        # Milne's device: x_new - xp is h*(t_new - t1)*(t_new - t2)*x3/6,
+        # x3 the third derivative, and the trapezoidal LTE is h**3*x3/12.
+        # A step of at most tstep passes whatever its estimate.
+        grow = 1.0
+        if len(past) == 3:
+            (t2, _), (t1, _), (_, x0) = past
+            tol = RELTOL * np.maximum(np.abs(x0), np.abs(x_new)) + xtol
+            err = float((np.abs(x_new - xp) / tol).max()) * h_try * h_try / (
+                2.0 * LTE_FRACTION * (t_new - t1) * (t_new - t2))
+            grow = min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** (-1.0 / 3.0)))
+            if err > 1.0 and h_try > tstep + slack:
+                stats["lte_rejections"] += 1
+                h = max(tstep, h_try * grow)
                 continue
-            sys_._advance(x_new, "commit")
-            x = x_new
-            t += h_try
-            h_cur = min(h_cur * 2.0, tstep)
-        t = t_target  # snap accumulated float error to the grid
-        if k >= skip:
-            data[:, k - skip] = values(x, t)
+        sys_._advance(x_new, "commit")
+        stats["accepted_steps"] += 1
+        # fill the grid points in (t, t_new] by linear interpolation
+        p_new = values(x_new, t_new)
+        end = int(np.searchsorted(grid, t_new + slack, "right"))
+        lo = max(filled, skip)
+        if end > lo:
+            w = np.minimum((grid[lo:end] - t) / (t_new - t), 1.0)
+            data[:, lo - skip:end - skip] = (np.outer(p, 1.0 - w)
+                                             + np.outer(p_new, w))
+        filled = end
+        t, x, p = t_new, x_new, p_new
+        if t == bp:  # a corner: no polynomial reaches across it
+            bp = next(breaks, tend)
+            past, h = [(t, x)], tstep
+        else:
+            past = past[-2:] + [(t, x)]
+            h = (min(2.0 * h, tstep) if h < tstep - slack
+                 else max(tstep, h_try * grow))
+    stats["newton_iterations"] = sys_.solves
 
     if not all(np.all(np.isfinite(row)) for row in data):
         raise EngineError("non-finite waveform sample")
-    return WaveformSet(times, dict(zip(names, data)))
+    return WaveformSet(times, dict(zip(names, data)), stats)

@@ -88,6 +88,14 @@ class PulseSpec:
             return self.v2 + (self.v1 - self.v2) * tau / self.tf
         return self.v1
 
+    def corners(self, tstop):
+        """The times up to tstop where the waveform's slope changes:
+        td + n*per + (0, tr, tr + pw, tr + pw + tf) for every period n."""
+        cycles = int((tstop - self.td) // self.per) + 1 if self.per > 0 else 1
+        starts = [self.td + n * self.per for n in range(cycles)]
+        offsets = (0.0, self.tr, self.tr + self.pw, self.tr + self.pw + self.tf)
+        return [s + o for s in starts for o in offsets if s + o <= tstop]
+
     def scaled(self, value_mult, time_mult):
         return PulseSpec(
             self.v1 * value_mult, self.v2 * value_mult,
@@ -445,6 +453,9 @@ def elaborate(ast):
     for card in ast.cards:
         _check_physical(card)
         idx = tuple(index_of(n) for n in card.nodes)
+        if idx[0] == idx[1]:
+            raise NetlistError(f"{card.name}: both terminals on node"
+                               f" {card.nodes[0]!r}", card.line_no)
         if GROUND in idx:
             ground_seen = True
         for n in card.nodes:

@@ -277,4 +277,23 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n q0=1e999
 .tran 1p 10p
 .end
 """, "non-finite value for q0"),
+    ("""source shorted on ground
+V1 0 0 dc 1m
+R1 n1 0 1k
+R2 n1 0 1k
+.tran 1p 10p
+.end
+""", "v1: both terminals on node '0'"),
+    ("""resistor alone on ground
+R1 0 0 1k
+.tran 1p 10p
+.end
+""", "r1: both terminals on node '0'"),
+    ("""resistor across one node
+Vs n1 0 dc 1m
+R1 n1 n1 1k
+R2 n1 0 1k
+.tran 1p 10p
+.end
+""", "r1: both terminals on node 'n1'"),
 ]

@@ -72,7 +72,8 @@ def _step(model, xg, h, trap, **state):
     xg = np.asarray(xg, dtype=float)
     size = len(xg)
     S = np.zeros((size, size))
-    np.add.at(S, (model.s_rows, model.s_cols), model.static())
+    G, C = model.static()
+    np.add.at(S, (model.s_rows, model.s_cols), G + (2.0 if trap else 1.0) / h * C)
     F, J = S @ xg, S
     np.add.at(F, model.f_rows, model.history(0.0))
     if model.junction:
@@ -97,6 +98,36 @@ def test_resistor_capacitor_inductor_stamps():
     assert J[1, 1] == pytest.approx(-6.0)
     assert F[1] == pytest.approx(12.0)
     assert J[0, 1] == 1.0 and J[1, 0] == 1.0
+
+
+@pytest.mark.parametrize("trap", [True, False],
+                         ids=["trapezoidal", "backward-euler"])
+@pytest.mark.parametrize("h", [0.001, 0.05, 2.0])
+def test_static_parts_give_the_companion_stamps(h, trap):
+    # G + (k/h)*C, k = 2 (trapezoidal) or 1 (backward Euler), against the
+    # companion values written out by hand
+    k = 2.0 if trap else 1.0
+
+    def stamp(model):
+        G, C = model.static()
+        return list(G + k / h * C)
+
+    r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
+    assert stamp(r) == [0.5, 0.5, -0.5, -0.5]
+    c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
+    gc = k * 3.0 / h
+    assert stamp(c) == pytest.approx([gc, gc, -gc, -gc], rel=1e-15)
+    ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
+    assert stamp(ind) == pytest.approx([1, -1, 1, -1, -k * 3.0 / h],
+                                       rel=1e-15)
+    jj = _model(JosephsonModel, DeviceKind.JJ,
+                {"ic": 200.0, "rn": 0.5, "cj": 3.0})
+    g = 1.0 / 0.5 + k * 3.0 / h
+    assert stamp(jj) == pytest.approx([g, g, -g, -g], rel=1e-15)
+    qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
+                {"vc": 0.7, "rn": 10.0, "ls": 3.0}, br=1)
+    assert stamp(qp) == pytest.approx(
+        [1, -1, 1, -1, -(10.0 + k * 3.0 / h), 0, 0, 0, 0], rel=1e-15)
 
 
 def test_commit_keeps_the_companion_current_of_the_converged_step():
