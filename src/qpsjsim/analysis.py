@@ -1,7 +1,10 @@
-"""Waveform post-processing: pulse detection, charge accounting, energy.
+"""Waveform post-processing: pulse detection, charge accounting, energy
+and the waveform CSV.
 
-Works on the engine's scaled units throughout: times in ps, currents in
-uA, charges in aC (uA*ps), energies in zJ unless stated otherwise.
+Pulses are measured from each channel's level at its first sample, so a
+DC-biased branch reports its pulses on top of the bias.  Works on the
+engine's scaled units throughout: times in ps, currents in uA, charges
+in aC (uA*ps), energies in zJ unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import WaveformSet
-from .units import TWO_E, TWO_E_SI
+from .units import TWO_E_SI
 
 
 @dataclass(frozen=True)
@@ -37,29 +39,24 @@ class SpikeTrain:
         return np.array([e.t_peak for e in self.events])
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    threshold_fraction: float = 0.5  # of channel max above baseline
-    min_separation: float = 1.0  # ps
-    baseline: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold_fraction < 1.0:
-            raise ValueError("threshold_fraction must be in (0, 1)")
-        if not self.min_separation > 0:
-            raise ValueError("min_separation must be positive")
+THRESHOLD_FRACTION = 0.5  # of the channel's peak above its baseline
+MIN_SEPARATION = 1.0  # ps; closer peaks are one event
 
 
-def detect_pulses(time, values, cfg=None, source=""):
+def detect_pulses(time, values, source=""):
     """Detect positive pulses in a current channel.
 
-    Events start at upward crossings of threshold (with hysteresis: the
-    detector re-arms only after the signal falls back below half the
-    threshold); events closer than min_separation are merged.  Each
-    event's charge is the trapezoidal integral of the current over the
-    contiguous above-baseline window around the crossing.
+    The baseline is the channel's first sample: the DC operating point,
+    where a run starts (with ``tstart > 0``, the first recorded sample),
+    so a DC-biased branch counts pulses from its bias level.  Events
+    start at upward crossings of the threshold, THRESHOLD_FRACTION of
+    the way from the baseline to the channel maximum, with hysteresis:
+    the detector re-arms only after the signal falls back below half
+    the threshold.  Events whose peaks lie closer than MIN_SEPARATION
+    are merged.  Each event's charge is the trapezoidal integral of the
+    current above the baseline over the contiguous above-baseline
+    window around the crossing.
     """
-    cfg = cfg or DetectorConfig()
     time = np.asarray(time, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(time) != len(values) or len(time) == 0:
@@ -67,11 +64,11 @@ def detect_pulses(time, values, cfg=None, source=""):
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite samples in channel")
 
-    base = cfg.baseline
+    base = float(values[0])
     vmax = float(np.max(values))
     if vmax <= base:
         return SpikeTrain([], source)
-    thr = base + cfg.threshold_fraction * (vmax - base)
+    thr = base + THRESHOLD_FRACTION * (vmax - base)
     rearm = base + 0.5 * (thr - base)
 
     # threshold-crossing state machine with hysteresis
@@ -84,8 +81,6 @@ def detect_pulses(time, values, cfg=None, source=""):
             armed = False
         elif not armed and v < rearm:
             armed = True
-    if not starts:
-        return SpikeTrain([], source)
 
     above = values > base
     windows = []
@@ -101,13 +96,13 @@ def detect_pulses(time, values, cfg=None, source=""):
         else:
             windows.append((lo, hi))
 
-    # merge windows whose peaks sit closer than min_separation
+    # merge windows whose peaks sit closer than MIN_SEPARATION
     merged = [windows[0]]
     for lo, hi in windows[1:]:
         plo, phi_ = merged[-1]
         t_prev = time[plo + int(np.argmax(values[plo:phi_ + 1]))]
         t_this = time[lo + int(np.argmax(values[lo:hi + 1]))]
-        if t_this - t_prev < cfg.min_separation:
+        if t_this - t_prev < MIN_SEPARATION:
             merged[-1] = (plo, hi)
         else:
             merged.append((lo, hi))
@@ -145,28 +140,6 @@ def window_charges(time, values, centers, half_width):
     return np.array(out)
 
 
-@dataclass(frozen=True)
-class QuantumCheck:
-    multiple: int
-    residual: float  # in units of 2e, after rounding
-    quantized: bool
-
-
-def pulse_charge_quantum_check(train, *, two_e=TWO_E, tolerance=0.05):
-    """Per-event nearest integer multiple of 2e and its residual.
-
-    Charges are expected in the same unit as two_e (aC by default).  An
-    event is flagged quantized when |residual| < tolerance (in 2e units).
-    """
-    out = []
-    for e in train.events:
-        ratio = e.charge / two_e
-        multiple = round(ratio)
-        residual = ratio - multiple
-        out.append(QuantumCheck(multiple, residual, abs(residual) < tolerance))
-    return out
-
-
 def switching_energy(vc, *, two_e=TWO_E_SI):
     """Energy dissipated per QPSJ switching event, E = 2e*Vc.
 
@@ -184,67 +157,17 @@ def neuron_firing_energy(vc, n_threshold, *, two_e=TWO_E_SI):
     return (n_threshold + 1) * switching_energy(vc, two_e=two_e)
 
 
-def firing_rate(train, window):
-    """Events per unit window (events/ps for scaled inputs)."""
-    if not window > 0:
-        raise ValueError("window must be positive")
-    return len(train.events) / window
-
-
 # --- CSV export ------------------------------------------------------------
 
-def _write_rows(fh, header, rows):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def export_csv(waves, path):
+    """Write a WaveformSet to path as RFC-4180-style CSV.
 
-
-def export_csv(obj, destination):
-    """Write a WaveformSet or SpikeTrain as RFC-4180-style CSV.
-
-    Times are in ps, voltages in mV, currents in uA, charges in aC.
-    destination may be a path or a writable text file object.
+    Times are in ps, voltages in mV, currents in uA.  Each value is
+    written with repr, so it reads back exactly.
     """
-    if isinstance(obj, WaveformSet):
-        header = ["time_ps"] + list(obj.channels)
-        columns = [obj.time] + [obj.channels[name] for name in obj.channels]
-        rows = (tuple(repr(float(c[k])) for c in columns)
-                for k in range(len(obj.time)))
-    elif isinstance(obj, SpikeTrain):
-        header = ["t_peak_ps", "charge_ac", "width_ps"]
-        rows = ((repr(e.t_peak), repr(e.charge), repr(e.width))
-                for e in obj.events)
-    else:
-        raise TypeError(f"cannot export {type(obj).__name__}")
-    if hasattr(destination, "write"):
-        _write_rows(destination, header, rows)
-    else:
-        with open(destination, "w", newline="") as fh:
-            _write_rows(fh, header, rows)
-
-
-def import_waveforms_csv(source):
-    """Read back a WaveformSet written by :func:`export_csv`."""
-    if hasattr(source, "read"):
-        reader = csv.reader(source)
-        rows = list(reader)
-    else:
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    data = np.array([[float(x) for x in row] for row in body])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    channels = {name: data[:, k] for k, name in enumerate(header[1:], start=1)}
-    return WaveformSet(data[:, 0] if len(body) else np.empty(0), channels)
-
-
-def import_spikes_csv(source):
-    """Read back a SpikeTrain written by :func:`export_csv`."""
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh))
-    events = [PulseEvent(float(a), float(b), float(c)) for a, b, c in rows[1:]]
-    return SpikeTrain(events)
+    columns = [waves.time] + list(waves.channels.values())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time_ps"] + list(waves.channels))
+        writer.writerows(tuple(repr(float(c[k])) for c in columns)
+                         for k in range(len(waves.time)))

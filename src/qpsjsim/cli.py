@@ -79,16 +79,10 @@ def _write_spikes(path, trains):
 
 
 def _detect_all(waves):
-    """Pulse trains for every saved current channel that has activity."""
-    trains = []
-    for name in waves.channels:
-        if not name.startswith("i("):
-            continue
-        values = waves.channels[name]
-        if np.max(np.abs(values)) == 0.0:
-            continue
-        trains.append(detect_pulses(waves.time, values, source=name))
-    return trains
+    """Pulse trains for every saved current channel."""
+    return [detect_pulses(waves.time, values, source=name)
+            for name, values in waves.channels.items()
+            if name.startswith("i(")]
 
 
 def cmd_sim(args):

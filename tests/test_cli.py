@@ -7,6 +7,7 @@ import pytest
 
 from qpsjsim.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, OUT_DIR_ENV, main
 from qpsjsim.engine import EngineError
+from qpsjsim.units import TWO_E
 
 RC_NETLIST = """rc demo
 Iin 0 n1 pulse(0 1u 5p 0.1p 0.1p 1000p 2000p)
@@ -95,6 +96,25 @@ def test_figure_unknown_id_is_input_error(tmp_path, capsys):
     assert main(["figure", "fig99", "--out", str(out)]) == EXIT_INPUT
     assert "unknown figure id" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_figure_spikes_measure_biased_channels_from_rest(tmp_path):
+    # the MJJ carries a 140 uA bias: its pulses sit on top of it, one per
+    # input, not one whole-run event measured from zero
+    out = tmp_path / "fig4a"
+    assert main(["figure", "fig4a", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "spikes.csv").open()))
+    inputs = [52.0 + 100.0 * k for k in range(10)]
+    j1 = [r for r in rows if r["channel"] == "i(j1)"]
+    assert [float(r["t_peak_ps"]) for r in j1] == pytest.approx(inputs,
+                                                                abs=0.1)
+    assert all(float(r["width_ps"]) < 5.0 for r in j1)
+    q1 = [r for r in rows if r["channel"] == "i(q1)"]
+    assert [float(r["t_peak_ps"]) for r in q1] == pytest.approx(
+        [t + 0.9 for t in inputs], abs=1e-6)
+    assert [float(r["charge_ac"]) / TWO_E for r in q1] == pytest.approx(
+        [1.015] * 10, abs=1e-3)
+    assert len(rows) == 20
 
 
 def test_sweep_damping_is_linear_in_inductance(tmp_path):
