@@ -258,6 +258,8 @@ def _sweep_neuron(value):
 
 def _sweep_synapse(value):
     ic = float(value)
+    if not 0 < ic < np.inf:
+        raise ValueError(f"ic must be positive and finite, got {value}")
     p = SynapseBinaryParams()
     state = 0 if abs(ic - p.ic_states[0]) <= abs(ic - p.ic_states[1]) else 1
     p = SynapseBinaryParams(state=state)

@@ -10,15 +10,16 @@ Vc*sin(2*pi*q/2e) with i = dq/dt.  The full branch relations are
 
 Here the duality is structural: the JJ model is the capacitor model
 (Cj) plus Rn and Ic*sin(phi); the QPSJ model is the inductor model (Ls)
-plus Rn and Vc*sin(2*pi*q/2e).  Within one companion step every other
-term is affine in the unknowns, so only the junctions' sin terms are
-computed per Newton iteration.
+plus Rn and Vc*sin(2*pi*q/2e).  Every other term is linear in the
+unknowns and their time derivatives, so only the junctions' sin terms
+are computed per Newton iteration.
 
 The models work in the scaled units of :mod:`qpsjsim.units` on
 parameters that :func:`qpsjsim.netlist.elaborate` checked.  They hold
-every device equation the engine uses: :func:`build_models` gives one
-:class:`DeviceModel` per device kind.  :func:`damping_parameter` alone
-takes SI values.
+every device equation the engine uses, and no integration rule: the
+engine keeps the unknowns' time derivatives and discretizes them for
+every kind at once.  :func:`build_models` gives one :class:`DeviceModel`
+per device kind.  :func:`damping_parameter` alone takes SI values.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
     Much less than 1: overdamped (clean quantized pulses); much greater
     than 1: underdamped.
     """
+    if not 0 < vc < math.inf:
+        raise ValueError(f"vc must be positive and finite, got {vc}")
+    if not 0 <= l < math.inf:
+        raise ValueError(f"l must be non-negative and finite, got {l}")
     if not r > 0:
         raise ValueError("r must be positive")
     return 2.0 * math.pi * vc * l / (two_e * r * r)
@@ -46,6 +51,7 @@ def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
 # --- vectorized models -------------------------------------------------------
 
 _W = 2.0 * math.pi / TWO_E  # QPSJ charge-to-angle factor, rad/aC
+_WJ = 2.0 * math.pi / PHI0  # JJ flux-to-phase factor, rad/(mV*ps)
 
 # Series resistance (kOhm) of the branches shorted at DC.  It keeps
 # superconducting loops (JJ-L-JJ) nonsingular; the split it picks is the
@@ -106,20 +112,21 @@ class DeviceModel:
 
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
-    is that ground slot, which the engine drops.  The residual of a step
-    of size h to t is ``S @ xg + c + F_nl(xg)``, with k = 2 (trapezoidal)
-    or 1 (backward Euler).  ``static`` gives the values of G and C, fixed
-    per circuit, in S = G + (k/h)*C at ``s_rows, s_cols``; ``history(t)``
-    gives c at ``f_rows`` (the sources at t and the companion terms of the
-    committed state); a junction's ``nonlinear(xg)`` gives F_nl at
-    ``f_rows`` and its Jacobian at ``nl_rows, nl_cols``.  ``commit``
-    advances the state to the step's converged unknowns.
+    is that ground slot, which the engine drops; ``xdg`` holds their
+    time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
+    F_nl(x) = sources``: ``static`` gives the values of G and C, fixed
+    per circuit, at ``s_rows, s_cols``; ``source(t)`` the negated sources
+    at ``f_rows``.  A junction holds an angle (``state``: phi or q) that
+    a step moves by the integral of the unknowns, ``xint``, over it:
+    ``nonlinear(xint, hk)`` gives F_nl at ``f_rows`` and its Jacobian
+    (hk = d xint/dx) at ``nl_rows, nl_cols``; ``angle_step(dxint)`` the
+    largest angle change of an update; ``seed(xg)`` and ``commit(xint)``
+    set the angle at DC and after a step.
     """
 
     kinds = ()  # device kinds held, grouped in this order
     branch = None  # "tran" or "dc": a branch unknown always, or at DC only
-    junction = False  # probed by default, has nonlinear and angle_step
-    state = ()  # names of the state arrays, primary (phi or q) first
+    junction = False  # probed by default; holds an angle (see above)
 
     def __init__(self, devs, br=None, gmin=0.0):
         self.names = [d.name for d in devs]
@@ -144,26 +151,13 @@ class DeviceModel:
     def _sources(self, t):
         return np.array([_source_value(p, t) for p in self.params])
 
-    def begin_step(self, h, trap):
-        """Set the coefficients of a trapezoidal (or BE) step of size h."""
-        k = 2.0 if trap else 1.0
-        self.kh = k / h  # companion factor: 2/h or 1/h
-        self.k_old = k - 1.0  # weight of the previous step's derivative
-
     def static(self):
-        """The parts G and C of the static Jacobian values G + (k/h)*C."""
+        """The values G and C, in the order of s_rows and s_cols."""
         return _NO_VALUES, _NO_VALUES
 
     def source(self, t):
         """Independent-source values at f_rows at time t."""
         return np.zeros(len(self.f_rows))
-
-    def history(self, t):
-        """Residual values at f_rows that stay fixed within a step to t."""
-        return self.source(t)
-
-    def commit(self, xg):
-        """Advance the state from the converged unknowns xg."""
 
     def dc(self):
         """Entries (rows, cols, values) of A and (rows, values) of b: by
@@ -171,10 +165,7 @@ class DeviceModel:
         return (self.s_rows, self.s_cols, self.static()[0]), (self.f_rows,
                                                               -self.source(0.0))
 
-    def seed(self, xg):
-        """Set the state from the DC solution xg."""
-
-    def current(self, xg, t):
+    def current(self, xg, xdg, t):
         """Probe currents; by default the branch unknowns."""
         return xg[self.br]
 
@@ -190,39 +181,23 @@ class ResistorModel(DeviceModel):
         g = _g4(self.g)
         return g, np.zeros(len(g))
 
-    def current(self, xg, t):
+    def current(self, xg, xdg, t):
         return self.g * (xg[self.a] - xg[self.b])
 
 
 class CapacitorModel(DeviceModel):
     kinds = (DeviceKind.CAPACITOR,)
-    state = ("vold", "iold")
 
     def setup(self):
         self.c = self._param("value")
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
 
-    def begin_step(self, h, trap):
-        super().begin_step(h, trap)
-        self.gc = self.kh * self.c
-
     def static(self):
         c = _g4(self.c)
         return np.zeros(len(c)), c
 
-    def history(self, t):
-        i = -self.gc * self.vold - self.k_old * self.iold
-        return np.concatenate([i, -i])
-
-    def commit(self, xg):
-        v = xg[self.a] - xg[self.b]
-        self.vold, self.iold = v, self.gc * (v - self.vold) - self.k_old * self.iold
-
-    def seed(self, xg):
-        self.vold, self.iold = xg[self.a] - xg[self.b], np.zeros(len(self.c))
-
-    def current(self, xg, t):
-        return self.iold
+    def current(self, xg, xdg, t):
+        return self.c * (xdg[self.a] - xdg[self.b])
 
 
 class CurrentSourceModel(DeviceModel):
@@ -232,7 +207,7 @@ class CurrentSourceModel(DeviceModel):
         i = self._sources(t)
         return np.concatenate([i, -i])
 
-    def current(self, xg, t):
+    def current(self, xg, xdg, t):
         return self._sources(t)
 
 
@@ -251,31 +226,16 @@ class VoltageSourceModel(DeviceModel):
 class InductorModel(DeviceModel):
     kinds = (DeviceKind.INDUCTOR,)
     branch = "tran"
-    state = ("iold", "vlold")
 
     def setup(self):
         self.l = self._param("value")
 
-    def begin_step(self, h, trap):
-        super().begin_step(h, trap)
-        self.r = self.kh * self.l
-
     def static(self):
         return _pm5(np.zeros(len(self.l))), _series(self.l)
-
-    def history(self, t):
-        return self.r * self.iold + self.k_old * self.vlold
-
-    def commit(self, xg):
-        i = xg[self.br]
-        self.iold, self.vlold = i, self.r * (i - self.iold) - self.k_old * self.vlold
 
     def dc(self):
         short = _pm5(np.full(len(self.l), _DC_SHORT))
         return (self.s_rows, self.s_cols, short), _NO_RHS
-
-    def seed(self, xg):
-        self.iold, self.vlold = xg[self.br], np.zeros(len(self.l))
 
 
 class JosephsonModel(CapacitorModel):
@@ -287,7 +247,7 @@ class JosephsonModel(CapacitorModel):
     kinds = (DeviceKind.JJ, DeviceKind.MJJ)
     branch = "dc"
     junction = True
-    state = ("phi", "vold", "iold")
+    state = "phi"
 
     def setup(self):
         self.ic = np.array([p["states"][p["state"]] if "states" in p else p["ic"]
@@ -296,28 +256,22 @@ class JosephsonModel(CapacitorModel):
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
         self.nl_rows, self.nl_cols = self.s_rows, self.s_cols
 
-    def begin_step(self, h, trap):
-        super().begin_step(h, trap)
-        self.beta = 2.0 * math.pi / (self.kh * PHI0)  # d(phi)/dv over the step
-
     def static(self):
         return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
 
-    def _phase(self, xg):
-        v = xg[self.a] - xg[self.b]
-        return self.phi + self.k_old * self.beta * self.vold + self.beta * v
+    def _phase(self, xint):
+        return self.phi + _WJ * (xint[self.a] - xint[self.b])
 
-    def nonlinear(self, xg):
-        phi = self._phase(xg)
+    def nonlinear(self, xint, hk):
+        phi = self._phase(xint)
         i = self.ic * np.sin(phi)
-        return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * self.beta)
+        return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * _WJ * hk)
 
-    def angle_step(self, dxg):
-        return np.abs(dxg[self.a] - dxg[self.b]).max() * self.beta
+    def angle_step(self, dxint):
+        return np.abs(dxint[self.a] - dxint[self.b]).max() * _WJ
 
-    def commit(self, xg):
-        self.phi = self._phase(xg)
-        super().commit(xg)
+    def commit(self, xint):
+        self.phi = self._phase(xint)
 
     def dc(self):
         k = len(self.ic)
@@ -331,10 +285,10 @@ class JosephsonModel(CapacitorModel):
         self.phi = _dc_state(self.names, xg[self.br] / self.ic,
                              [p.get("phi0") for p in self.params], 1.0,
                              "|i|/Ic", "superconducting window")
-        super().seed(xg)
 
-    def current(self, xg, t):
-        return self.ic * np.sin(self.phi) + self.vold / self.rn + self.iold
+    def current(self, xg, xdg, t):
+        return (self.ic * np.sin(self.phi) + (xg[self.a] - xg[self.b]) / self.rn
+                + super().current(xg, xdg, t))
 
 
 class PhaseSlipModel(InductorModel):
@@ -345,7 +299,7 @@ class PhaseSlipModel(InductorModel):
 
     kinds = (DeviceKind.QPSJ,)
     junction = True
-    state = ("q", "iold", "vlold")
+    state = "q"
 
     def setup(self):
         self.vc, self.rn, self.l = (self._param(k) for k in ("vc", "rn", "ls"))
@@ -354,28 +308,23 @@ class PhaseSlipModel(InductorModel):
         self.s_cols = np.concatenate([self.s_cols, g_cols])
         self.nl_rows = self.nl_cols = self.br
 
-    def begin_step(self, h, trap):
-        super().begin_step(h, trap)
-        self.alpha = 1.0 / self.kh  # dq/di over the step
-
     def static(self):
         gmin = _g4(np.full(len(self.vc), self.gmin))
         return (np.concatenate([_pm5(self.rn), gmin]),
                 np.concatenate([_series(self.l), np.zeros(len(gmin))]))
 
-    def _charge(self, xg):
-        return self.q + self.k_old * self.alpha * self.iold + self.alpha * xg[self.br]
+    def _charge(self, xint):
+        return self.q + xint[self.br]
 
-    def nonlinear(self, xg):
-        wq = _W * self._charge(xg)
-        return -self.vc * np.sin(wq), -self.vc * np.cos(wq) * _W * self.alpha
+    def nonlinear(self, xint, hk):
+        wq = _W * self._charge(xint)
+        return -self.vc * np.sin(wq), -self.vc * np.cos(wq) * _W * hk
 
-    def angle_step(self, dxg):
-        return np.abs(dxg[self.br]).max() * _W * self.alpha
+    def angle_step(self, dxint):
+        return np.abs(dxint[self.br]).max() * _W
 
-    def commit(self, xg):
-        self.q = self._charge(xg)
-        super().commit(xg)
+    def commit(self, xint):
+        self.q = self._charge(xint)
 
     def dc(self):
         ones, zeros = np.ones(len(self.vc)), np.zeros(len(self.vc))
@@ -388,7 +337,6 @@ class PhaseSlipModel(InductorModel):
                            [p.get("q0") for p in self.params], _W, "|v|/Vc",
                            "Coulomb blockade")
         xg[self.br] = 0.0
-        super().seed(xg)
 
 
 _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,

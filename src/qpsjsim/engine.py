@@ -2,12 +2,14 @@
 
 Unknown vector layout: node voltages (mV) first, then branch currents
 (uA).  The device equations live in the models of :mod:`qpsjsim.devices`;
-this module scatters their values with ``np.bincount`` and solves: at DC
-(capacitors open, inductors and JJs shorted, QPSJs in Coulomb blockade)
-to seed the device states, then per timestep by damped Newton iteration
-on the companion discretization F = S @ x + c + F_nl(x), whose S and c
-are fixed once per step; only the junctions' F_nl run per iteration.
-S = G + (k/h)*C comes from two matrices fixed per circuit.
+this module scatters them with ``np.bincount`` into G @ x + C @ dx/dt +
+F_nl(x) = sources and integrates it: at DC (capacitors open, inductors
+and JJs shorted, QPSJs in Coulomb blockade, dx/dt = 0) to seed the
+junction angles, then per step by the one rule x_new = x + (h/k)*(dx/dt_new
++ (k - 1)*dx/dt), trapezoidal (k = 2) or backward Euler (k = 1), and
+damped Newton iteration on F = S @ x_new + c + F_nl(x_new), whose
+S = G + (k/h)*C and c are fixed once per step.  The step state is x,
+dx/dt and the junction angles, which move by the unknowns' integral.
 
 Newton starts each step from the polynomial through the last three
 accepted points.  The difference between that prediction and the
@@ -124,21 +126,28 @@ class _System:
         self._ftol = np.repeat([ABSTOL_I, ABSTOL_V], counts)
         self._xtol = np.repeat([ABSTOL_V, ABSTOL_I], counts)
 
-    def _newton(self, xg, t, h, trap):
-        """Converged unknowns of a trapezoidal (or, if not trap, backward
-        Euler) step to t, with the ground slot, or None."""
-        for m in self.models:
-            m.begin_step(h, trap)
+    def _newton(self, xg, x, xd, t, h, trap):
+        """Newton iteration from xg on a trapezoidal (or, if not trap,
+        backward Euler) step to t from x, of derivative xd.  Returns the
+        unknowns (with the ground slot), their derivative and their
+        integral over the step, or None."""
+        # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
+        # the integral over the step is (h/k)*(x_new + (k - 1)*x)
         N, M = self.N, self.N + 1
-        S = self._G + (2.0 if trap else 1.0) / h * self._C
-        c = _scatter(self._f_idx, [m.history(t) for m in self.models], M)
+        k = 2.0 if trap else 1.0
+        kh, hk = k / h, h / k
+        S = self._G + kh * self._C
+        c = (_scatter(self._f_idx, [m.source(t) for m in self.models], M)
+             - self._C @ (kh * x + (k - 1.0) * xd))
+        b = (k - 1.0) * hk * x
         delta_ok = False
         for _ in range(MAX_NEWTON_ITERS):
-            nl = _scatter(self._nl_idx, [v for m in self.junctions
-                                         for v in m.nonlinear(xg)], M + M * M)
+            xint = hk * xg + b
+            nl = _scatter(self._nl_idx, [v for m in self.junctions for v in
+                                         m.nonlinear(xint, hk)], M + M * M)
             F = (S @ xg + c + nl[:M])[:N]
             if delta_ok and (np.abs(F) < self._ftol).all():
-                return xg
+                return xg, kh * (xg - x) - (k - 1.0) * xd, xint
             J = S + nl[M:].reshape(M, M)
             self.solves += 1
             try:
@@ -149,7 +158,7 @@ class _System:
                 break
             # damp the step so no junction jumps minima within one iteration
             dxg = np.concatenate((dx, _GROUND))
-            max_angle = max((m.angle_step(dxg) for m in self.junctions),
+            max_angle = max((m.angle_step(hk * dxg) for m in self.junctions),
                             default=0.0)
             if max_angle > MAX_ANGLE_STEP:
                 dxg *= MAX_ANGLE_STEP / max_angle
@@ -166,12 +175,13 @@ class _System:
                     if m.branch == "tran" for name in m.names])
         return names[int(np.argmax(np.abs(resid)))] if len(resid) else "node '?'"
 
-    def _advance(self, xg, how):
-        """Seed ("seed") or commit ("commit") every device state from xg."""
-        for m in self.models:
+    def _advance(self, how, xg, xd=_NO_VALUES):
+        """Seed (from the DC solution) or commit (from the step integral)
+        every junction angle; check them and the derivatives xd."""
+        for m in self.junctions:
             getattr(m, how)(xg)
-        states = [getattr(m, name) for m in self.models for name in m.state]
-        if not np.isfinite(np.concatenate([_NO_VALUES, *states])).all():
+        angles = [getattr(m, m.state) for m in self.junctions]
+        if not np.isfinite(np.concatenate([xd, *angles])).all():
             raise EngineError("non-finite device state after timestep")
 
     def seed_from_dc(self):
@@ -197,31 +207,32 @@ class _System:
             raise ConvergenceError(f"DC operating point did not converge;"
                                    f" worst residual at {worst}", worst=worst)
         xg = np.concatenate((x, _GROUND))
-        self._advance(xg, "seed")
+        self._advance("seed", xg)
         return xg
 
     def probes(self):
-        """Channel names, and a function of (xg, t) giving their values."""
+        """Channel names, and their values as a function of (xg, xdg, t)."""
         c = self.circuit
         probes = c.save_list or (
             [("v", name) for name in c.node_names]
             + [("i", name) for m in self.models if m.junction for name in m.names])
         targets = {t for q, t in probes if q == "i"}
         probed = [m for m in self.models if targets.intersection(m.names)]
-        # values(xg, t) indexes xg followed by the probed models' currents
+        # values indexes xg followed by the probed models' currents
         currents = [name for m in probed for name in m.names]
         index = np.array([c.node_index(t) % (self.N + 1) if q == "v"
                           else self.N + 1 + currents.index(t) for q, t in probes],
                          dtype=np.intp)
 
-        def values(xg, t):
-            return np.concatenate([xg] + [m.current(xg, t) for m in probed])[index]
+        def values(xg, xdg, t):
+            return np.concatenate([xg] + [m.current(xg, xdg, t)
+                                          for m in probed])[index]
 
         return [f"{q}({t})" for q, t in probes], values
 
 
 def dc_operating_point(circuit):
-    """Static solution (see module docstring) and the states it seeds.
+    """Static solution (see module docstring) and the angles it seeds.
 
     ``branch_currents`` holds each device's probe current at t = 0, the
     first sample :func:`tran` records.
@@ -229,9 +240,9 @@ def dc_operating_point(circuit):
     sys_ = _System(circuit)
     xg = sys_.seed_from_dc()
     currents = {name: i for m in sys_.models
-                for name, i in zip(m.names, m.current(xg, 0.0))}
-    states = {name: s for m in sys_.models if m.junction
-              for name, s in zip(m.names, getattr(m, m.state[0]))}
+                for name, i in zip(m.names, m.current(xg, 0.0 * xg, 0.0))}
+    states = {name: s for m in sys_.junctions
+              for name, s in zip(m.names, getattr(m, m.state))}
     return OperatingPoint(
         {name: xg[i] for i, name in enumerate(circuit.node_names)},
         {d.name: currents[d.name] for d in circuit.devices}, states)
@@ -294,6 +305,7 @@ def tran(circuit, tstep=None, tstop=None):
     grid, skip = _time_grid(circuit, tstep, tstop)
     sys_ = _System(circuit)
     x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
+    xd = np.zeros(len(x))  # time derivatives of the unknowns, 0 at DC
     names, values = sys_.probes()
 
     tstep, tend = float(grid[1]), float(grid[-1])
@@ -301,7 +313,7 @@ def tran(circuit, tstep=None, tstop=None):
     xtol = np.concatenate((sys_._xtol, [1.0]))  # the ground slot stays 0
     times = grid[skip:]
     data = np.empty((len(names), len(times)))
-    p = values(x, 0.0)
+    p = values(x, xd, 0.0)
     if not skip:
         data[:, 0] = p
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
@@ -316,9 +328,9 @@ def tran(circuit, tstep=None, tstop=None):
         h_try = r if r < h + slack else min(h, r / 2) if r < h + tstep else h
         t_new = bp if h_try == r else t + h_try
         xp = _predict(past, t_new)
-        x_new = sys_._newton(xp, t_new, h_try,
-                             t > 0.0 and h > tstep - slack)
-        if x_new is None:
+        step = sys_._newton(xp, x, xd, t_new, h_try,
+                            t > 0.0 and h > tstep - slack)
+        if step is None:
             stats["newton_halvings"] += 1
             h = h_try / 2.0
             if h < tstep / (2.0 ** MAX_HALVINGS):
@@ -329,6 +341,7 @@ def tran(circuit, tstep=None, tstop=None):
                     f"halvings; worst residual at {worst}",
                     t=t_new, h=h_try, worst=worst)
             continue
+        x_new, xd_new, xint = step
         # Milne's device: x_new - xp is h*(t_new - t1)*(t_new - t2)*x3/6,
         # x3 the third derivative, and the trapezoidal LTE is h**3*x3/12.
         # A step of at most tstep passes whatever its estimate.
@@ -343,10 +356,10 @@ def tran(circuit, tstep=None, tstop=None):
                 stats["lte_rejections"] += 1
                 h = max(tstep, h_try * grow)
                 continue
-        sys_._advance(x_new, "commit")
+        sys_._advance("commit", xint, xd_new)
         stats["accepted_steps"] += 1
         # fill the grid points in (t, t_new] by linear interpolation
-        p_new = values(x_new, t_new)
+        p_new = values(x_new, xd_new, t_new)
         end = int(np.searchsorted(grid, t_new + slack, "right"))
         lo = max(filled, skip)
         if end > lo:
@@ -354,7 +367,7 @@ def tran(circuit, tstep=None, tstop=None):
             data[:, lo - skip:end - skip] = (np.outer(p, 1.0 - w)
                                              + np.outer(p_new, w))
         filled = end
-        t, x, p = t_new, x_new, p_new
+        t, x, xd, p = t_new, x_new, xd_new, p_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)
             past, h = [(t, x)], tstep

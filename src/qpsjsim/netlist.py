@@ -399,6 +399,10 @@ def _check_physical(card):
         if isinstance(value, PulseSpec):
             if not all(math.isfinite(x) for x in astuple(value)):
                 raise NetlistError(f"{card.name}: non-finite pulse value", no)
+            for field in ("tr", "tf", "pw", "per"):  # a td < 0 only shifts it
+                if (v := getattr(value, field)) < 0:
+                    raise NetlistError(f"{card.name}: pulse {field} must be"
+                                       f" non-negative, got {v} s", no)
         elif not all(math.isfinite(v) for v in
                      (value if isinstance(value, list) else [value])):
             raise NetlistError(f"{card.name}: non-finite value for {key}", no)

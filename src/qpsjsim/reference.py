@@ -10,7 +10,8 @@ sample on the tstep grid is an accepted step end.  Supported topologies
 * voltage-biased QPSJ: vsource (+ optional series resistor) driving a
   single QPSJ to ground; states (q, i), or q alone when ls = 0
 * current-biased JJ: isource (+ optional parallel resistor) across a
-  single JJ to ground; states (phi, v), or phi alone when cj = 0
+  single JJ to ground; states (phi, v), or phi alone when cj = 0; the
+  JJ's current is its whole branch current, as the engine's
 * LC tank: inductor parallel capacitor (+ optional resistor), kicked by
   a current source; states (v, iL)
 """
@@ -136,7 +137,8 @@ def _jj_case(circuit, kinds, grid, skip):
     else:
         ic = jj.params["ic"]
     rn, cj = jj.params["rn"], jj.params["cj"]
-    g = 1.0 / rn + sum(1.0 / r.params["value"] for r in res)
+    g_ext = sum(1.0 / r.params["value"] for r in res)
+    g = 1.0 / rn + g_ext
     src = lambda t: _source_value(isrc.params, t)
     node = next(n for n in jj.nodes if n != GROUND)
     node_name = circuit.node_names[node]
@@ -165,7 +167,8 @@ def _jj_case(circuit, kinds, grid, skip):
 
     outputs = {
         f"v({node_name})": volt,
-        f"i({jj.name})": lambda t, y: ic * math.sin(y[0]),
+        # the whole junction current: the source less the parallel resistors
+        f"i({jj.name})": lambda t, y: src(t) - g_ext * volt(t, y),
     }
     return _march(f, y0, outputs, grid, skip)
 

@@ -296,4 +296,28 @@ R2 n1 0 1k
 .tran 1p 10p
 .end
 """, "r1: both terminals on node 'n1'"),
+    ("""negative pulse tr
+Vs n1 0 pulse(0 1m 10p -1p 1p 5p 50p)
+R1 n1 0 1k
+.tran 1p 100p
+.end
+""", "vs: pulse tr must be non-negative"),
+    ("""negative pulse tf
+Vs n1 0 pulse(0 1m 10p 1p -1p 5p 50p)
+R1 n1 0 1k
+.tran 1p 100p
+.end
+""", "vs: pulse tf must be non-negative"),
+    ("""negative pulse pw
+Vs n1 0 pulse(0 1m 10p 1p 1p -5p 50p)
+R1 n1 0 1k
+.tran 1p 100p
+.end
+""", "vs: pulse pw must be non-negative"),
+    ("""negative pulse per
+Vs n1 0 pulse(0 1m 10p 1p 1p 5p -50p)
+R1 n1 0 1k
+.tran 1p 100p
+.end
+""", "vs: pulse per must be non-negative"),
 ]

@@ -130,6 +130,25 @@ def test_sweep_damping_is_linear_in_inductance(tmp_path):
     assert manifest["command"] == "sweep"
 
 
+def test_sweep_points_with_impossible_values_fail(tmp_path):
+    # no circuit has a non-finite or non-positive Ic, or a non-finite or
+    # negative inductance: each such point fails in its own row
+    out = tmp_path / "synapse"
+    assert main(["sweep", "synapse", "ic", "nan,inf,0,-2e-4",
+                 "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert [r["value"] for r in rows] == ["nan", "inf", "0", "-2e-4"]
+    assert all(r["status"].startswith("failed: ic must be") for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stats"] == [{}] * 4
+    out = tmp_path / "damping"
+    assert main(["sweep", "damping", "l", "nan,inf,-1e-12,1e-12",
+                 "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert [r["status"].split(":")[0] for r in rows] == ["failed"] * 3 + ["ok"]
+    assert rows[3]["beta_l"] and not rows[2]["beta_l"]
+
+
 def test_sweep_unknown_combination_is_input_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "neuron", "bogus", "1,2",

@@ -38,6 +38,14 @@ def test_damping_parameter_rejects_nonpositive_r():
         damping_parameter(0.7e-3, 1e-12, 0.0)
 
 
+@pytest.mark.parametrize("vc, l", [
+    (math.nan, 1e-12), (math.inf, 1e-12), (0.0, 1e-12), (-0.7e-3, 1e-12),
+    (0.7e-3, math.nan), (0.7e-3, math.inf), (0.7e-3, -1e-12)])
+def test_damping_parameter_rejects_impossible_vc_and_l(vc, l):
+    with pytest.raises(ValueError):
+        damping_parameter(vc, l, 10e3)
+
+
 @given(st.floats(min_value=1e-13, max_value=1e-8),
        st.floats(min_value=0.25, max_value=64.0))
 def test_damping_linear_in_inductance(l, k):
@@ -62,22 +70,35 @@ def _model(cls, kind, params, br=None):
     return cls([dev], None if br is None else np.array([br]), gmin=0.0)
 
 
-def _step(model, xg, h, trap, **state):
-    """Residual S @ xg + c + F_nl(xg) and Jacobian S + J_nl(xg) (ground slot
-    dropped) of one Newton iterate of a trapezoidal (or, if not trap,
-    backward-Euler) step."""
-    for name, value in state.items():
+def _rule(xg, x, xd, h, trap):
+    """Time derivatives of the unknowns xg, and their integral over the
+    step, after a trapezoidal (or, if not trap, backward-Euler) step of
+    size h from the unknowns x with derivatives xd:
+    xg = x + (h/k)*(xd_new + (k - 1)*xd), k = 2 or 1."""
+    k = 2.0 if trap else 1.0
+    return k / h * (xg - x) - (k - 1.0) * xd, h / k * (xg + (k - 1.0) * x)
+
+
+def _step(model, xg, h, trap, x=None, xd=None, **angle):
+    """Residual G @ xg + C @ xd_new + F_nl - sources and Jacobian
+    G + (k/h)*C + J_nl (ground slot dropped) of one Newton iterate of a
+    trapezoidal (or, if not trap, backward-Euler) step from the unknowns
+    x with derivatives xd, both 0 unless given; angle sets a junction's."""
+    for name, value in angle.items():
         setattr(model, name, np.array([value]))
-    model.begin_step(h, trap)
     xg = np.asarray(xg, dtype=float)
+    x = np.zeros_like(xg) if x is None else np.asarray(x, dtype=float)
+    xd = np.zeros_like(xg) if xd is None else np.asarray(xd, dtype=float)
     size = len(xg)
-    S = np.zeros((size, size))
-    G, C = model.static()
-    np.add.at(S, (model.s_rows, model.s_cols), G + (2.0 if trap else 1.0) / h * C)
-    F, J = S @ xg, S
-    np.add.at(F, model.f_rows, model.history(0.0))
+    G, C = np.zeros((size, size)), np.zeros((size, size))
+    g, c = model.static()
+    np.add.at(G, (model.s_rows, model.s_cols), g)
+    np.add.at(C, (model.s_rows, model.s_cols), c)
+    xd_new, xint = _rule(xg, x, xd, h, trap)
+    F, J = G @ xg + C @ xd_new, G + (2.0 if trap else 1.0) / h * C
+    np.add.at(F, model.f_rows, model.source(0.0))
     if model.junction:
-        f, nl = model.nonlinear(xg)
+        f, nl = model.nonlinear(xint, h / (2.0 if trap else 1.0))
         np.add.at(F, model.f_rows, f)
         np.add.at(J, (model.nl_rows, model.nl_cols), nl)
     return F[:-1], J[:-1, :-1]
@@ -87,14 +108,17 @@ def test_resistor_capacitor_inductor_stamps():
     r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
     F, J = _step(r, [3.0, 0.0], 0.5, True)
     assert J[0, 0] == 0.5 and F[0] == 1.5
-    # trapezoidal capacitor: i = geq*(v - v_old) - i_old, geq = 2C/h
+    # trapezoidal capacitor: i = geq*(v - v_old) - i_old, geq = 2C/h,
+    # i_old = C*dv/dt_old
     c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
-    F, J = _step(c, [0.0, 0.0], 0.5, True, vold=2.0, iold=1.0)
+    F, J = _step(c, [0.0, 0.0], 0.5, True, x=[2.0, 0.0], xd=[1.0 / 3.0, 0.0])
     assert J[0, 0] == pytest.approx(12.0)
     assert F[0] == pytest.approx(-12.0 * 2.0 - 1.0)
-    # backward-Euler inductor: v = req*(i - i_old), req = L/h, in row 1
+    # backward-Euler inductor: v = req*(i - i_old), req = L/h, in row 1;
+    # the old voltage L*di/dt_old = 1 does not enter
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    F, J = _step(ind, [0.0, 0.0, 0.0], 0.5, False, iold=2.0, vlold=1.0)
+    F, J = _step(ind, [0.0, 0.0, 0.0], 0.5, False, x=[0.0, 2.0, 0.0],
+                 xd=[0.0, 1.0 / 3.0, 0.0])
     assert J[1, 1] == pytest.approx(-6.0)
     assert F[1] == pytest.approx(12.0)
     assert J[0, 1] == 1.0 and J[1, 0] == 1.0
@@ -131,16 +155,31 @@ def test_static_parts_give_the_companion_stamps(h, trap):
 
 
 def test_commit_keeps_the_companion_current_of_the_converged_step():
-    # the capacitor current and the inductor voltage that commit carries
-    # into the next step are the ones the step's residual holds at xg
+    # the capacitor current and the inductor voltage that the derivatives
+    # of the converged step carry into the next one are the ones the
+    # step's residual holds at xg: 2C/h*(5 - 2) - 1 = 35 and
+    # -(2L/h*(4 - 2) - 1) = -23; a junction commits the angle at which
+    # its residual was taken
+    xg, x, xd = np.array([5.0, 0.0]), np.array([2.0, 0.0]), np.array([1 / 3, 0])
     c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
-    F, _ = _step(c, [5.0, 0.0], 0.5, True, vold=2.0, iold=1.0)
-    c.commit(np.array([5.0, 0.0]))
-    assert c.vold[0] == 5.0 and c.iold[0] == pytest.approx(F[0])
+    F, _ = _step(c, xg, 0.5, True, x=x, xd=xd)
+    xd_new, _ = _rule(xg, x, xd, 0.5, True)
+    assert F[0] == pytest.approx(35.0)
+    assert c.current(xg, xd_new, 0.0)[0] == pytest.approx(F[0])
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    F, _ = _step(ind, [0.0, 4.0, 0.0], 0.5, True, iold=2.0, vlold=1.0)
-    ind.commit(np.array([0.0, 4.0, 0.0]))
-    assert ind.iold[0] == 4.0 and ind.vlold[0] == pytest.approx(-F[1])
+    xg, x, xd = (np.array([0.0, v, 0.0]) for v in (4.0, 2.0, 1 / 3))
+    F, _ = _step(ind, xg, 0.5, True, x=x, xd=xd)
+    xd_new, _ = _rule(xg, x, xd, 0.5, True)
+    assert -F[1] == pytest.approx(23.0)
+    assert 3.0 * xd_new[1] == pytest.approx(-F[1])
+    qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
+                {"vc": 0.7, "rn": 10.0, "ls": 3.0}, br=1)
+    F, _ = _step(qp, xg, 0.5, True, x=x, xd=xd, q=0.01)
+    qp.commit(_rule(xg, x, xd, 0.5, True)[1])
+    # q = 0.01 + (h/2)*(4 + 2)
+    assert qp.q[0] == pytest.approx(1.51)
+    assert F[1] == pytest.approx(-23.0 - 10.0 * 4.0 - 0.7 * math.sin(
+        2.0 * math.pi * 1.51 / TWO_E))
 
 
 def test_mjj_model_is_jj_with_active_state():
@@ -148,7 +187,7 @@ def test_mjj_model_is_jj_with_active_state():
                  {"states": [200.0, 300.0], "state": 1, "rn": 0.005, "cj": 1.0})
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 300.0, "rn": 0.005, "cj": 1.0})
-    state = dict(phi=0.3, vold=0.1, iold=0.2)
+    state = dict(x=[0.1, 0.0], xd=[0.2, 0.0], phi=0.3)
     Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, True, **state)
     Fj, Jj = _step(jj, [0.4, 0.0], 0.01, True, **state)
     assert Fm[0] == Fj[0] and Jm[0, 0] == Jj[0, 0]
@@ -164,7 +203,7 @@ def _junction_voltage(q):
     with zero branch current and node voltage."""
     qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
                 {"vc": _VC, "rn": 10.0, "ls": 0.1}, br=1)
-    F, _ = _step(qp, [0.0, 0.0, 0.0], 0.01, True, q=q, iold=0.0, vlold=0.0)
+    F, _ = _step(qp, [0.0, 0.0, 0.0], 0.01, True, q=q)
     return -F[1]
 
 
@@ -173,7 +212,7 @@ def _supercurrent(phi):
     voltage."""
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": _IC, "rn": 0.005, "cj": 1.0})
-    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi, vold=0.0, iold=0.0)
+    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi)
     return F[0]
 
 
@@ -213,11 +252,11 @@ def _dual_pair(trap, h, q_old, i_old, vl_old, i_at):
                 {"vc": 0.7, "rn": 10.0, "ls": 0.1}, br=1)
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 0.7, "rn": 1.0 / 10.0, "cj": 0.1 * scale}, br=1)
-    fq, jq = _step(qp, [0.0, i_at, 0.0], h, trap,
-                   q=q_old, iold=i_old, vlold=vl_old)
-    fj, jjac = _step(jj, [i_at, 0.0], h * scale, trap,
-                     phi=2.0 * math.pi * q_old / TWO_E, vold=i_old,
-                     iold=vl_old)
+    fq, jq = _step(qp, [0.0, i_at, 0.0], h, trap, x=[0.0, i_old, 0.0],
+                   xd=[0.0, vl_old / 0.1, 0.0], q=q_old)
+    fj, jjac = _step(jj, [i_at, 0.0], h * scale, trap, x=[i_old, 0.0],
+                     xd=[vl_old / (0.1 * scale), 0.0],
+                     phi=2.0 * math.pi * q_old / TWO_E)
     return (-fq[1], -jq[1, 1]), (fj[0], jjac[0, 0])
 
 
