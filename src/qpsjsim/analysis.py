@@ -54,8 +54,10 @@ def detect_pulses(time, values, source=""):
     the detector re-arms only after the signal falls back below half
     the threshold.  Events whose peaks lie closer than MIN_SEPARATION
     are merged.  Each event's charge is the trapezoidal integral of the
-    current above the baseline over the contiguous above-baseline
-    window around the crossing.
+    current above the baseline, max(v - base, 0), over the contiguous
+    above-baseline window around the crossing widened by one sample on
+    each side (clamped to the array), so a sample at the baseline adds
+    the same charge whichever sign its rounding noise has.
     """
     time = np.asarray(time, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -112,7 +114,12 @@ def detect_pulses(time, values, source=""):
         seg_t = time[lo:hi + 1]
         seg_v = values[lo:hi + 1]
         peak = lo + int(np.argmax(seg_v))
-        charge = float(np.trapezoid(seg_v - base, seg_t)) if hi > lo else 0.0
+        # one more sample on each side, clipped at the baseline: a sample
+        # at the baseline adds the same charge whichever side of it
+        # rounding puts it
+        wide = slice(max(lo - 1, 0), hi + 2)
+        charge = float(np.trapezoid(np.maximum(values[wide] - base, 0.0),
+                                    time[wide]))
         width = float(np.sum(np.diff(seg_t)[seg_v[:-1] >= thr])) if hi > lo else 0.0
         events.append(PulseEvent(float(time[peak]), charge, width))
     return SpikeTrain(events, source)

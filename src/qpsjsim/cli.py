@@ -2,7 +2,10 @@
 
 Every command writes its outputs plus a manifest.json that records the
 exact inputs needed to reproduce the run and what the solver did
-(``WaveformSet.stats``; a sweep lists them per point).  Output CSVs are
+(``WaveformSet.stats``; a sweep lists them per point).  A sweep runs
+the points whose circuits differ only in junction amplitudes as one
+batch (:func:`~qpsjsim.engine.tran_batch`); each point's stats are its
+batch's, with the batch size as ``variants``.  Output CSVs are
 deterministic: the same inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (parse/elaboration/usage),
@@ -24,8 +27,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import detect_pulses, export_csv
-from .devices import damping_parameter
-from .engine import SOLVER_SETTINGS, EngineError, _time_grid, tran
+from .devices import damping_parameter, topology
+from .engine import (SOLVER_SETTINGS, EngineError, _time_grid, tran,
+                     tran_batch)
 from .netlist import NetlistError, elaborate, parse_netlist
 from .templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
                         SynapseMultiParams, binary_synapse_netlist,
@@ -240,20 +244,24 @@ def cmd_figure(args):
     return EXIT_OK
 
 
-# Each sweep point gives its sweep.csv columns and its solver stats.
+# Each sweep point gives the circuit it simulates (or None) and how its
+# sweep.csv columns follow from the circuit's waveforms.
 
 def _sweep_neuron(value):
     n = int(value)
     p = NeuronParams(n_threshold=n, n_pulses=max(12, 3 * n))
-    waves = _simulate(neuron_netlist(p))
-    firings = _firings(waves, "i(rload)")
-    if len(firings) >= 2:
-        period = float(np.mean(np.diff([e.t_peak for e in firings])))
-    elif firings:
-        period = float("nan")
-    else:
-        period = float("inf")
-    return {"firings": len(firings), "firing_period_ps": period}, waves.stats
+
+    def columns(waves):
+        firings = _firings(waves, "i(rload)")
+        if len(firings) >= 2:
+            period = float(np.mean(np.diff([e.t_peak for e in firings])))
+        elif firings:
+            period = float("nan")
+        else:
+            period = float("inf")
+        return {"firings": len(firings), "firing_period_ps": period}
+
+    return elaborate(parse_netlist(neuron_netlist(p))), columns
 
 
 def _sweep_synapse(value):
@@ -263,15 +271,17 @@ def _sweep_synapse(value):
     p = SynapseBinaryParams()
     state = 0 if abs(ic - p.ic_states[0]) <= abs(ic - p.ic_states[1]) else 1
     p = SynapseBinaryParams(state=state)
-    waves = _simulate(binary_synapse_netlist(p))
-    n = _count_quanta(waves, "i(q1)")
-    return ({"output_pulses": n, "pulses_per_input": n / p.n_pulses},
-            waves.stats)
+
+    def columns(waves):
+        n = _count_quanta(waves, "i(q1)")
+        return {"output_pulses": n, "pulses_per_input": n / p.n_pulses}
+
+    return elaborate(parse_netlist(binary_synapse_netlist(p))), columns
 
 
 def _sweep_damping(value):
-    l = float(value)
-    return {"beta_l": damping_parameter(0.7e-3, l, 10e3)}, {}
+    beta = damping_parameter(0.7e-3, float(value), 10e3)
+    return None, lambda waves: {"beta_l": beta}
 
 
 _SWEEPS = {
@@ -279,6 +289,31 @@ _SWEEPS = {
     ("synapse", "ic"): _sweep_synapse,
     ("damping", "l"): _sweep_damping,
 }
+
+
+def _sweep_waves(circuits):
+    """The waveforms of each circuit (None where there is none), or the
+    error it failed with.  Circuits of one topology run as one batch;
+    each result's stats record its batch size as ``variants``."""
+    groups = []  # [topology, [indices]]
+    for i, circuit in enumerate(circuits):
+        if circuit is not None:
+            shape = topology(circuit)
+            group = next((g for g in groups if g[0] == shape), None)
+            if group is None:
+                groups.append(group := [shape, []])
+            group[1].append(i)
+    results = [None] * len(circuits)
+    for _, members in groups:
+        try:
+            batch = tran_batch([circuits[i] for i in members])
+        except EngineError as exc:
+            batch = [exc] * len(members)
+        for i, waves in zip(members, batch):
+            if not isinstance(waves, EngineError):
+                waves.stats["variants"] = len(members)
+            results[i] = waves
+    return results
 
 
 def cmd_sweep(args):
@@ -295,14 +330,25 @@ def cmd_sweep(args):
         return EXIT_INPUT
     fn = _SWEEPS[key]
 
-    def point(v):
+    points = []
+    for v in values:
         try:
-            columns, stats = fn(v)
-            return {"value": v, "status": "ok", **columns}, stats
-        except (EngineError, NetlistError, ValueError) as exc:
-            return {"value": v, "status": f"failed: {exc}"}, {}
+            points.append(fn(v))
+        except (NetlistError, ValueError) as exc:
+            points.append(exc)
+    waves = _sweep_waves([None if isinstance(p, Exception) else p[0]
+                          for p in points])
 
-    rows, stats = zip(*[point(v) for v in values])
+    rows, stats = [], []
+    for v, p, w in zip(values, points, waves):
+        error = (p if isinstance(p, Exception)
+                 else w if isinstance(w, EngineError) else None)
+        if error is None:
+            rows.append({"value": v, "status": "ok", **p[1](w)})
+            stats.append({} if w is None else w.stats)
+        else:
+            rows.append({"value": v, "status": f"failed: {error}"})
+            stats.append({})
 
     fields = ["value", "status"]
     for row in rows:
@@ -321,7 +367,7 @@ def cmd_sweep(args):
                 "values": values},
         solver=SOLVER_SETTINGS,
         outputs=[sweep_path.name],
-        stats=list(stats),
+        stats=stats,
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
     manifest.write(out)

@@ -11,19 +11,23 @@ Vc*sin(2*pi*q/2e) with i = dq/dt.  The full branch relations are
 Here the duality is structural: the JJ model is the capacitor model
 (Cj) plus Rn and Ic*sin(phi); the QPSJ model is the inductor model (Ls)
 plus Rn and Vc*sin(2*pi*q/2e).  Every other term is linear in the
-unknowns and their time derivatives, so only the junctions' sin terms
-are computed per Newton iteration.
+unknowns and their time derivatives.  The two sin terms are one sine
+law, A*sin(theta) with the angle theta moved by a row of the unknowns'
+integral, and each junction model only declares that row, the rows the
+term enters and its amplitude A (Ic, -Vc).
 
 The models work in the scaled units of :mod:`qpsjsim.units` on
 parameters that :func:`qpsjsim.netlist.elaborate` checked.  They hold
-every device equation the engine uses, and no integration rule: the
-engine keeps the unknowns' time derivatives and discretizes them for
-every kind at once.  :func:`build_models` gives one :class:`DeviceModel`
-per device kind.  :func:`damping_parameter` alone takes SI values.
+every device equation the engine uses, and no integration rule and no
+step state: the engine keeps the unknowns, their time derivatives and
+the junction angles, and discretizes them for every kind at once.
+:func:`build_models` gives one :class:`DeviceModel` per device kind.
+:func:`damping_parameter` alone takes SI values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -94,39 +98,30 @@ def _series(l):
     return np.concatenate([np.zeros(4 * len(l)), -l])
 
 
-def _dc_state(names, ratio, preset, scale, bias, window):
-    """Initial junction state asin(ratio)/scale, or the preset one.  A
-    ratio outside [-1, 1] (a DC bias outside the junction's window) is
-    clamped to the edge, with a RuntimeWarning."""
-    for name, r, p in zip(names, ratio, preset):
-        if p is None and abs(r) > 1.0:
-            warnings.warn(f"{name}: DC bias {bias} = {abs(r):.4g} lies outside"
-                          f" the {window}; initial state clamped to its edge",
-                          RuntimeWarning)
-    return np.array([math.asin(max(-1.0, min(1.0, r))) / scale if p is None
-                     else p for r, p in zip(ratio, preset)])
-
-
 class DeviceModel:
     """Every device of one kind in a circuit, held as arrays.
 
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
     is that ground slot, which the engine drops; ``xdg`` holds their
-    time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
-    F_nl(x) = sources``: ``static`` gives the values of G and C, fixed
-    per circuit, at ``s_rows, s_cols``; ``source(t)`` the negated sources
-    at ``f_rows``.  A junction holds an angle (``state``: phi or q) that
-    a step moves by the integral of the unknowns, ``xint``, over it:
-    ``nonlinear(xint, hk)`` gives F_nl at ``f_rows`` and its Jacobian
-    (hk = d xint/dx) at ``nl_rows, nl_cols``; ``angle_step(dxint)`` the
-    largest angle change of an update; ``seed(xg)`` and ``commit(xint)``
-    set the angle at DC and after a step.
+    time derivatives.  Either may stack variants in rows.  The engine
+    integrates ``G @ x + C @ dx/dt + F_nl(x) = sources``: ``static``
+    gives the values of G and C, fixed per circuit, at ``s_rows,
+    s_cols``; ``source(t)`` the negated sources at ``f_rows``.
+
+    A junction adds one sine law per device, F_nl = B @ (A * sin(theta)),
+    whose angle theta a step moves by W @ (the unknowns' integral over
+    it).  The engine holds the angles; the model declares its rows of W
+    (``angle``) and columns of B (``output``), each as (index array,
+    factor) pairs, its amplitudes A (``amplitude``, set by the params
+    named in ``amplitude_params``), and what the DC solution asks of
+    A * sin(theta) (``dc_output``), from which ``seed`` sets theta.
     """
 
     kinds = ()  # device kinds held, grouped in this order
     branch = None  # "tran" or "dc": a branch unknown always, or at DC only
-    junction = False  # probed by default; holds an angle (see above)
+    junction = False  # probed by default; obeys the sine law (see above)
+    amplitude_params = ()
 
     def __init__(self, devs, br=None, gmin=0.0):
         self.names = [d.name for d in devs]
@@ -136,7 +131,7 @@ class DeviceModel:
         self.br = br
         self.gmin = gmin  # leak conductance across junctions
         self.f_rows = np.concatenate([self.a, self.b])
-        self.s_rows = self.s_cols = self.nl_rows = self.nl_cols = _NO_INDEX
+        self.s_rows = self.s_cols = _NO_INDEX
         if self.branch == "tran":  # branch currents from node a to b
             self.f_rows = br
             self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
@@ -165,9 +160,26 @@ class DeviceModel:
         return (self.s_rows, self.s_cols, self.static()[0]), (self.f_rows,
                                                               -self.source(0.0))
 
-    def current(self, xg, xdg, t):
-        """Probe currents; by default the branch unknowns."""
-        return xg[self.br]
+    def current(self, xg, xdg, t, out):
+        """Probe currents; by default the branch unknowns.  A junction's
+        out holds its A * sin(theta)."""
+        return xg[..., self.br]
+
+    def seed(self, ratio):
+        """Angles asin(ratio) for the ratios of dc_output to the
+        amplitudes, one row per variant, or the preset ones.  A ratio
+        outside [-1, 1] (a DC bias outside the junction's window) is
+        clamped to the edge, with a RuntimeWarning."""
+        preset = [p.get(self.preset) for p in self.params]
+        for row in ratio:
+            for name, r, p in zip(self.names, row, preset):
+                if p is None and abs(r) > 1.0:
+                    warnings.warn(f"{name}: DC bias {self.bias} = {abs(r):.4g}"
+                                  f" lies outside the {self.window}; initial"
+                                  f" state clamped to its edge", RuntimeWarning)
+        return np.array([[math.asin(max(-1.0, min(1.0, r))) if p is None
+                          else self.unit * p for r, p in zip(row, preset)]
+                         for row in ratio])
 
 
 class ResistorModel(DeviceModel):
@@ -181,8 +193,8 @@ class ResistorModel(DeviceModel):
         g = _g4(self.g)
         return g, np.zeros(len(g))
 
-    def current(self, xg, xdg, t):
-        return self.g * (xg[self.a] - xg[self.b])
+    def current(self, xg, xdg, t, out):
+        return self.g * (xg[..., self.a] - xg[..., self.b])
 
 
 class CapacitorModel(DeviceModel):
@@ -196,8 +208,8 @@ class CapacitorModel(DeviceModel):
         c = _g4(self.c)
         return np.zeros(len(c)), c
 
-    def current(self, xg, xdg, t):
-        return self.c * (xdg[self.a] - xdg[self.b])
+    def current(self, xg, xdg, t, out):
+        return self.c * (xdg[..., self.a] - xdg[..., self.b])
 
 
 class CurrentSourceModel(DeviceModel):
@@ -207,8 +219,8 @@ class CurrentSourceModel(DeviceModel):
         i = self._sources(t)
         return np.concatenate([i, -i])
 
-    def current(self, xg, xdg, t):
-        return self._sources(t)
+    def current(self, xg, xdg, t, out):
+        return np.broadcast_to(self._sources(t), xg.shape[:-1] + self.a.shape)
 
 
 class VoltageSourceModel(DeviceModel):
@@ -240,103 +252,81 @@ class InductorModel(DeviceModel):
 
 class JosephsonModel(CapacitorModel):
     """JJs, then MJJs (a JJ with ic = states[state]): the capacitance Cj in
-    parallel with Rn and the supercurrent Ic*sin(phi).  At DC a JJ is a
-    short: a DC-only branch through a tiny series resistance, whose current
-    gives the phase."""
+    parallel with Rn and the supercurrent Ic*sin(phi), from node a to b,
+    whose phase phi moves by 2*pi/Phi0 times the flux v(a) - v(b).  At DC
+    a JJ is a short: a DC-only branch through a tiny series resistance,
+    whose current Ic*sin(phi) carries."""
 
     kinds = (DeviceKind.JJ, DeviceKind.MJJ)
     branch = "dc"
     junction = True
-    state = "phi"
+    amplitude_params = ("ic", "states", "state")
+    preset, unit = "phi0", 1.0  # state phi (rad) = theta
+    bias, window = "|i|/Ic", "superconducting window"
 
     def setup(self):
-        self.ic = np.array([p["states"][p["state"]] if "states" in p else p["ic"]
-                            for p in self.params])
+        self.amplitude = np.array([p["states"][p["state"]] if "states" in p
+                                   else p["ic"] for p in self.params])
         self.rn, self.c = self._param("rn"), self._param("cj")
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
-        self.nl_rows, self.nl_cols = self.s_rows, self.s_cols
+        self.angle = ((self.a, _WJ), (self.b, -_WJ))
+        self.output = ((self.a, 1.0), (self.b, -1.0))
 
     def static(self):
         return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
 
-    def _phase(self, xint):
-        return self.phi + _WJ * (xint[self.a] - xint[self.b])
-
-    def nonlinear(self, xint, hk):
-        phi = self._phase(xint)
-        i = self.ic * np.sin(phi)
-        return np.concatenate([i, -i]), _g4(self.ic * np.cos(phi) * _WJ * hk)
-
-    def angle_step(self, dxint):
-        return np.abs(dxint[self.a] - dxint[self.b]).max() * _WJ
-
-    def commit(self, xint):
-        self.phi = self._phase(xint)
-
     def dc(self):
-        k = len(self.ic)
+        k = len(self.amplitude)
         rows, cols = _incidence(self.a, self.b, self.br)
         values = [_g4(np.full(k, self.gmin)), _pm5(np.full(k, _DC_SHORT))]
         return ((np.concatenate([self.s_rows, rows]),
                  np.concatenate([self.s_cols, cols]),
                  np.concatenate(values)), _NO_RHS)
 
-    def seed(self, xg):
-        self.phi = _dc_state(self.names, xg[self.br] / self.ic,
-                             [p.get("phi0") for p in self.params], 1.0,
-                             "|i|/Ic", "superconducting window")
+    def dc_output(self, xg):
+        return xg[self.br]
 
-    def current(self, xg, xdg, t):
-        return (self.ic * np.sin(self.phi) + (xg[self.a] - xg[self.b]) / self.rn
-                + super().current(xg, xdg, t))
+    def current(self, xg, xdg, t, out):
+        return (out + (xg[..., self.a] - xg[..., self.b]) / self.rn
+                + super().current(xg, xdg, t, out))
 
 
 class PhaseSlipModel(InductorModel):
     """QPSJs: the inductance Ls in series with Rn and the voltage
-    Vc*sin(2*pi*q/2e).  At DC a QPSJ is in Coulomb blockade: its branch
-    current is held at zero and its branch voltage gives the initial
-    charge."""
+    Vc*sin(2*pi*q/2e) on the branch from node a to b, whose charge q is
+    the integral of the branch current.  At DC a QPSJ is in Coulomb
+    blockade: its branch current is held at zero and its branch voltage
+    gives the initial charge."""
 
     kinds = (DeviceKind.QPSJ,)
     junction = True
-    state = "q"
+    amplitude_params = ("vc",)
+    preset, unit = "q0", _W  # state q (aC) = theta / _W
+    bias, window = "|v|/Vc", "Coulomb blockade"
 
     def setup(self):
-        self.vc, self.rn, self.l = (self._param(k) for k in ("vc", "rn", "ls"))
+        vc, self.rn, self.l = (self._param(k) for k in ("vc", "rn", "ls"))
+        self.amplitude = -vc
         g_rows, g_cols = _conductance(self.a, self.b)
         self.s_rows = np.concatenate([self.s_rows, g_rows])
         self.s_cols = np.concatenate([self.s_cols, g_cols])
-        self.nl_rows = self.nl_cols = self.br
+        self.angle = ((self.br, _W),)
+        self.output = ((self.br, 1.0),)
 
     def static(self):
-        gmin = _g4(np.full(len(self.vc), self.gmin))
+        gmin = _g4(np.full(len(self.rn), self.gmin))
         return (np.concatenate([_pm5(self.rn), gmin]),
                 np.concatenate([_series(self.l), np.zeros(len(gmin))]))
 
-    def _charge(self, xint):
-        return self.q + xint[self.br]
-
-    def nonlinear(self, xint, hk):
-        wq = _W * self._charge(xint)
-        return -self.vc * np.sin(wq), -self.vc * np.cos(wq) * _W * hk
-
-    def angle_step(self, dxint):
-        return np.abs(dxint[self.br]).max() * _W
-
-    def commit(self, xint):
-        self.q = self._charge(xint)
-
     def dc(self):
-        ones, zeros = np.ones(len(self.vc)), np.zeros(len(self.vc))
+        ones, zeros = np.ones(len(self.rn)), np.zeros(len(self.rn))
         values = [ones, -ones, zeros, zeros, ones, _g4(self.gmin * ones)]
         return (self.s_rows, self.s_cols, np.concatenate(values)), _NO_RHS
 
-    def seed(self, xg):
+    def dc_output(self, xg):
         """Also sets the branch currents in xg to their blockade value 0."""
-        self.q = _dc_state(self.names, (xg[self.a] - xg[self.b]) / self.vc,
-                           [p.get("q0") for p in self.params], _W, "|v|/Vc",
-                           "Coulomb blockade")
         xg[self.br] = 0.0
+        return xg[self.b] - xg[self.a]
 
 
 _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,
@@ -360,3 +350,14 @@ def build_models(circuit, gmin):
                 nxt += len(devs)
         sizes.append(nxt)
     return [cls(devs, branches.get(cls), gmin) for cls, devs in groups], *sizes
+
+
+def topology(circuit):
+    """The circuit with its junction amplitudes (JJ/MJJ Ic, QPSJ Vc) left
+    out.  Circuits of equal topology share every matrix, source and probe
+    of the engine, which integrates them as one batch."""
+    drop = {kind: cls.amplitude_params for cls in _MODELS for kind in cls.kinds}
+    return dataclasses.replace(circuit, devices=[
+        dataclasses.replace(d, params={k: v for k, v in d.params.items()
+                                       if k not in drop[d.kind]})
+        for d in circuit.devices])

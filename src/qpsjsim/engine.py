@@ -8,19 +8,29 @@ and JJs shorted, QPSJs in Coulomb blockade, dx/dt = 0) to seed the
 junction angles, then per step by the one rule x_new = x + (h/k)*(dx/dt_new
 + (k - 1)*dx/dt), trapezoidal (k = 2) or backward Euler (k = 1), and
 damped Newton iteration on F = S @ x_new + c + F_nl(x_new), whose
-S = G + (k/h)*C and c are fixed once per step.  The step state is x,
-dx/dt and the junction angles, which move by the unknowns' integral.
+S = G + (k/h)*C and c are fixed once per step.  Every junction obeys one
+sine law, F_nl = B @ (A * sin(theta)): its angle theta moves by W @ the
+unknowns' integral over the step, and its model declares only its row
+of W, its column of B and its amplitude A.  The step state is x, dx/dt
+and theta, held here as arrays.
+
+Circuits that differ only in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)
+share G, C, W, B and the sources, so :func:`tran_batch` steps them as
+one batch: each array of the step state stacks the variants in rows,
+and each Newton iteration is one stacked LU solve.  :func:`tran` is the
+batch of one.
 
 Newton starts each step from the polynomial through the last three
 accepted points.  The difference between that prediction and the
 converged step estimates the trapezoidal local truncation error (LTE),
-and the step size follows it: it grows above the requested tstep where
-the estimate allows, and never falls below tstep on its account.  Steps
-land exactly on every pulse-source corner.  A Newton failure halves the
-step, down to tstep / 2**MAX_HALVINGS; steps halved below tstep use
-backward Euler.  The output is interpolated linearly onto the requested
-uniform tstep grid.  The numerics are fixed module constants; run
-manifests record :data:`SOLVER_SETTINGS`.
+and the step size follows it (the largest estimate of a batch): it grows
+above the requested tstep where the estimate allows, and never falls
+below tstep on its account.  Steps land exactly on every pulse-source
+corner.  A Newton failure halves the step, down to tstep /
+2**MAX_HALVINGS; steps halved below tstep use backward Euler.  The
+output is interpolated linearly onto the requested uniform tstep grid.
+The numerics are fixed module constants; run manifests record
+:data:`SOLVER_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import _NO_INDEX, _NO_VALUES, build_models
+from .devices import (_NO_INDEX, _NO_VALUES, DeviceModel, build_models,
+                      topology)
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # step halved below tstep use backward Euler.
@@ -41,6 +52,7 @@ GMIN = 1e-9  # 1/kohm: junction leak and the DC tie of every node to ground
 MAX_HALVINGS = 8
 MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
 LTE_FRACTION = 0.005  # LTE bound, as a fraction of RELTOL*|x| + abstol
+MAX_OUTPUT_VALUES = 2 ** 27  # float64 output samples a run may hold: 1 GiB
 
 # The settings a run manifest records.
 SOLVER_SETTINGS = {
@@ -100,73 +112,152 @@ def _scatter(idx, parts, size):
                        minlength=size)
 
 
-class _System:
-    """The MNA system of one circuit, assembled from its device models."""
+def _probe_pairs(circuit):
+    """The (quantity, target) pairs a run records: the .save list, or
+    every node voltage and then every junction current."""
+    return circuit.save_list or (
+        [("v", name) for name in circuit.node_names]
+        + [("i", name) for m in build_models(circuit, GMIN)[0] if m.junction
+           for name in m.names])
 
-    def __init__(self, circuit):
-        self.circuit = circuit
+
+class _System:
+    """The MNA system of circuits that differ only in junction amplitudes,
+    assembled from the first one's device models.  Each array of the
+    step state stacks the variants in rows."""
+
+    def __init__(self, circuits):
+        self.circuit = circuit = circuits[0]
+        if any(topology(c) != topology(circuit) for c in circuits[1:]):
+            raise EngineError("circuits integrated together must differ only"
+                              " in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)")
         self.n = circuit.node_count
         self.models, self.N, self.N_dc = build_models(circuit, GMIN)
         self.junctions = [m for m in self.models if m.junction]
-        M = self.N + 1  # the last slot collects ground entries
-        self._f_idx = np.concatenate([m.f_rows for m in self.models]) % M
+        N, M = self.N, self.N + 1  # the last slot collects ground entries
+        # the sources enter F at f_rows; other kinds' source() is all 0
+        self._sourced = [m for m in self.models
+                         if type(m).source is not DeviceModel.source]
+        self._f_idx = np.concatenate(
+            [_NO_INDEX] + [m.f_rows for m in self._sourced]) % M
         self._s_idx = np.concatenate(
             [_flat(m.s_rows, m.s_cols, M) for m in self.models])
-        # the junctions' F_nl and J_nl, scattered into one vector
-        self._nl_idx = np.concatenate([_NO_INDEX] + [
-            idx for m in self.junctions
-            for idx in (m.f_rows % M, M + _flat(m.nl_rows, m.nl_cols, M))])
         G, C = zip(*[m.static() for m in self.models])
         self._G = _scatter(self._s_idx, G, M * M).reshape(M, M)
         self._C = _scatter(self._s_idx, C, M * M).reshape(M, M)
-        self.solves = 0  # LU solves, one per Newton iteration
+        self._CT = self._C.T.copy()
+        # the sine law of the junctions j: theta = theta_n + W @ xint,
+        # F_nl = B @ (A * sin(theta)), J_nl = (h/k) * B @ diag(A * cos(theta)) @ W
+        self.cols, nj = {}, 0  # each junction model's columns of W^T
+        for m in self.junctions:
+            self.cols[m] = slice(nj, nj + len(m.names))
+            nj += len(m.names)
+        W, B = np.zeros((nj, M)), np.zeros((M, nj))
+        entries = [(_NO_INDEX, _NO_VALUES, _NO_INDEX)]  # (J_nl index, B*W, j)
+        for m in self.junctions:
+            j = np.arange(nj)[self.cols[m]]
+            for idx, w in m.angle:
+                np.add.at(W, (j, idx % M), w)
+            for idx, b in m.output:
+                np.add.at(B, (idx % M, j), b)
+                for col, w in m.angle:  # entries off the ground slot
+                    keep = (idx % M < N) & (col % M < N)
+                    entries.append((_flat(idx[keep], col[keep], N),
+                                    np.full(keep.sum(), b * w), j[keep]))
+        self._WT, self._BT = W.T.copy(), B[:N].T.copy()
+        self._jn_idx, self._jn_bw, self._jn_j = (np.concatenate(e)
+                                                 for e in zip(*entries))
+        self.A = np.array([np.concatenate([_NO_VALUES] + [
+            m.amplitude for m in models if m.junction]) for models in
+            [self.models] + [build_models(c, GMIN)[0] for c in circuits[1:]]])
+        self.keep(np.ones(len(circuits), dtype=bool))
+        self.solves = 0  # LU solves of the stack, one per Newton iteration
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
         self._ftol = np.repeat([ABSTOL_I, ABSTOL_V], counts)
         self._xtol = np.repeat([ABSTOL_V, ABSTOL_I], counts)
 
-    def _newton(self, xg, x, xd, t, h, trap):
+    def keep(self, rows):
+        """Go on with the variants that rows (a boolean mask) selects."""
+        self.A = self.A[rows]
+        self._step = None  # the (h, trap) of _newton's cached parts
+        K, N = len(self.A), self.N
+        self._jn_stack = (self._jn_idx + N * N * np.arange(K)[:, None]).ravel()
+
+    def _newton(self, xg, x, xd, theta, t, h, trap):
         """Newton iteration from xg on a trapezoidal (or, if not trap,
-        backward Euler) step to t from x, of derivative xd.  Returns the
-        unknowns (with the ground slot), their derivative and their
-        integral over the step, or None."""
+        backward Euler) step to t from x, of derivative xd and junction
+        angles theta, each variant until it converges.  Returns the
+        unknowns (with the ground slot), their derivative, the angles,
+        A * sin(angles) and which variants failed to converge (None if
+        none did)."""
         # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
-        # the integral over the step is (h/k)*(x_new + (k - 1)*x)
-        N, M = self.N, self.N + 1
+        # the angles move by W @ the integral over the step,
+        # (h/k)*(x_new + (k - 1)*x)
+        N, K = self.N, len(xg)
         k = 2.0 if trap else 1.0
         kh, hk = k / h, h / k
-        S = self._G + kh * self._C
-        c = (_scatter(self._f_idx, [m.source(t) for m in self.models], M)
-             - self._C @ (kh * x + (k - 1.0) * xd))
-        b = (k - 1.0) * hk * x
-        delta_ok = False
-        for _ in range(MAX_NEWTON_ITERS):
-            xint = hk * xg + b
-            nl = _scatter(self._nl_idx, [v for m in self.junctions for v in
-                                         m.nonlinear(xint, hk)], M + M * M)
-            F = (S @ xg + c + nl[:M])[:N]
-            if delta_ok and (np.abs(F) < self._ftol).all():
-                return xg, kh * (xg - x) - (k - 1.0) * xd, xint
-            J = S + nl[M:].reshape(M, M)
+        if self._step != (h, trap):  # steps often repeat their size
+            S = self._G + kh * self._C
+            WT = hk * self._WT
+            # one product gives the rows of S @ x_new and W @ x_new
+            self._step_parts = (S[:N, :N], WT, WT[:N], hk * self.A,
+                                np.concatenate((S.T[:, :N], WT), axis=1))
+            self._step = (h, trap)
+        SN, WT, WTN, hkA, SW = self._step_parts
+        c = (_scatter(self._f_idx, [m.source(t) for m in self._sourced], N + 1)
+             - (kh * x + (k - 1.0) * xd) @ self._CT)[:, :N]
+        theta = theta + (k - 1.0) * x @ WT
+        A = self.A
+        xg = xg.copy()  # updated in place below
+        done = np.zeros(K, dtype=bool)  # converged
+        going = ~done  # still iterating
+        partial = False
+        for i in range(MAX_NEWTON_ITERS):
+            P = xg @ SW
+            th = theta + P[:, N:]
+            s = A * np.sin(th)
+            F = P[:, :N] + c + s @ self._BT
+            # converged: a small update before, and a small residual now
+            ok = i and delta_ok & (np.abs(F) < self._ftol).all(axis=1)
+            if i and ok.any():
+                if not partial and ok.all():
+                    break
+                done |= ok & going
+                going &= ~done
+                partial = True  # the variants part ways
+                if not going.any():
+                    break
+            g = (hkA * np.cos(th))[:, self._jn_j] * self._jn_bw
+            J = SN + np.bincount(self._jn_stack, g.ravel(),
+                                 minlength=K * N * N).reshape(K, N, N)
             self.solves += 1
             try:
-                dx = np.linalg.solve(J[:N, :N], -F)
+                dx = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
+                partial = True
                 break
             if not np.isfinite(dx).all():
-                break
+                going &= np.isfinite(dx).all(axis=1)
+                partial = True
+                if not going.any():
+                    break
+            if partial:
+                dx[~going] = 0.0
             # damp the step so no junction jumps minima within one iteration
-            dxg = np.concatenate((dx, _GROUND))
-            max_angle = max((m.angle_step(hk * dxg) for m in self.junctions),
-                            default=0.0)
-            if max_angle > MAX_ANGLE_STEP:
-                dxg *= MAX_ANGLE_STEP / max_angle
-            xg = xg + dxg
-            delta_ok = (np.abs(dxg[:N])
-                        < RELTOL * np.abs(xg[:N]) + self._xtol).all()
-        self.failed_f = F  # the residual that ConvergenceError reports
-        return None
+            angle = np.abs(dx @ WTN)
+            if angle.max(initial=0.0) > MAX_ANGLE_STEP:
+                dx *= MAX_ANGLE_STEP / np.maximum(angle.max(axis=1),
+                                                  MAX_ANGLE_STEP)[:, None]
+            xg[:, :N] += dx
+            delta_ok = (np.abs(dx)
+                        < RELTOL * np.abs(xg[:, :N]) + self._xtol).all(axis=1)
+        else:  # out of iterations
+            partial = True
+        self.failed_f = F  # the residuals that ConvergenceError reports
+        return (xg, kh * (xg - x) - (k - 1.0) * xd, th, s,
+                ~done if partial else None)
 
     def _worst(self, resid):
         """The node or branch device of the largest entry of resid."""
@@ -175,18 +266,11 @@ class _System:
                     if m.branch == "tran" for name in m.names])
         return names[int(np.argmax(np.abs(resid)))] if len(resid) else "node '?'"
 
-    def _advance(self, how, xg, xd=_NO_VALUES):
-        """Seed (from the DC solution) or commit (from the step integral)
-        every junction angle; check them and the derivatives xd."""
-        for m in self.junctions:
-            getattr(m, how)(xg)
-        angles = [getattr(m, m.state) for m in self.junctions]
-        if not np.isfinite(np.concatenate([xd, *angles])).all():
-            raise EngineError("non-finite device state after timestep")
-
     def seed_from_dc(self):
-        """Solve the static system and seed every device state from it.
-        Returns the solution (DC-only branches last) and a ground slot."""
+        """Solve the static system, which every variant shares.  Returns
+        the solution with a ground slot (DC-only branches last), the
+        outputs A * sin(theta) it asks of the junctions, and the angles
+        (one row per variant) that give them, or their windows' edges."""
         n, Nd = self.n, self.N_dc
         M = Nd + 1
         nodes = np.arange(n)
@@ -207,15 +291,18 @@ class _System:
             raise ConvergenceError(f"DC operating point did not converge;"
                                    f" worst residual at {worst}", worst=worst)
         xg = np.concatenate((x, _GROUND))
-        self._advance("seed", xg)
-        return xg
+        out = np.concatenate([_NO_VALUES] + [m.dc_output(xg)
+                                             for m in self.junctions])
+        ratio = out / self.A
+        theta = np.concatenate([np.zeros((len(ratio), 0))] + [
+            m.seed(ratio[:, self.cols[m]]) for m in self.junctions], axis=1)
+        return xg, out, theta
 
     def probes(self):
-        """Channel names, and their values as a function of (xg, xdg, t)."""
+        """Channel names, and their values, one row per variant, as a
+        function of (xg, xdg, t, out), out the junctions' A * sin(theta)."""
         c = self.circuit
-        probes = c.save_list or (
-            [("v", name) for name in c.node_names]
-            + [("i", name) for m in self.models if m.junction for name in m.names])
+        probes = _probe_pairs(c)
         targets = {t for q, t in probes if q == "i"}
         probed = [m for m in self.models if targets.intersection(m.names)]
         # values indexes xg followed by the probed models' currents
@@ -223,10 +310,12 @@ class _System:
         index = np.array([c.node_index(t) % (self.N + 1) if q == "v"
                           else self.N + 1 + currents.index(t) for q, t in probes],
                          dtype=np.intp)
+        cols = [self.cols.get(m, slice(0)) for m in probed]
 
-        def values(xg, xdg, t):
-            return np.concatenate([xg] + [m.current(xg, xdg, t)
-                                          for m in probed])[index]
+        def values(xg, xdg, t, out):
+            return np.concatenate([xg] + [
+                m.current(xg, xdg, t, out[:, j]) for m, j in zip(probed, cols)],
+                axis=1)[:, index]
 
         return [f"{q}({t})" for q, t in probes], values
 
@@ -235,34 +324,45 @@ def dc_operating_point(circuit):
     """Static solution (see module docstring) and the angles it seeds.
 
     ``branch_currents`` holds each device's probe current at t = 0, the
-    first sample :func:`tran` records.
+    first sample :func:`tran` records; a junction's ``out`` there is what
+    the DC solution asks of its sin term (a JJ carries its DC current
+    even where the seeded phase sits at the window's edge).
     """
-    sys_ = _System(circuit)
-    xg = sys_.seed_from_dc()
-    currents = {name: i for m in sys_.models
-                for name, i in zip(m.names, m.current(xg, 0.0 * xg, 0.0))}
+    sys_ = _System([circuit])
+    xg, out, theta = sys_.seed_from_dc()
+    currents = {name: i for m in sys_.models for name, i in zip(
+        m.names, m.current(xg, 0.0 * xg, 0.0, out[sys_.cols.get(m, slice(0))]))}
     states = {name: s for m in sys_.junctions
-              for name, s in zip(m.names, getattr(m, m.state))}
+              for name, s in zip(m.names, theta[0, sys_.cols[m]] / m.unit)}
     return OperatingPoint(
         {name: xg[i] for i, name in enumerate(circuit.node_names)},
         {d.name: currents[d.name] for d in circuit.devices}, states)
 
 
-def _time_grid(circuit, tstep=None, tstop=None):
+def _time_grid(circuit, tstep=None, tstop=None, variants=1):
     """The uniform output grid from 0 to tstop, and how many of its
     points lie before the circuit's tstart (they are not recorded).
-    None takes the circuit's own tstep or tstop."""
+    None takes the circuit's own tstep or tstop.  Raises EngineError
+    before allocating anything if the output of that many variants would
+    exceed MAX_OUTPUT_VALUES."""
     tstep = circuit.tstep if tstep is None else tstep
     tstop = circuit.tstop if tstop is None else tstop
     if not (0 < tstep < tstop < np.inf and circuit.tstart <= tstop):
         raise EngineError(f"need 0 < tstep < tstop < inf and tstart <= tstop"
                           f" (ps), got {tstep}, {tstop} and {circuit.tstart}")
     try:
-        grid = np.arange(int(round(tstop / tstep)) + 1) * tstep
-    except (OverflowError, ValueError, MemoryError) as exc:
+        points = int(round(tstop / tstep)) + 1
+    except OverflowError as exc:
         raise EngineError(f"cannot hold a grid of tstop/tstep ="
                           f" {tstop / tstep:.3g} steps, got {tstep} and"
                           f" {tstop} (ps)") from exc
+    channels = len(_probe_pairs(circuit))
+    if variants * channels * points > MAX_OUTPUT_VALUES:
+        raise EngineError(f"cannot hold {variants * channels * points:.3g}"
+                          f" output values ({variants} variants x {channels}"
+                          f" channels x {points} samples); the limit is"
+                          f" {MAX_OUTPUT_VALUES:.3g}")
+    grid = np.arange(points) * tstep
     skip = int(np.count_nonzero(grid < circuit.tstart - 1e-9 * tstep))
     return grid, skip
 
@@ -293,55 +393,69 @@ def _predict(past, t):
     return x
 
 
-def tran(circuit, tstep=None, tstop=None):
-    """Integrate the circuit through time; returns a :class:`WaveformSet`.
+def tran_batch(circuits, tstep=None, tstop=None):
+    """Integrate circuits that differ only in junction amplitudes (JJ/MJJ
+    Ic, QPSJ Vc) as one batch; returns one :class:`WaveformSet`, or the
+    :class:`EngineError` a variant failed with, per circuit.
 
-    Output samples lie on the uniform tstep grid from tstart to tstop,
-    interpolated linearly between the accepted steps (see the module
-    docstring).  ``stats`` holds the counts ``accepted_steps``,
-    ``lte_rejections``, ``newton_halvings`` and ``newton_iterations``
-    (one LU solve each).
+    The variants share one step sequence: one predictor and LTE estimate
+    (the largest over the variants), one S and c per step, one stacked
+    LU solve per Newton iteration, and the output grid.  A Newton failure
+    halves the step of every variant; a variant that still fails at
+    tstep / 2**MAX_HALVINGS drops out, and the rest go on.  ``stats``
+    counts the batch's shared work (see :func:`tran`).  Errors common to
+    every variant (grid, topology, DC operating point) raise.
     """
-    grid, skip = _time_grid(circuit, tstep, tstop)
-    sys_ = _System(circuit)
-    x = np.concatenate((sys_.seed_from_dc()[:sys_.N], _GROUND))
-    xd = np.zeros(len(x))  # time derivatives of the unknowns, 0 at DC
+    K = len(circuits)
+    grid, skip = _time_grid(circuits[0], tstep, tstop, K)
+    sys_ = _System(circuits)
+    xdc, out, theta = sys_.seed_from_dc()
+    x = np.tile(np.concatenate((xdc[:sys_.N], _GROUND)), (K, 1))
+    xd = np.zeros_like(x)  # time derivatives of the unknowns, 0 at DC
     names, values = sys_.probes()
 
     tstep, tend = float(grid[1]), float(grid[-1])
     slack = 1e-9 * tstep  # float error of a sum of steps
     xtol = np.concatenate((sys_._xtol, [1.0]))  # the ground slot stays 0
     times = grid[skip:]
-    data = np.empty((len(names), len(times)))
-    p = values(x, xd, 0.0)
+    data = np.empty((K, len(names), len(times)))
+    rows = np.arange(K)  # the variants still stepping
+    results = [None] * K
+    p = values(x, xd, 0.0, np.tile(out, (K, 1)))
     if not skip:
-        data[:, 0] = p
+        data[:, :, 0] = p
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
-    breaks = iter(_breakpoints(circuit, tstep, tend))
+    breaks = iter(_breakpoints(circuits[0], tstep, tend))
     bp = next(breaks)
     past = [(0.0, x)]  # accepted points since the last breakpoint, oldest first
     filled = 1  # grid points recorded so far
     t, h = 0.0, tstep
-    while t < tend:
+    while t < tend and len(rows):
         # land on the next breakpoint, without leaving a sliver before it
         r = bp - t
         h_try = r if r < h + slack else min(h, r / 2) if r < h + tstep else h
         t_new = bp if h_try == r else t + h_try
         xp = _predict(past, t_new)
-        step = sys_._newton(xp, x, xd, t_new, h_try,
-                            t > 0.0 and h > tstep - slack)
-        if step is None:
+        x_new, xd_new, th_new, s_new, failed = sys_._newton(
+            xp, x, xd, theta, t_new, h_try, t > 0.0 and h > tstep - slack)
+        if failed is not None and failed.any():
             stats["newton_halvings"] += 1
             h = h_try / 2.0
             if h < tstep / (2.0 ** MAX_HALVINGS):
-                worst = sys_._worst(sys_.failed_f)
-                raise ConvergenceError(
-                    f"Newton failed to converge at t = {t_new:.6g} ps "
-                    f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
-                    f"halvings; worst residual at {worst}",
-                    t=t_new, h=h_try, worst=worst)
+                for i in np.flatnonzero(failed):
+                    worst = sys_._worst(sys_.failed_f[i])
+                    results[rows[i]] = ConvergenceError(
+                        f"Newton failed to converge at t = {t_new:.6g} ps "
+                        f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
+                        f"halvings; worst residual at {worst}",
+                        t=t_new, h=h_try, worst=worst)
+                # the rest converged at h_try: retry the step without these
+                keep = ~failed
+                sys_.keep(keep)
+                rows, x, xd, theta, p = (a[keep] for a in (rows, x, xd, theta, p))
+                past = [(ti, xi[keep]) for ti, xi in past]
+                h = h_try
             continue
-        x_new, xd_new, xint = step
         # Milne's device: x_new - xp is h*(t_new - t1)*(t_new - t2)*x3/6,
         # x3 the third derivative, and the trapezoidal LTE is h**3*x3/12.
         # A step of at most tstep passes whatever its estimate.
@@ -356,18 +470,17 @@ def tran(circuit, tstep=None, tstop=None):
                 stats["lte_rejections"] += 1
                 h = max(tstep, h_try * grow)
                 continue
-        sys_._advance("commit", xint, xd_new)
         stats["accepted_steps"] += 1
         # fill the grid points in (t, t_new] by linear interpolation
-        p_new = values(x_new, xd_new, t_new)
+        p_new = values(x_new, xd_new, t_new, s_new)
         end = int(np.searchsorted(grid, t_new + slack, "right"))
         lo = max(filled, skip)
         if end > lo:
             w = np.minimum((grid[lo:end] - t) / (t_new - t), 1.0)
-            data[:, lo - skip:end - skip] = (np.outer(p, 1.0 - w)
-                                             + np.outer(p_new, w))
+            data[rows, :, lo - skip:end - skip] = (p[:, :, None] * (1.0 - w)
+                                                   + p_new[:, :, None] * w)
         filled = end
-        t, x, xd, p = t_new, x_new, xd_new, p_new
+        t, x, xd, theta, p = t_new, x_new, xd_new, th_new, p_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)
             past, h = [(t, x)], tstep
@@ -377,6 +490,23 @@ def tran(circuit, tstep=None, tstop=None):
                  else max(tstep, h_try * grow))
     stats["newton_iterations"] = sys_.solves
 
-    if not all(np.all(np.isfinite(row)) for row in data):
-        raise EngineError("non-finite waveform sample")
-    return WaveformSet(times, dict(zip(names, data)), stats)
+    for k in rows:
+        results[k] = (WaveformSet(times, dict(zip(names, data[k])), dict(stats))
+                      if np.isfinite(data[k]).all()
+                      else EngineError("non-finite waveform sample"))
+    return results
+
+
+def tran(circuit, tstep=None, tstop=None):
+    """Integrate the circuit through time; returns a :class:`WaveformSet`.
+
+    The batch of one of :func:`tran_batch`.  Output samples lie on the
+    uniform tstep grid from tstart to tstop, interpolated linearly
+    between the accepted steps (see the module docstring).  ``stats``
+    holds the counts ``accepted_steps``, ``lte_rejections``,
+    ``newton_halvings`` and ``newton_iterations`` (one LU solve each).
+    """
+    (waves,) = tran_batch([circuit], tstep, tstop)
+    if isinstance(waves, EngineError):
+        raise waves
+    return waves

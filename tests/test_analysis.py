@@ -69,6 +69,29 @@ def test_detect_pulses_nonzero_baseline(offset):
         assert e.charge == pytest.approx(r.charge, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("noise", [1e-16, -1e-16])
+def test_detect_pulses_charge_ignores_the_sign_of_baseline_noise(noise):
+    # a pulse on a zero baseline whose pre-rise sample is rounding noise:
+    # above the baseline it opens the window one sample early, below it
+    # it does not; the charge must not depend on which
+    t = np.arange(0.0, 10.0, 0.05)
+    v = np.where((t > 4.0) & (t < 6.0), np.sin(np.pi * (t - 4.0) / 2.0), 0.0)
+    clean = detect_pulses(t, v).charges()
+    v[np.searchsorted(t, 4.0)] = noise
+    noisy = detect_pulses(t, v).charges()
+    assert len(clean) == len(noisy) == 1
+    assert noisy[0] == pytest.approx(clean[0], rel=1e-9)
+
+
+def test_detect_pulses_identical_synapse_pulses_carry_equal_charge(
+        binary_on_run):
+    # the ten fig4a output pulses are the same event ten times over
+    waves = binary_on_run.waves
+    charges = detect_pulses(waves.time, waves.channel("i(q1)")).charges()
+    assert len(charges) == 10
+    assert np.ptp(charges) < 1e-6 * TWO_E
+
+
 def test_detect_pulses_empty_and_flat():
     t = np.arange(0.0, 10.0, 0.1)
     assert len(detect_pulses(t, np.zeros_like(t))) == 0

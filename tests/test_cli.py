@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,25 @@ def test_sweep_points_with_impossible_values_fail(tmp_path):
     assert rows[3]["beta_l"] and not rows[2]["beta_l"]
 
 
+def test_sweep_batches_points_of_one_topology(tmp_path):
+    # both Ic states are one circuit with another MJJ state: one batch,
+    # whose rows equal those of each point swept alone
+    out = tmp_path / "both"
+    assert main(["sweep", "synapse", "ic", "200e-6,300e-6",
+                 "--out", str(out)]) == EXIT_OK
+    both = (out / "sweep.csv").read_text().splitlines()
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert [s["variants"] for s in stats] == [2, 2]
+    assert [r["output_pulses"] for r in csv.DictReader(both)] == ["10", "0"]
+    for value, row in zip(["200e-6", "300e-6"], both[1:]):
+        alone = tmp_path / value
+        assert main(["sweep", "synapse", "ic", value,
+                     "--out", str(alone)]) == EXIT_OK
+        assert (alone / "sweep.csv").read_text().splitlines() == [both[0], row]
+        stats = json.loads((alone / "manifest.json").read_text())["stats"]
+        assert stats[0]["variants"] == 1
+
+
 def test_sweep_unknown_combination_is_input_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "neuron", "bogus", "1,2",
@@ -176,6 +196,25 @@ def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     assert main(["sim", str(net), "--out", str(out), *flags]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sim_output_too_large_is_input_error(tmp_path, capsys):
+    # 1e9 grid points of three channels: refused before anything is
+    # allocated for them
+    net = tmp_path / "fig4a" / "fig4a.cir"
+    assert main(["figure", "fig4a", "--out", str(net.parent)]) == EXIT_OK
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["sim", str(net), "--out", str(out),
+                     "--tstep", "1e-3", "--tstop", "1e6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert "cannot hold 3e+09 output values" in capsys.readouterr().err
+    assert peak < 10e6  # bytes
     assert not out.exists()
 
 

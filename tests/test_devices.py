@@ -79,13 +79,24 @@ def _rule(xg, x, xd, h, trap):
     return k / h * (xg - x) - (k - 1.0) * xd, h / k * (xg + (k - 1.0) * x)
 
 
-def _step(model, xg, h, trap, x=None, xd=None, **angle):
+def _sine_law(model, xint, state):
+    """Angle theta of a one-junction model at the state (phi in rad or q
+    in aC) moved by its declared row W of the step integral xint, and
+    the columns B and amplitude A of its sin term B @ (A * sin(theta))."""
+    W, B = np.zeros((1, len(xint))), np.zeros((len(xint), 1))
+    for idx, w in model.angle:
+        np.add.at(W, (0, idx), w)
+    for idx, b in model.output:
+        np.add.at(B, (idx, 0), b)
+    return model.unit * state + W @ xint, W, B, model.amplitude
+
+
+def _step(model, xg, h, trap, x=None, xd=None, state=0.0):
     """Residual G @ xg + C @ xd_new + F_nl - sources and Jacobian
     G + (k/h)*C + J_nl (ground slot dropped) of one Newton iterate of a
     trapezoidal (or, if not trap, backward-Euler) step from the unknowns
-    x with derivatives xd, both 0 unless given; angle sets a junction's."""
-    for name, value in angle.items():
-        setattr(model, name, np.array([value]))
+    x with derivatives xd, both 0 unless given, and, for a junction, from
+    its state."""
     xg = np.asarray(xg, dtype=float)
     x = np.zeros_like(xg) if x is None else np.asarray(x, dtype=float)
     xd = np.zeros_like(xg) if xd is None else np.asarray(xd, dtype=float)
@@ -98,9 +109,10 @@ def _step(model, xg, h, trap, x=None, xd=None, **angle):
     F, J = G @ xg + C @ xd_new, G + (2.0 if trap else 1.0) / h * C
     np.add.at(F, model.f_rows, model.source(0.0))
     if model.junction:
-        f, nl = model.nonlinear(xint, h / (2.0 if trap else 1.0))
-        np.add.at(F, model.f_rows, f)
-        np.add.at(J, (model.nl_rows, model.nl_cols), nl)
+        # F_nl = B @ (A * sin(theta)), J_nl = (h/k) * B @ diag(A * cos(theta)) @ W
+        theta, W, B, A = _sine_law(model, xint, state)
+        F += B @ (A * np.sin(theta))
+        J += h / (2.0 if trap else 1.0) * B @ np.diag(A * np.cos(theta)) @ W
     return F[:-1], J[:-1, :-1]
 
 
@@ -165,7 +177,7 @@ def test_commit_keeps_the_companion_current_of_the_converged_step():
     F, _ = _step(c, xg, 0.5, True, x=x, xd=xd)
     xd_new, _ = _rule(xg, x, xd, 0.5, True)
     assert F[0] == pytest.approx(35.0)
-    assert c.current(xg, xd_new, 0.0)[0] == pytest.approx(F[0])
+    assert c.current(xg, xd_new, 0.0, None)[0] == pytest.approx(F[0])
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
     xg, x, xd = (np.array([0.0, v, 0.0]) for v in (4.0, 2.0, 1 / 3))
     F, _ = _step(ind, xg, 0.5, True, x=x, xd=xd)
@@ -174,10 +186,10 @@ def test_commit_keeps_the_companion_current_of_the_converged_step():
     assert 3.0 * xd_new[1] == pytest.approx(-F[1])
     qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
                 {"vc": 0.7, "rn": 10.0, "ls": 3.0}, br=1)
-    F, _ = _step(qp, xg, 0.5, True, x=x, xd=xd, q=0.01)
-    qp.commit(_rule(xg, x, xd, 0.5, True)[1])
+    F, _ = _step(qp, xg, 0.5, True, x=x, xd=xd, state=0.01)
+    theta = _sine_law(qp, _rule(xg, x, xd, 0.5, True)[1], 0.01)[0]
     # q = 0.01 + (h/2)*(4 + 2)
-    assert qp.q[0] == pytest.approx(1.51)
+    assert theta[0] / qp.unit == pytest.approx(1.51)
     assert F[1] == pytest.approx(-23.0 - 10.0 * 4.0 - 0.7 * math.sin(
         2.0 * math.pi * 1.51 / TWO_E))
 
@@ -187,9 +199,9 @@ def test_mjj_model_is_jj_with_active_state():
                  {"states": [200.0, 300.0], "state": 1, "rn": 0.005, "cj": 1.0})
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 300.0, "rn": 0.005, "cj": 1.0})
-    state = dict(x=[0.1, 0.0], xd=[0.2, 0.0], phi=0.3)
-    Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, True, **state)
-    Fj, Jj = _step(jj, [0.4, 0.0], 0.01, True, **state)
+    prev = dict(x=[0.1, 0.0], xd=[0.2, 0.0], state=0.3)
+    Fm, Jm = _step(mjj, [0.4, 0.0], 0.01, True, **prev)
+    Fj, Jj = _step(jj, [0.4, 0.0], 0.01, True, **prev)
     assert Fm[0] == Fj[0] and Jm[0, 0] == Jj[0, 0]
 
 
@@ -203,7 +215,7 @@ def _junction_voltage(q):
     with zero branch current and node voltage."""
     qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
                 {"vc": _VC, "rn": 10.0, "ls": 0.1}, br=1)
-    F, _ = _step(qp, [0.0, 0.0, 0.0], 0.01, True, q=q)
+    F, _ = _step(qp, [0.0, 0.0, 0.0], 0.01, True, state=q)
     return -F[1]
 
 
@@ -212,7 +224,7 @@ def _supercurrent(phi):
     voltage."""
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": _IC, "rn": 0.005, "cj": 1.0})
-    F, _ = _step(jj, [0.0, 0.0], 0.01, True, phi=phi)
+    F, _ = _step(jj, [0.0, 0.0], 0.01, True, state=phi)
     return F[0]
 
 
@@ -253,10 +265,10 @@ def _dual_pair(trap, h, q_old, i_old, vl_old, i_at):
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 0.7, "rn": 1.0 / 10.0, "cj": 0.1 * scale}, br=1)
     fq, jq = _step(qp, [0.0, i_at, 0.0], h, trap, x=[0.0, i_old, 0.0],
-                   xd=[0.0, vl_old / 0.1, 0.0], q=q_old)
+                   xd=[0.0, vl_old / 0.1, 0.0], state=q_old)
     fj, jjac = _step(jj, [i_at, 0.0], h * scale, trap, x=[i_old, 0.0],
                      xd=[vl_old / (0.1 * scale), 0.0],
-                     phi=2.0 * math.pi * q_old / TWO_E)
+                     state=2.0 * math.pi * q_old / TWO_E)
     return (-fq[1], -jq[1, 1]), (fj[0], jjac[0, 0])
 
 

@@ -92,6 +92,23 @@ jj J1 n1 0 ic=200u rn=5 cj=0
     assert op.junction_states["j1"] == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
+def test_jj_current_at_t0_is_its_dc_current():
+    # the bias lies outside the window, so the seeded phase sits at its
+    # edge (Ic*sin(phi) = Ic), but the junction carries the whole bias
+    circ = _circ("""t
+Ib 0 n1 dc 300u
+jj J1 n1 0 ic=200u rn=5 cj=0
+.tran 0.005p 1p
+.end
+""")
+    with pytest.warns(RuntimeWarning):
+        op = dc_operating_point(circ)
+    assert op.branch_currents["j1"] == pytest.approx(300.0, rel=1e-6)
+    with pytest.warns(RuntimeWarning):
+        waves = tran(circ)
+    assert waves.channel("i(j1)")[0] == pytest.approx(300.0, rel=1e-6)
+
+
 def test_dc_singular_system_names_node():
     # two DC sources in parallel: no operating point exists
     with pytest.raises(ConvergenceError, match="'n1'"):
@@ -296,6 +313,15 @@ def test_tran_argument_validation():
     late = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 0.01p 2p 1p\n.end\n")
     with pytest.raises(EngineError):
         tran(late, tstop=0.5)  # stops before the 1 ps tstart
+
+
+def test_output_size_is_checked_before_integrating(monkeypatch):
+    # two channels (v(n1), v(n2)) on 11 grid points per variant
+    circ = _circ("t\nVs n1 0 dc 1m\nR1 n1 n2 1k\nR2 n2 0 1k\n.tran 1p 10p\n.end\n")
+    monkeypatch.setattr(engine, "MAX_OUTPUT_VALUES", 44)
+    assert len(engine.tran_batch([circ, circ])) == 2
+    with pytest.raises(EngineError, match="cannot hold 66 output values"):
+        engine.tran_batch([circ] * 3)
 
 
 # --- probes and sampling ----------------------------------------------------
