@@ -130,10 +130,8 @@ class DeviceModel:
         self.b = np.array([d.nodes[1] for d in devs], dtype=np.intp)
         self.br = br
         self.gmin = gmin  # leak conductance across junctions
-        self.f_rows = np.concatenate([self.a, self.b])
-        self.s_rows = self.s_cols = _NO_INDEX
+        self.f_rows = self.s_rows = self.s_cols = _NO_INDEX
         if self.branch == "tran":  # branch currents from node a to b
-            self.f_rows = br
             self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
         self.setup()
 
@@ -151,8 +149,9 @@ class DeviceModel:
         return _NO_VALUES, _NO_VALUES
 
     def source(self, t):
-        """Independent-source values at f_rows at time t."""
-        return np.zeros(len(self.f_rows))
+        """Independent-source values at f_rows at time t: none but for a
+        source kind."""
+        return _NO_VALUES
 
     def dc(self):
         """Entries (rows, cols, values) of A and (rows, values) of b: by
@@ -215,6 +214,9 @@ class CapacitorModel(DeviceModel):
 class CurrentSourceModel(DeviceModel):
     kinds = (DeviceKind.ISOURCE,)
 
+    def setup(self):
+        self.f_rows = np.concatenate([self.a, self.b])
+
     def source(self, t):
         i = self._sources(t)
         return np.concatenate([i, -i])
@@ -226,6 +228,9 @@ class CurrentSourceModel(DeviceModel):
 class VoltageSourceModel(DeviceModel):
     kinds = (DeviceKind.VSOURCE,)
     branch = "tran"
+
+    def setup(self):
+        self.f_rows = self.br
 
     def static(self):
         g = _pm5(np.zeros(len(self.br)))

@@ -227,7 +227,8 @@ class _System:
                 dx = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 break
-            dx[ok] = 0.0
+            if K > 1:  # a lone variant that gets here has not converged
+                dx[ok] = 0.0
             if not np.isfinite(dx).all():  # a diverged variant stops here
                 bad = ~np.isfinite(dx).all(axis=1)
                 if (ok | bad).all():
