@@ -107,7 +107,8 @@ class DeviceModel:
     time derivatives.  Either may stack variants in rows.  The engine
     integrates ``G @ x + C @ dx/dt + F_nl(x) = sources``: ``static``
     gives the values of G and C, fixed per circuit, at ``s_rows,
-    s_cols``; ``source(t)`` the negated sources at ``f_rows``.
+    s_cols``; ``source(t)`` the negated sources at ``f_rows``, which only
+    a source kind's ``setup`` sets.
 
     A junction adds one sine law per device, F_nl = B @ (A * sin(theta)),
     whose angle theta a step moves by W @ (the unknowns' integral over

@@ -233,7 +233,7 @@ class _System:
                 bad = ~np.isfinite(dx).all(axis=1)
                 if (ok | bad).all():
                     break
-                dx[bad] = 0.0
+                dx[bad] = 0.0  # no NaN reaches the others' damping
             # damp the step so no junction jumps minima within one iteration
             angle = np.abs(dx @ WTN)
             if angle.max(initial=0.0) > MAX_ANGLE_STEP:
@@ -476,9 +476,9 @@ def tran_batch(circuits, tstep=None, tstop=None):
                  else max(tstep, h_try * grow))
     stats["newton_iterations"] = sys_.solves
 
-    for k in rows:
+    for k in rows:  # row by row: no temporary the size of the output
         results[k] = (WaveformSet(times, dict(zip(names, data[k])), dict(stats))
-                      if np.isfinite(data[k]).all()
+                      if all(np.isfinite(row).all() for row in data[k])
                       else EngineError("non-finite waveform sample"))
     return results
 
