@@ -166,15 +166,21 @@ def neuron_firing_energy(vc, n_threshold, *, two_e=TWO_E_SI):
 
 # --- CSV export ------------------------------------------------------------
 
+_CSV_BLOCK = 512  # rows per formatting pass
+
+
 def export_csv(waves, path):
     """Write a WaveformSet to path as RFC-4180-style CSV.
 
     Times are in ps, voltages in mV, currents in uA.  Each value is
-    written with repr, so it reads back exactly.
+    written with repr, so it reads back exactly.  Rows are formatted a
+    block of _CSV_BLOCK at a time.
     """
-    columns = [waves.time] + list(waves.channels.values())
+    columns = [np.asarray(c, dtype=float)
+               for c in [waves.time, *waves.channels.values()]]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_ps"] + list(waves.channels))
-        writer.writerows(tuple(repr(float(c[k])) for c in columns)
-                         for k in range(len(waves.time)))
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["time_ps"] + list(waves.channels))
+        for lo in range(0, len(waves.time), _CSV_BLOCK):
+            block = [map(repr, c[lo:lo + _CSV_BLOCK].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*block)]))

@@ -64,7 +64,6 @@ _DC_SHORT = 1e-9
 
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 _NO_VALUES = np.zeros(0)
-_NO_RHS = (_NO_INDEX, _NO_VALUES)
 
 
 def _source_value(params, t):
@@ -104,11 +103,11 @@ class DeviceModel:
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
     is that ground slot, which the engine drops; ``xdg`` holds their
-    time derivatives.  Either may stack variants in rows.  The engine
-    integrates ``G @ x + C @ dx/dt + F_nl(x) = sources``: ``static``
-    gives the values of G and C, fixed per circuit, at ``s_rows,
-    s_cols``; ``source(t)`` the negated sources at ``f_rows``, which only
-    a source kind's ``setup`` sets.
+    time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
+    F_nl(x) = sources``: ``static`` gives the values of G and C, fixed
+    per circuit, at ``s_rows, s_cols``; a source kind declares the rows
+    its values enter, negated, as (index array, factor) pairs
+    (``sources``).
 
     A junction adds one sine law per device, F_nl = B @ (A * sin(theta)),
     whose angle theta a step moves by W @ (the unknowns' integral over
@@ -117,12 +116,18 @@ class DeviceModel:
     factor) pairs, its amplitudes A (``amplitude``, set by the params
     named in ``amplitude_params``), and what the DC solution asks of
     A * sin(theta) (``dc_output``), from which ``seed`` sets theta.
+
+    ``probe`` declares each device's current as (part, index array,
+    factor) terms over the unknowns "x", their time derivatives "xd",
+    and, by device, the kind's A * sin(theta) "out" and source values
+    "src"; by default a branch kind's current is its branch unknown.
     """
 
     kinds = ()  # device kinds held, grouped in this order
     branch = None  # "tran" or "dc": a branch unknown always, or at DC only
     junction = False  # probed by default; obeys the sine law (see above)
     amplitude_params = ()
+    sources = ()
 
     def __init__(self, devs, br=None, gmin=0.0):
         self.names = [d.name for d in devs]
@@ -131,9 +136,11 @@ class DeviceModel:
         self.b = np.array([d.nodes[1] for d in devs], dtype=np.intp)
         self.br = br
         self.gmin = gmin  # leak conductance across junctions
-        self.f_rows = self.s_rows = self.s_cols = _NO_INDEX
+        self.s_rows = self.s_cols = _NO_INDEX
+        self.probe = ()
         if self.branch == "tran":  # branch currents from node a to b
             self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
+            self.probe = (("x", br, 1.0),)
         self.setup()
 
     def setup(self):
@@ -142,28 +149,14 @@ class DeviceModel:
     def _param(self, key):
         return np.array([p[key] for p in self.params])
 
-    def _sources(self, t):
-        return np.array([_source_value(p, t) for p in self.params])
-
     def static(self):
         """The values G and C, in the order of s_rows and s_cols."""
         return _NO_VALUES, _NO_VALUES
 
-    def source(self, t):
-        """Independent-source values at f_rows at time t: none but for a
-        source kind."""
-        return _NO_VALUES
-
     def dc(self):
-        """Entries (rows, cols, values) of A and (rows, values) of b: by
-        default the limit h -> inf of a step: G and the sources at 0."""
-        return (self.s_rows, self.s_cols, self.static()[0]), (self.f_rows,
-                                                              -self.source(0.0))
-
-    def current(self, xg, xdg, t, out):
-        """Probe currents; by default the branch unknowns.  A junction's
-        out holds its A * sin(theta)."""
-        return xg[..., self.br]
+        """Entries (rows, cols, values) of the DC matrix: by default the
+        limit h -> inf of a step, G.  The sources give its right side."""
+        return self.s_rows, self.s_cols, self.static()[0]
 
     def seed(self, ratio):
         """Angles asin(ratio) for the ratios of dc_output to the
@@ -188,13 +181,11 @@ class ResistorModel(DeviceModel):
     def setup(self):
         self.g = 1.0 / self._param("value")
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
+        self.probe = (("x", self.a, self.g), ("x", self.b, -self.g))
 
     def static(self):
         g = _g4(self.g)
         return g, np.zeros(len(g))
-
-    def current(self, xg, xdg, t, out):
-        return self.g * (xg[..., self.a] - xg[..., self.b])
 
 
 class CapacitorModel(DeviceModel):
@@ -203,27 +194,19 @@ class CapacitorModel(DeviceModel):
     def setup(self):
         self.c = self._param("value")
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
+        self.probe = (("xd", self.a, self.c), ("xd", self.b, -self.c))
 
     def static(self):
         c = _g4(self.c)
         return np.zeros(len(c)), c
-
-    def current(self, xg, xdg, t, out):
-        return self.c * (xdg[..., self.a] - xdg[..., self.b])
 
 
 class CurrentSourceModel(DeviceModel):
     kinds = (DeviceKind.ISOURCE,)
 
     def setup(self):
-        self.f_rows = np.concatenate([self.a, self.b])
-
-    def source(self, t):
-        i = self._sources(t)
-        return np.concatenate([i, -i])
-
-    def current(self, xg, xdg, t, out):
-        return np.broadcast_to(self._sources(t), xg.shape[:-1] + self.a.shape)
+        self.sources = ((self.a, 1.0), (self.b, -1.0))
+        self.probe = (("src", np.arange(len(self.a)), 1.0),)
 
 
 class VoltageSourceModel(DeviceModel):
@@ -231,14 +214,11 @@ class VoltageSourceModel(DeviceModel):
     branch = "tran"
 
     def setup(self):
-        self.f_rows = self.br
+        self.sources = ((self.br, -1.0),)
 
     def static(self):
         g = _pm5(np.zeros(len(self.br)))
         return g, np.zeros(len(g))
-
-    def source(self, t):
-        return -self._sources(t)
 
 
 class InductorModel(DeviceModel):
@@ -252,8 +232,7 @@ class InductorModel(DeviceModel):
         return _pm5(np.zeros(len(self.l))), _series(self.l)
 
     def dc(self):
-        short = _pm5(np.full(len(self.l), _DC_SHORT))
-        return (self.s_rows, self.s_cols, short), _NO_RHS
+        return self.s_rows, self.s_cols, _pm5(np.full(len(self.l), _DC_SHORT))
 
 
 class JosephsonModel(CapacitorModel):
@@ -277,6 +256,10 @@ class JosephsonModel(CapacitorModel):
         self.s_rows, self.s_cols = _conductance(self.a, self.b)
         self.angle = ((self.a, _WJ), (self.b, -_WJ))
         self.output = ((self.a, 1.0), (self.b, -1.0))
+        g = 1.0 / self.rn
+        self.probe = (("out", np.arange(len(g)), 1.0), ("x", self.a, g),
+                      ("x", self.b, -g), ("xd", self.a, self.c),
+                      ("xd", self.b, -self.c))
 
     def static(self):
         return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
@@ -285,16 +268,11 @@ class JosephsonModel(CapacitorModel):
         k = len(self.amplitude)
         rows, cols = _incidence(self.a, self.b, self.br)
         values = [_g4(np.full(k, self.gmin)), _pm5(np.full(k, _DC_SHORT))]
-        return ((np.concatenate([self.s_rows, rows]),
-                 np.concatenate([self.s_cols, cols]),
-                 np.concatenate(values)), _NO_RHS)
+        return (np.concatenate([self.s_rows, rows]),
+                np.concatenate([self.s_cols, cols]), np.concatenate(values))
 
     def dc_output(self, xg):
         return xg[self.br]
-
-    def current(self, xg, xdg, t, out):
-        return (out + (xg[..., self.a] - xg[..., self.b]) / self.rn
-                + super().current(xg, xdg, t, out))
 
 
 class PhaseSlipModel(InductorModel):
@@ -327,7 +305,7 @@ class PhaseSlipModel(InductorModel):
     def dc(self):
         ones, zeros = np.ones(len(self.rn)), np.zeros(len(self.rn))
         values = [ones, -ones, zeros, zeros, ones, _g4(self.gmin * ones)]
-        return (self.s_rows, self.s_cols, np.concatenate(values)), _NO_RHS
+        return self.s_rows, self.s_cols, np.concatenate(values)
 
     def dc_output(self, xg):
         """Also sets the branch currents in xg to their blockade value 0."""
@@ -339,14 +317,20 @@ _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,
            VoltageSourceModel, InductorModel, JosephsonModel, PhaseSlipModel)
 
 
+def device_groups(circuit):
+    """Each model class with devices in the circuit, in the order of
+    ``_MODELS``, and its devices in the order of its ``kinds``."""
+    groups = [(cls, [d for kind in cls.kinds for d in circuit.devices
+                     if d.kind is kind]) for cls in _MODELS]
+    return [(cls, devs) for cls, devs in groups if devs]
+
+
 def build_models(circuit, gmin):
     """One model per device kind present, in the order of ``_MODELS`` (the
     engine sums their contributions in that order), and the numbers N and
     N_dc of transient and DC unknowns: branch currents follow the node
     voltages, first the "tran" branches, then the DC-only ones."""
-    groups = [(cls, [d for kind in cls.kinds for d in circuit.devices
-                     if d.kind is kind]) for cls in _MODELS]
-    groups = [(cls, devs) for cls, devs in groups if devs]
+    groups = device_groups(circuit)
     nxt = circuit.node_count
     branches, sizes = {}, []
     for scope in ("tran", "dc"):

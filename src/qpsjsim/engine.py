@@ -28,9 +28,14 @@ above the requested tstep where the estimate allows, and never falls
 below tstep on its account.  Steps land exactly on every pulse-source
 corner.  A Newton failure halves the step, down to tstep /
 2**MAX_HALVINGS; steps halved below tstep use backward Euler.  The
-output is interpolated linearly onto the requested uniform tstep grid.
-The numerics are fixed module constants; run manifests record
+numerics are fixed module constants; run manifests record
 :data:`SOLVER_SETTINGS`.
+
+Every channel is linear in the state [x, dx/dt, A * sin(theta), source
+values]: one probe matrix takes a step's state to its sample.  Accepted
+steps go into a buffer of _BLOCK, and one pass interpolates linearly
+the points of the uniform tstep grid they cover, when the buffer fills,
+before a variant drops out of a batch, and at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import _NO_INDEX, _NO_VALUES, build_models, topology
+from .devices import (_NO_INDEX, _NO_VALUES, _source_value, build_models,
+                      device_groups, topology)
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # step halved below tstep use backward Euler.
@@ -52,6 +58,7 @@ MAX_HALVINGS = 8
 MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
 LTE_FRACTION = 0.005  # LTE bound, as a fraction of RELTOL*|x| + abstol
 MAX_OUTPUT_VALUES = 2 ** 27  # float64 output samples a run may hold: 1 GiB
+_BLOCK = 64  # accepted steps recorded per interpolation pass
 
 # The settings a run manifest records.
 SOLVER_SETTINGS = {
@@ -100,24 +107,30 @@ class OperatingPoint:
     junction_states: dict  # device name -> q (aC) or phi (rad)
 
 
-def _flat(rows, cols, size):
-    """Flat indices into a size x size matrix; index -1 is the last slot."""
-    return np.ravel_multi_index((rows % size, cols % size), (size, size))
-
-
-def _scatter(idx, parts, size):
-    """The values of parts summed into a zero vector of size at idx."""
-    return np.bincount(idx, np.concatenate([_NO_VALUES, *parts]),
-                       minlength=size)
-
-
 def _probe_pairs(circuit):
     """The (quantity, target) pairs a run records: the .save list, or
     every node voltage and then every junction current."""
     return circuit.save_list or (
         [("v", name) for name in circuit.node_names]
-        + [("i", name) for m in build_models(circuit, GMIN)[0] if m.junction
-           for name in m.names])
+        + [("i", d.name) for cls, devs in device_groups(circuit)
+           if cls.junction for d in devs])
+
+
+def _slots(models):
+    """The positions of each model's devices in the list of all their
+    devices, and the list's length."""
+    n = [len(m.names) for m in models]
+    return dict(zip(models, np.split(np.arange(sum(n)),
+                                     np.cumsum(n)[:-1]))), sum(n)
+
+
+def _matrix(shape, terms):
+    """A zero matrix of shape plus the values of each (rows, cols, values)
+    of terms at their rows and columns; index -1 is the last slot."""
+    A = np.zeros(shape)
+    for rows, cols, values in terms:
+        np.add.at(A, (rows % shape[0], cols % shape[1]), values)
+    return A
 
 
 class _System:
@@ -134,30 +147,30 @@ class _System:
         self.models, self.N, self.N_dc = build_models(circuit, GMIN)
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
-        self._f_idx = np.concatenate([m.f_rows for m in self.models]) % M
-        self._s_idx = np.concatenate(
-            [_flat(m.s_rows, m.s_cols, M) for m in self.models])
-        G, C = zip(*[m.static() for m in self.models])
-        self._G = _scatter(self._s_idx, G, M * M).reshape(M, M)
-        self._C = _scatter(self._s_idx, C, M * M).reshape(M, M)
+        self._G, self._C = (_matrix((M, M), [
+            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)])
+            for part in zip(*[m.static() for m in self.models]))
         self._CT = self._C.T.copy()
+        # the circuit's sources as one flat list, sources(t) @ F negated
+        drives = [m for m in self.models if m.sources]
+        self.srcs, ns = _slots(drives)
+        self._src_params = [p for m in drives for p in m.params]
+        self._F = _matrix((ns, M), [(self.srcs[m], idx, f)
+                                    for m in drives for idx, f in m.sources])
         # the sine law of the junctions j: theta = theta_n + W @ xint,
         # F_nl = B @ (A * sin(theta)), J_nl = (h/k) * B @ diag(A * cos(theta)) @ W
-        self.cols, nj = {}, 0  # each junction model's columns of W^T
-        for m in self.junctions:
-            self.cols[m] = slice(nj, nj + len(m.names))
-            nj += len(m.names)
-        W, B = np.zeros((nj, M)), np.zeros((M, nj))
+        self.cols, nj = _slots(self.junctions)  # each model's columns of W^T
+        W = _matrix((nj, M), [(self.cols[m], idx, w)
+                              for m in self.junctions for idx, w in m.angle])
+        B = _matrix((M, nj), [(idx, self.cols[m], b)
+                              for m in self.junctions for idx, b in m.output])
         entries = [(_NO_INDEX, _NO_VALUES, _NO_INDEX)]  # (J_nl index, B*W, j)
         for m in self.junctions:
-            j = np.arange(nj)[self.cols[m]]
-            for idx, w in m.angle:
-                np.add.at(W, (j, idx % M), w)
+            j = self.cols[m]
             for idx, b in m.output:
-                np.add.at(B, (idx % M, j), b)
                 for col, w in m.angle:  # entries off the ground slot
                     keep = (idx % M < N) & (col % M < N)
-                    entries.append((_flat(idx[keep], col[keep], N),
+                    entries.append((idx[keep] * N + col[keep],
                                     np.full(keep.sum(), b * w), j[keep]))
         self._WT, self._BT = W.T.copy(), B[:N].T.copy()
         self._jn_idx, self._jn_bw, self._jn_j = (np.concatenate(e)
@@ -180,12 +193,16 @@ class _System:
         K, N = len(self.A), self.N
         self._jn_stack = (self._jn_idx + N * N * np.arange(K)[:, None]).ravel()
 
-    def _newton(self, xg, x, xd, theta, t, h, trap):
+    def sources(self, t):
+        """The values of every source at time t, as one flat array."""
+        return np.array([_source_value(p, t) for p in self._src_params])
+
+    def _newton(self, xg, x, xd, theta, u, h, trap):
         """Newton iteration from xg on a trapezoidal (or, if not trap,
-        backward Euler) step to t from x, of derivative xd and junction
-        angles theta, each variant until it converges.  Returns the
-        unknowns (with the ground slot), their derivative, the angles,
-        A * sin(angles) and which variants failed to converge."""
+        backward Euler) step h from x, of derivative xd and junction angles
+        theta, to the source values u, each variant until it converges.
+        Returns the unknowns (with the ground slot), their derivative, the
+        angles, A * sin(angles) and which variants failed to converge."""
         # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
         # the angles move by W @ the integral over the step,
         # (h/k)*(x_new + (k - 1)*x)
@@ -202,8 +219,7 @@ class _System:
                                 np.concatenate((S.T[:, :N], WT), axis=1))
             self._step = (h, trap)
         SN, WT, WTN, SW = self._step_parts
-        c = (_scatter(self._f_idx, [m.source(t) for m in self.models], N + 1)
-             - (kh * x + (k - 1.0) * xd) @ self._CT)[:, :N]
+        c = (u @ self._F - (kh * x + (k - 1.0) * xd) @ self._CT)[:, :N]
         theta = theta + (k - 1.0) * x @ WT
         A, hkA = self.A, hk * self.A
         xg = xg.copy()  # updated in place below
@@ -254,19 +270,18 @@ class _System:
 
     def seed_from_dc(self):
         """Solve the static system, which every variant shares.  Returns
-        the solution with a ground slot (DC-only branches last), the
-        outputs A * sin(theta) it asks of the junctions, and the angles
-        (one row per variant) that give them, or their windows' edges."""
-        n, Nd = self.n, self.N_dc
+        the transient unknowns it gives, with a ground slot, the state at
+        t = 0 (one row; dx/dt = 0, and A * sin(theta) what the solution
+        asks of the junctions), and the angles (one row per variant) that
+        give those outputs, or their windows' edges."""
+        n, N, Nd = self.n, self.N, self.N_dc
         M = Nd + 1
         nodes = np.arange(n)
         tie = (nodes, nodes, np.full(n, GMIN))  # keeps floating nodes defined
-        entries, rhs = zip(*[m.dc() for m in self.models])
-        rows, cols, vals = (np.concatenate(z) for z in zip(tie, *entries))
-        A = np.bincount(_flat(rows, cols, M), vals, minlength=M * M)
-        A = A.reshape(M, M)[:Nd, :Nd]
-        rows, vals = (np.concatenate(z) for z in zip(*rhs))
-        b = np.bincount(rows % M, vals, minlength=M)[:Nd]
+        A = _matrix((M, M), [tie] + [m.dc() for m in self.models])[:Nd, :Nd]
+        b = np.zeros(Nd)  # the sources enter no DC-only branch row
+        u = self.sources(0.0)
+        b[:N] = -(u @ self._F)[:N]
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
@@ -282,47 +297,49 @@ class _System:
         ratio = out / self.A
         theta = np.concatenate([np.zeros((len(ratio), 0))] + [
             m.seed(ratio[:, self.cols[m]]) for m in self.junctions], axis=1)
-        return xg, out, theta
+        x = np.concatenate((xg[:N], _GROUND))
+        return x, self.state(x[None], 0.0 * x[None], out[None], u), theta
 
-    def probes(self):
-        """Channel names, and their values, one row per variant, as a
-        function of (xg, xdg, t, out), out the junctions' A * sin(theta)."""
-        c = self.circuit
-        probes = _probe_pairs(c)
-        targets = {t for q, t in probes if q == "i"}
-        probed = [m for m in self.models if targets.intersection(m.names)]
-        # values indexes xg followed by the probed models' currents
-        currents = [name for m in probed for name in m.names]
-        index = np.array([c.node_index(t) % (self.N + 1) if q == "v"
-                          else self.N + 1 + currents.index(t) for q, t in probes],
-                         dtype=np.intp)
-        cols = [self.cols.get(m, slice(0)) for m in probed]
+    def probes(self, pairs):
+        """The matrix that takes a variant's state [x, dx/dt, A * sin(theta),
+        sources] (x and dx/dt with their ground slot) to the samples of
+        the (quantity, target) pairs: node voltages, and device currents
+        by the models' probe terms."""
+        M, nj = self.N + 1, self.A.shape[1]
+        at = {"x": lambda m, i: i % M, "xd": lambda m, i: M + i % M,
+              "out": lambda m, i: 2 * M + self.cols[m][i],
+              "src": lambda m, i: 2 * M + nj + self.srcs[m][i]}
+        devices, n = _slots(self.models)
+        P = _matrix((2 * M + nj + len(self._src_params), M + n), [
+            (np.arange(M), np.arange(M), 1.0)] + [
+            (at[part](m, idx), M + devices[m], f)
+            for m in self.models for part, idx, f in m.probe])
+        names = [name for m in self.models for name in m.names]
+        return P[:, [self.circuit.node_index(t) % M if q == "v"
+                     else M + names.index(t) for q, t in pairs]]
 
-        def values(xg, xdg, t, out):
-            return np.concatenate([xg] + [
-                m.current(xg, xdg, t, out[:, j]) for m, j in zip(probed, cols)],
-                axis=1)[:, index]
-
-        return [f"{q}({t})" for q, t in probes], values
+    def state(self, xg, xdg, out, u):
+        """The variants' states [x, dx/dt, A * sin(theta), sources]."""
+        return np.concatenate((xg, xdg, out, np.broadcast_to(
+            u, (len(xg), len(u)))), axis=1)
 
 
 def dc_operating_point(circuit):
     """Static solution (see module docstring) and the angles it seeds.
 
     ``branch_currents`` holds each device's probe current at t = 0, the
-    first sample :func:`tran` records; a junction's ``out`` there is what
-    the DC solution asks of its sin term (a JJ carries its DC current
-    even where the seeded phase sits at the window's edge).
+    first sample :func:`tran` records; a junction's A * sin(theta) there
+    is what the DC solution asks of it (a JJ carries its DC current even
+    where the seeded phase sits at the window's edge).
     """
     sys_ = _System([circuit])
-    xg, out, theta = sys_.seed_from_dc()
-    currents = {name: i for m in sys_.models for name, i in zip(
-        m.names, m.current(xg, 0.0 * xg, 0.0, out[sys_.cols.get(m, slice(0))]))}
-    states = {name: s for m in sys_.junctions
-              for name, s in zip(m.names, theta[0, sys_.cols[m]] / m.unit)}
-    return OperatingPoint(
-        {name: xg[i] for i, name in enumerate(circuit.node_names)},
-        {d.name: currents[d.name] for d in circuit.devices}, states)
+    x, s0, theta = sys_.seed_from_dc()
+    names = [d.name for d in circuit.devices]
+    currents = s0 @ sys_.probes([("i", name) for name in names])
+    return OperatingPoint(dict(zip(circuit.node_names, x)),
+                          dict(zip(names, currents[0])), {
+        name: s for m in sys_.junctions
+        for name, s in zip(m.names, theta[0, sys_.cols[m]] / m.unit)})
 
 
 def _time_grid(circuit, tstep=None, tstop=None, variants=1):
@@ -336,19 +353,14 @@ def _time_grid(circuit, tstep=None, tstop=None, variants=1):
     if not (0 < tstep < tstop < np.inf and circuit.tstart <= tstop):
         raise EngineError(f"need 0 < tstep < tstop < inf and tstart <= tstop"
                           f" (ps), got {tstep}, {tstop} and {circuit.tstart}")
-    try:
-        points = int(round(tstop / tstep)) + 1
-    except OverflowError as exc:
-        raise EngineError(f"cannot hold a grid of tstop/tstep ="
-                          f" {tstop / tstep:.3g} steps, got {tstep} and"
-                          f" {tstop} (ps)") from exc
+    points = np.round(tstop / tstep) + 1  # inf if tstop/tstep overflows
     channels = len(_probe_pairs(circuit))
     if variants * channels * points > MAX_OUTPUT_VALUES:
         raise EngineError(f"cannot hold {variants * channels * points:.3g}"
                           f" output values ({variants} variants x {channels}"
-                          f" channels x {points} samples); the limit is"
+                          f" channels x {points:.0f} samples); the limit is"
                           f" {MAX_OUTPUT_VALUES:.3g}")
-    grid = np.arange(points) * tstep
+    grid = np.arange(int(points)) * tstep
     skip = int(np.count_nonzero(grid < circuit.tstart - 1e-9 * tstep))
     return grid, skip
 
@@ -365,6 +377,41 @@ def _breakpoints(circuit, tstep, tend):
             points.append(c)
             last = c
     return points + [tend]
+
+
+class _Record:
+    """The samples of a batch on the grid points from skip on, from those
+    at t = 0, p0, and at each accepted step (see the module docstring).
+    The buffer holds the last step recorded, then up to _BLOCK more."""
+
+    def __init__(self, grid, skip, p0):
+        self.grid, self.skip, self.n, self.filled = grid, skip, 0, 1
+        self.data = np.empty(p0.shape + (len(grid) - skip,))
+        self.t, self.p = np.zeros(_BLOCK + 1), np.empty(p0.shape + (_BLOCK + 1,))
+        self.data[:, :, 0] = self.p[:, :, 0] = p0  # rewritten if skip > 0
+
+    def add(self, rows, t, p):
+        """Buffer the samples p of the variants rows at time t."""
+        self.n += 1
+        self.t[self.n], self.p[:, :, self.n] = t, p
+        if self.n == _BLOCK:
+            self.flush(rows)
+
+    def flush(self, rows, keep=slice(None)):
+        """Write the grid points that the buffered steps cover into the
+        rows of the output, then go on with the variants keep selects."""
+        n, t, slack = self.n, self.t[:self.n + 1], 1e-9 * self.grid[1]
+        ends = np.searchsorted(self.grid, t[1:] + slack, "right")
+        lo, end = max(self.filled, self.skip), int(ends[-1]) if n else 0
+        if end > lo:  # step j + 1 of the buffer covers the points to ends[j]
+            j = np.searchsorted(ends, np.arange(lo, end), "right")
+            w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]), 1.0)
+            v = self.p[:, :, j] * (1.0 - w)
+            v += self.p[:, :, j + 1] * w
+            self.data[rows, :, lo - self.skip:end - self.skip] = v
+        self.filled, self.n, self.t[0] = max(self.filled, end), 0, t[n]
+        self.p = self.p[keep]
+        self.p[:, :, 0] = self.p[:, :, n]
 
 
 def _predict(past, t):
@@ -395,26 +442,22 @@ def tran_batch(circuits, tstep=None, tstop=None):
     K = len(circuits)
     grid, skip = _time_grid(circuits[0], tstep, tstop, K)
     sys_ = _System(circuits)
-    xdc, out, theta = sys_.seed_from_dc()
-    x = np.tile(np.concatenate((xdc[:sys_.N], _GROUND)), (K, 1))
+    pairs = _probe_pairs(circuits[0])
+    names, P = [f"{q}({t})" for q, t in pairs], sys_.probes(pairs)
+    x, s0, theta = sys_.seed_from_dc()
+    rec = _Record(grid, skip, np.tile(s0 @ P, (K, 1)))
+    x = np.tile(x, (K, 1))
     xd = np.zeros_like(x)  # time derivatives of the unknowns, 0 at DC
-    names, values = sys_.probes()
 
     tstep, tend = float(grid[1]), float(grid[-1])
     slack = 1e-9 * tstep  # float error of a sum of steps
     xtol = np.concatenate((sys_._xtol, [1.0]))  # the ground slot stays 0
-    times = grid[skip:]
-    data = np.empty((K, len(names), len(times)))
     rows = np.arange(K)  # the variants still stepping
     results = [None] * K
-    p = values(x, xd, 0.0, np.tile(out, (K, 1)))
-    if not skip:
-        data[:, :, 0] = p
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
     breaks = iter(_breakpoints(circuits[0], tstep, tend))
     bp = next(breaks)
     past = [(0.0, x)]  # accepted points since the last breakpoint, oldest first
-    filled = 1  # grid points recorded so far
     t, h = 0.0, tstep
     while t < tend and len(rows):
         # land on the next breakpoint, without leaving a sliver before it
@@ -422,8 +465,9 @@ def tran_batch(circuits, tstep=None, tstop=None):
         h_try = r if r < h + slack else min(h, r / 2) if r < h + tstep else h
         t_new = bp if h_try == r else t + h_try
         xp = _predict(past, t_new)
+        u = sys_.sources(t_new)
         x_new, xd_new, th_new, s_new, failed = sys_._newton(
-            xp, x, xd, theta, t_new, h_try, t > 0.0 and h > tstep - slack)
+            xp, x, xd, theta, u, h_try, t > 0.0 and h > tstep - slack)
         if failed.any():
             stats["newton_halvings"] += 1
             h = h_try / 2.0
@@ -437,8 +481,9 @@ def tran_batch(circuits, tstep=None, tstop=None):
                         t=t_new, h=h_try, worst=worst)
                 # the rest converged at h_try: retry the step without these
                 keep = ~failed
+                rec.flush(rows, keep)
                 sys_.keep(keep)
-                rows, x, xd, theta, p = (a[keep] for a in (rows, x, xd, theta, p))
+                rows, x, xd, theta = (a[keep] for a in (rows, x, xd, theta))
                 past = [(ti, xi[keep]) for ti, xi in past]
                 h = h_try
             continue
@@ -457,16 +502,8 @@ def tran_batch(circuits, tstep=None, tstop=None):
                 h = max(tstep, h_try * grow)
                 continue
         stats["accepted_steps"] += 1
-        # fill the grid points in (t, t_new] by linear interpolation
-        p_new = values(x_new, xd_new, t_new, s_new)
-        end = int(np.searchsorted(grid, t_new + slack, "right"))
-        lo = max(filled, skip)
-        if end > lo:
-            w = np.minimum((grid[lo:end] - t) / (t_new - t), 1.0)
-            data[rows, :, lo - skip:end - skip] = (p[:, :, None] * (1.0 - w)
-                                                   + p_new[:, :, None] * w)
-        filled = end
-        t, x, xd, theta, p = t_new, x_new, xd_new, th_new, p_new
+        rec.add(rows, t_new, sys_.state(x_new, xd_new, s_new, u) @ P)
+        t, x, xd, theta = t_new, x_new, xd_new, th_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)
             past, h = [(t, x)], tstep
@@ -474,11 +511,13 @@ def tran_batch(circuits, tstep=None, tstop=None):
             past = past[-2:] + [(t, x)]
             h = (min(2.0 * h, tstep) if h < tstep - slack
                  else max(tstep, h_try * grow))
+    rec.flush(rows)
     stats["newton_iterations"] = sys_.solves
 
     for k in rows:  # row by row: no temporary the size of the output
-        results[k] = (WaveformSet(times, dict(zip(names, data[k])), dict(stats))
-                      if all(np.isfinite(row).all() for row in data[k])
+        results[k] = (WaveformSet(grid[skip:], dict(zip(names, rec.data[k])),
+                                  dict(stats))
+                      if all(np.isfinite(row).all() for row in rec.data[k])
                       else EngineError("non-finite waveform sample"))
     return results
 

@@ -287,7 +287,7 @@ def network_netlist(spec: NetworkSpec) -> str:
     for y in range(spec.n_outputs):
         for x in range(spec.n_inputs):
             s = 0 if spec.weights[y][x] else 1
-            tag = f"{x}{y}"
+            tag = f"{x}_{y}"
             lines.append(f"R1x{tag} nin{x} na{tag} {_si(syn.r1)}")
             lines.append(f"L1x{tag} na{tag} nj{tag} {_si(spec.l1_net)}")
             lines.append(f"Ibx{tag} 0 nj{tag} dc {_si(ib)}")

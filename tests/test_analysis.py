@@ -1,11 +1,13 @@
 """Pulse detection, charge accounting, energy figures and CSV round trips."""
 
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from qpsjsim import analysis
 from qpsjsim.analysis import (detect_pulses, export_csv, neuron_firing_energy,
                               switching_energy, window_charges)
 from qpsjsim.cli import EXIT_OK, main
@@ -188,6 +190,25 @@ def test_spike_csv_roundtrip_exact(tmp_path):
             float(r["width_ps"])) for r in rows]
     assert {name for name, *_ in got} == {"i(j1)", "i(q1)"}
     assert got == expected
+
+
+def test_csv_blocks_write_the_bytes_of_row_by_row_repr(tmp_path):
+    # more rows than two blocks, not a multiple of one, with values whose
+    # repr is unusual: negative zero, the smallest subnormal, a huge value
+    n = 2 * analysis._CSV_BLOCK + 7
+    special = np.resize([-0.0, 5e-324, 1e300, 0.1], n)
+    waves = WaveformSet(np.arange(n) * 0.05,
+                        {"v(n1)": special, "i(q1)": -special[::-1]})
+    path = tmp_path / "waveforms.csv"
+    export_csv(waves, path)
+    # the row-by-row form the blocks replace
+    columns = [waves.time] + list(waves.channels.values())
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(["time_ps"] + list(waves.channels))
+    writer.writerows(tuple(repr(float(c[k])) for c in columns)
+                     for k in range(n))
+    assert path.read_bytes() == rows.getvalue().encode()
 
 
 def test_csv_export_is_deterministic(tmp_path):

@@ -135,6 +135,53 @@ qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n
     assert good.stats["newton_halvings"] == engine.MAX_HALVINGS + 1
 
 
+def test_a_variant_dropping_after_a_recorded_block_keeps_its_partner_samples(
+        monkeypatch):
+    # variant 0 is made to fail every Newton iteration from t_drop on, after
+    # more than one block of accepted steps; the block its partner had
+    # buffered by then is recorded before the batch narrows to the partner
+    text = """t
+Vin n1 0 pulse(0 1.5m 5p 0.2p 0.2p 3p 20p)
+qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
+.tran 0.05p 100p
+.end
+"""
+    circuits = [_circ(text.format(vc=vc)) for vc in ("0.7m", "0.8m")]
+    whole = tran_batch(circuits)
+    t_drop = 61.3
+    times, accepted, dropped = [], [], []
+    sources, newton, add = (engine._System.sources, engine._System._newton,
+                            engine._Record.add)
+
+    def spy_sources(self, t):
+        times.append(t)
+        return sources(self, t)
+
+    def fail_variant_0(self, *args):
+        *out, failed = newton(self, *args)
+        if len(failed) == 2 and times[-1] > t_drop:
+            dropped.append(len(accepted))
+            failed = np.array([True, failed[1]])
+        return *out, failed
+
+    def spy_add(self, rows, t, p):
+        accepted.append(t)
+        add(self, rows, t, p)
+
+    monkeypatch.setattr(engine._System, "sources", spy_sources)
+    monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
+    monkeypatch.setattr(engine._Record, "add", spy_add)
+    failed, partner = tran_batch(circuits)
+    assert isinstance(failed, ConvergenceError) and failed.t > t_drop
+    # the first forced failure falls inside a block, after the first one
+    # was recorded; the steps accepted before it are those of the batch
+    before = accepted[:dropped[0]]
+    assert len(before) > engine._BLOCK and len(before) % engine._BLOCK
+    kept = partner.time <= before[-1]
+    for name, values in whole[1].channels.items():
+        assert np.array_equal(partner.channel(name)[kept], values[kept])
+
+
 def test_batch_of_one_is_tran():
     circuit = _circ(binary_synapse_netlist(SynapseBinaryParams(state=1)))
     (waves,) = tran_batch([circuit])

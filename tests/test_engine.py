@@ -357,6 +357,27 @@ R2 n2 0 1k
     assert np.allclose(np.diff(waves.time), 1.0)
 
 
+def test_tstart_inside_a_later_block_records_the_tail_of_the_run():
+    # the output is interpolated a block of accepted steps at a time; from
+    # a tstart several blocks in, the samples are those of the whole run
+    text = """t
+Vs n1 0 pulse(0 1m 1.234p 0.37p 0.41p 2.05p 7.3p)
+R1 n1 n2 1k
+R2 n2 0 1k
+.tran 0.1p 200p {tstart}p
+.end
+"""
+    whole = tran(_circ(text.format(tstart=0)))
+    assert whole.stats["accepted_steps"] > 4 * engine._BLOCK
+    tail = tran(_circ(text.format(tstart=123.45)))
+    assert tail.stats == whole.stats
+    skip = len(whole.time) - len(tail.time)
+    assert tail.time[0] == whole.time[skip] == pytest.approx(123.5)
+    assert list(tail.channels) == list(whole.channels)
+    for name, values in whole.channels.items():
+        assert np.array_equal(tail.channel(name), values[skip:])
+
+
 def test_tstart_trims_output():
     waves = tran(_circ("""t
 Vs n1 0 dc 1m

@@ -136,12 +136,23 @@ def test_network_netlist_structure():
     assert len(mjjs) == n_in * n_out
     for y, row in enumerate(spec.weights):
         for x, w in enumerate(row):
-            assert mjjs[f"j1x{x}{y}"].params["state"] == (0 if w else 1)
+            assert mjjs[f"j1x{x}_{y}"].params["state"] == (0 if w else 1)
     # synapse output junctions plus per-neuron input and bank junctions
     assert len(kinds[DeviceKind.QPSJ]) == n_in * n_out + n_out * (1 + n_thresh)
     # per input: one pulse source; plus the bias and level-shift sources
     assert len(kinds[DeviceKind.VSOURCE]) == n_in + n_out + 1
     elaborate(ast)
+
+
+def test_network_of_twelve_by_twelve_elaborates():
+    # synapse tags join input and output with "_": input 11 to output 0
+    # and input 1 to output 10 no longer share the tag "110"
+    spec = NetworkSpec(weights=[[1] * 12] * 12,
+                       input_periods=[60e-12] * 12)
+    names = [d.name for d in elaborate(parse_netlist(
+        network_netlist(spec))).devices]
+    assert len(names) == len(set(names))
+    assert {"r1x11_0", "r1x1_10"} <= set(names)
 
 
 def test_network_input_pulse_timing():
