@@ -82,17 +82,11 @@ def _write_spikes(path, trains):
                                  repr(e.charge), repr(e.width)])
 
 
-def _write_run(out, waves, command, params, t0, outputs=()):
-    """Write waveforms.csv, the pulse trains of every saved current
-    channel to spikes.csv, and the manifest, into out."""
-    export_csv(waves, out / "waveforms.csv")
-    _write_spikes(out / "spikes.csv", [
-        detect_pulses(waves.time, values, source=name)
-        for name, values in waves.channels.items() if name.startswith("i(")])
-    RunManifest(command=command, params=params, solver=SOLVER_SETTINGS,
-                outputs=[*outputs, "waveforms.csv", "spikes.csv"],
-                stats=waves.stats,
-                wall_time_s=round(time.perf_counter() - t0, 3)).write(out)
+def _detect_all(waves):
+    """Pulse trains for every saved current channel."""
+    return [detect_pulses(waves.time, values, source=name)
+            for name, values in waves.channels.items()
+            if name.startswith("i(")]
 
 
 def cmd_sim(args):
@@ -114,10 +108,21 @@ def cmd_sim(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     out = _out_dir(args)
-    _write_run(out, waves, "sim", {"netlist": str(args.netlist),
-                                   "tstep_ps": args.tstep,
-                                   "tstop_ps": args.tstop}, t0)
-    print(f"wrote {out / 'waveforms.csv'} ({len(waves.time)} samples)")
+    wave_path = out / "waveforms.csv"
+    spike_path = out / "spikes.csv"
+    export_csv(waves, wave_path)
+    _write_spikes(spike_path, _detect_all(waves))
+    manifest = RunManifest(
+        command="sim",
+        params={"netlist": str(args.netlist), "tstep_ps": args.tstep,
+                "tstop_ps": args.tstop},
+        solver=SOLVER_SETTINGS,
+        outputs=[wave_path.name, spike_path.name],
+        stats=waves.stats,
+        wall_time_s=round(time.perf_counter() - t0, 3),
+    )
+    manifest.write(out)
+    print(f"wrote {wave_path} ({len(waves.time)} samples)")
     return EXIT_OK
 
 
@@ -219,8 +224,21 @@ def cmd_figure(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     out = _out_dir(args)
-    (out / f"{fig}.cir").write_text(netlist)
-    _write_run(out, waves, "figure", {"id": fig}, t0, [f"{fig}.cir"])
+    net_path = out / f"{fig}.cir"
+    net_path.write_text(netlist)
+    wave_path = out / "waveforms.csv"
+    export_csv(waves, wave_path)
+    spike_path = out / "spikes.csv"
+    _write_spikes(spike_path, _detect_all(waves))
+    manifest = RunManifest(
+        command="figure",
+        params={"id": fig},
+        solver=SOLVER_SETTINGS,
+        outputs=[net_path.name, wave_path.name, spike_path.name],
+        stats=waves.stats,
+        wall_time_s=round(time.perf_counter() - t0, 3),
+    )
+    manifest.write(out)
     for line in lines:
         print(line)
     return EXIT_OK
@@ -332,16 +350,27 @@ def cmd_sweep(args):
             rows.append({"value": v, "status": f"failed: {error}"})
             stats.append({})
 
-    fields = list(dict.fromkeys(k for row in rows for k in row))
+    fields = ["value", "status"]
+    for row in rows:
+        for k in row:
+            if k not in fields:
+                fields.append(k)
     out = _out_dir(args)
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    sweep_path = out / "sweep.csv"
+    with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    RunManifest(command="sweep", params={"template": args.template,
-                                         "param": args.param, "values": values},
-                solver=SOLVER_SETTINGS, outputs=["sweep.csv"], stats=stats,
-                wall_time_s=round(time.perf_counter() - t0, 3)).write(out)
+    manifest = RunManifest(
+        command="sweep",
+        params={"template": args.template, "param": args.param,
+                "values": values},
+        solver=SOLVER_SETTINGS,
+        outputs=[sweep_path.name],
+        stats=stats,
+        wall_time_s=round(time.perf_counter() - t0, 3),
+    )
+    manifest.write(out)
     for row in rows:
         print(row)
     return EXIT_OK

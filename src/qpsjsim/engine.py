@@ -388,7 +388,9 @@ class _Record:
         self.grid, self.skip, self.n, self.filled = grid, skip, 0, 1
         self.data = np.empty(p0.shape + (len(grid) - skip,))
         self.t, self.p = np.zeros(_BLOCK + 1), np.empty(p0.shape + (_BLOCK + 1,))
-        self.data[:, :, 0] = self.p[:, :, 0] = p0  # rewritten if skip > 0
+        self.p[:, :, 0] = p0
+        if not skip:  # with skip > 0, no grid point at t = 0 is recorded
+            self.data[:, :, 0] = p0
 
     def add(self, rows, t, p):
         """Buffer the samples p of the variants rows at time t."""

@@ -231,6 +231,15 @@ def test_sim_tstart_after_tstop_is_input_error(tmp_path, capsys, tran_line,
     assert "tstart" in err
 
 
+def test_sim_tstart_past_the_last_grid_point_writes_empty_outputs(tmp_path):
+    net = _write(tmp_path, "t\nVs n1 0 dc 1m\nR1 n1 n2 1k\nC1 n2 0 1f\n"
+                           ".tran 0.3p 1p 1p\n.end\n")
+    out = tmp_path / "out"
+    assert main(["sim", str(net), "--out", str(out)]) == EXIT_OK
+    assert (out / "waveforms.csv").read_text() == "time_ps,v(n1),v(n2)\n"
+    assert (out / "manifest.json").exists()
+
+
 def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):
     net = _write(tmp_path, "t\nV1 n1 0 dc 1m\nV2 n1 0 dc 2m\nR1 n1 0 1k\n"
                            ".tran 1p 10p\n.end\n")

@@ -378,6 +378,14 @@ R2 n2 0 1k
         assert np.array_equal(tail.channel(name), values[skip:])
 
 
+def test_tstart_past_the_last_grid_point_records_no_sample():
+    # grid 0, 0.3, 0.6, 0.9 ps: every point lies before tstart = tstop
+    waves = tran(_circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 0.3p 1p 1p\n.end\n"))
+    assert len(waves.time) == 0
+    assert [len(v) for v in waves.channels.values()] == [0]
+    assert waves.stats["accepted_steps"] > 0
+
+
 def test_tstart_trims_output():
     waves = tran(_circ("""t
 Vs n1 0 dc 1m

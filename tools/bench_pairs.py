@@ -7,9 +7,10 @@ parent first on odd seeds, the change first on even seeds.  Every run is
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-from the side's checkout, so both sides use their own benchmark code;
-compare only commits whose perfbench/ is the same.  For each workload
-and end-to-end metric of BENCHMARK.json the file records every run in
+from the side's checkout, for each workload W of BENCHMARK.json and its
+run_seconds S, so both sides use their own benchmark code; compare only
+commits whose perfbench/ is the same.  For each workload and end-to-end
+metric of BENCHMARK.json the file records every run in
 seed order, the median and quartiles of each side, the change's pairs
 won (ties count for neither side) and the median's change in percent.
 With --traced, one traced seed-0 run per side adds the per-layer
@@ -97,27 +98,22 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="changed commit")
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default="neuron,network,oracle,sweep")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--traced", action="store_true",
                     help="add one traced seed-0 run per side and workload")
     ap.add_argument("--work", type=Path, required=True,
                     help="directory for the two checkouts")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output file (default: BENCH_<pr>.json in the repo)")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     revs = {"parent": args.parent, "change": args.change}
     commits = {s: subprocess.run(["git", "rev-parse", "--short", rev],
                                  cwd=ROOT, check=True, capture_output=True,
                                  text=True).stdout.strip()
                for s, rev in revs.items()}
     trees = {s: checkout(commits[s], args.work / commits[s]) for s in SIDES}
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     doc = {"pr": args.pr, **commits,
            "machine": {"python": platform.python_version(),
                        "numpy": np.__version__, "machine": platform.machine(),
@@ -129,7 +125,7 @@ def main(argv=None):
                      " archive of its commit with its bytecode compiled"
                      " beforehand; every runs list is in seed order"),
            "workloads": {}}
-    results = {w: {s: [] for s in SIDES} for w in args.workloads.split(",")}
+    results = {w["name"]: {s: [] for s in SIDES} for w in bench["workloads"]}
     for seed in range(1, args.pairs + 1):
         order = SIDES if seed % 2 else SIDES[::-1]
         for workload, res in results.items():
