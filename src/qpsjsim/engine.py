@@ -31,21 +31,24 @@ corner.  A Newton failure halves the step, down to tstep /
 numerics are fixed module constants; run manifests record
 :data:`SOLVER_SETTINGS`.
 
-Every channel is linear in the state [x, dx/dt, A * sin(theta), source
-values]: one probe matrix takes a step's state to its sample.  Accepted
-steps go into a buffer of _BLOCK, and one pass interpolates linearly
-the points of the uniform tstep grid they cover, when the buffer fills,
-before a variant drops out of a batch, and at the end.
+The sources are one flat list: the dc values are held as constants,
+and only the pulses are evaluated at each step.  Every channel is linear
+in the state [x, dx/dt, A * sin(theta), source values].  Each accepted
+step's raw state goes into a buffer of _BLOCK; when it fills, before a
+variant drops out of a batch, and at the end, one product with the
+probe matrix gives the buffered samples, and one pass interpolates
+linearly the points of the uniform tstep grid they cover.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import (_NO_INDEX, _NO_VALUES, _source_value, build_models,
-                      device_groups, topology)
+from .devices import (_NO_INDEX, _NO_VALUES, build_models, device_groups,
+                      topology)
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # step halved below tstep use backward Euler.
@@ -147,16 +150,20 @@ class _System:
         self.models, self.N, self.N_dc = build_models(circuit, GMIN)
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
-        self._G, self._C = (_matrix((M, M), [
-            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)])
-            for part in zip(*[m.static() for m in self.models]))
-        self._CT = self._C.T.copy()
-        # the circuit's sources as one flat list, sources(t) @ F negated
+        # G^T and C^T without the ground column: S^T's columns and c's
+        self._GT, self._CT = (_matrix((M, M), [
+            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)]
+        ).T[:, :N].copy() for part in zip(*[m.static() for m in self.models]))
+        # the circuit's sources as one flat list, sources(t) @ F negated:
+        # the dc values once, the pulses evaluated at each t
         drives = [m for m in self.models if m.sources]
         self.srcs, ns = _slots(drives)
-        self._src_params = [p for m in drives for p in m.params]
-        self._F = _matrix((ns, M), [(self.srcs[m], idx, f)
-                                    for m in drives for idx, f in m.sources])
+        params = [p for m in drives for p in m.params]
+        self._dc = np.array([p.get("dc", 0.0) for p in params])
+        self._pulses = [(i, p["pulse"]) for i, p in enumerate(params)
+                        if "dc" not in p]
+        self._F = _matrix((ns, M), [(self.srcs[m], idx, f) for m in drives
+                                    for idx, f in m.sources])[:, :N].copy()
         # the sine law of the junctions j: theta = theta_n + W @ xint,
         # F_nl = B @ (A * sin(theta)), J_nl = (h/k) * B @ diag(A * cos(theta)) @ W
         self.cols, nj = _slots(self.junctions)  # each model's columns of W^T
@@ -179,7 +186,6 @@ class _System:
             m.amplitude for m in models if m.junction]) for models in
             [self.models] + [build_models(c, GMIN)[0] for c in circuits[1:]]])
         self.keep(np.ones(len(circuits), dtype=bool))
-        self._step = None  # the (h, trap) of _newton's cached step parts
         self.solves = 0  # LU solves of the stack, one per Newton iteration
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
@@ -192,10 +198,14 @@ class _System:
         self.A = self.A[rows]
         K, N = len(self.A), self.N
         self._jn_stack = (self._jn_idx + N * N * np.arange(K)[:, None]).ravel()
+        self._step = None  # the (h, trap) of _newton's cached step parts
 
     def sources(self, t):
         """The values of every source at time t, as one flat array."""
-        return np.array([_source_value(p, t) for p in self._src_params])
+        u = self._dc.copy()
+        for i, pulse in self._pulses:
+            u[i] = pulse.value_at(t)
+        return u
 
     def _newton(self, xg, x, xd, theta, u, h, trap):
         """Newton iteration from xg on a trapezoidal (or, if not trap,
@@ -205,23 +215,25 @@ class _System:
         angles, A * sin(angles) and which variants failed to converge."""
         # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
         # the angles move by W @ the integral over the step,
-        # (h/k)*(x_new + (k - 1)*x)
+        # (h/k)*(x_new + (k - 1)*x); k - 1 is 1 (trapezoidal) or 0
         N, K = self.N, len(xg)
-        k = 2.0 if trap else 1.0
-        kh, hk = k / h, h / k
+        kh = 2.0 / h if trap else 1.0 / h
         # consecutive steps often share their size: 38% of fig2's, 71% of
         # fig8's and 76% of the fig4a/b batch's (none of the AC9 circuits')
         if self._step != (h, trap):
-            S = self._G + kh * self._C
+            hk = h / 2.0 if trap else h
             WT = hk * self._WT
             # one product gives the rows of S @ x_new and W @ x_new
-            self._step_parts = (S[:N, :N], WT, WT[:N],
-                                np.concatenate((S.T[:, :N], WT), axis=1))
+            SW = np.concatenate((self._GT + kh * self._CT, WT), axis=1)
+            self._step_parts = (SW[:N, :N].T, WT, WT[:N], SW, hk * self.A)
             self._step = (h, trap)
-        SN, WT, WTN, SW = self._step_parts
-        c = (u @ self._F - (kh * x + (k - 1.0) * xd) @ self._CT)[:, :N]
-        theta = theta + (k - 1.0) * x @ WT
-        A, hkA = self.A, hk * self.A
+        SN, WT, WTN, SW, hkA = self._step_parts
+        if trap:
+            c = u @ self._F - (kh * x + xd) @ self._CT
+            theta = theta + x @ WT
+        else:
+            c = u @ self._F - (kh * x) @ self._CT
+        A = self.A
         xg = xg.copy()  # updated in place below
         # converged: a small update before, and a small residual now.  A
         # converged variant's unknowns stop moving, so it stays converged.
@@ -240,7 +252,7 @@ class _System:
                                  minlength=K * N * N).reshape(K, N, N)
             self.solves += 1
             try:
-                dx = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+                dx = np.linalg.solve(J, F[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 break
             if K > 1:  # a lone variant that gets here has not converged
@@ -255,11 +267,12 @@ class _System:
             if angle.max(initial=0.0) > MAX_ANGLE_STEP:
                 dx *= MAX_ANGLE_STEP / np.maximum(angle.max(axis=1),
                                                   MAX_ANGLE_STEP)[:, None]
-            xg[:, :N] += dx
+            xg[:, :N] -= dx
             delta_ok = (np.abs(dx)
                         < RELTOL * np.abs(xg[:, :N]) + self._xtol).all(axis=1)
         self.failed_f = F  # the residuals that ConvergenceError reports
-        return xg, kh * (xg - x) - (k - 1.0) * xd, th, s, ~ok
+        xd_new = kh * (xg - x)
+        return xg, xd_new - xd if trap else xd_new, th, s, ~ok
 
     def _worst(self, resid):
         """The node or branch device of the largest entry of resid."""
@@ -281,7 +294,7 @@ class _System:
         A = _matrix((M, M), [tie] + [m.dc() for m in self.models])[:Nd, :Nd]
         b = np.zeros(Nd)  # the sources enter no DC-only branch row
         u = self.sources(0.0)
-        b[:N] = -(u @ self._F)[:N]
+        b[:N] = -(u @ self._F)
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
@@ -298,7 +311,7 @@ class _System:
         theta = np.concatenate([np.zeros((len(ratio), 0))] + [
             m.seed(ratio[:, self.cols[m]]) for m in self.junctions], axis=1)
         x = np.concatenate((xg[:N], _GROUND))
-        return x, self.state(x[None], 0.0 * x[None], out[None], u), theta
+        return x, np.concatenate((x, 0.0 * x, out, u))[None], theta
 
     def probes(self, pairs):
         """The matrix that takes a variant's state [x, dx/dt, A * sin(theta),
@@ -310,18 +323,13 @@ class _System:
               "out": lambda m, i: 2 * M + self.cols[m][i],
               "src": lambda m, i: 2 * M + nj + self.srcs[m][i]}
         devices, n = _slots(self.models)
-        P = _matrix((2 * M + nj + len(self._src_params), M + n), [
+        P = _matrix((2 * M + nj + len(self._dc), M + n), [
             (np.arange(M), np.arange(M), 1.0)] + [
             (at[part](m, idx), M + devices[m], f)
             for m in self.models for part, idx, f in m.probe])
         names = [name for m in self.models for name in m.names]
         return P[:, [self.circuit.node_index(t) % M if q == "v"
                      else M + names.index(t) for q, t in pairs]]
-
-    def state(self, xg, xdg, out, u):
-        """The variants' states [x, dx/dt, A * sin(theta), sources]."""
-        return np.concatenate((xg, xdg, out, np.broadcast_to(
-            u, (len(xg), len(u)))), axis=1)
 
 
 def dc_operating_point(circuit):
@@ -380,23 +388,29 @@ def _breakpoints(circuit, tstep, tend):
 
 
 class _Record:
-    """The samples of a batch on the grid points from skip on, from those
-    at t = 0, p0, and at each accepted step (see the module docstring).
-    The buffer holds the last step recorded, then up to _BLOCK more."""
+    """The samples of K variants on the grid points from skip on, through
+    the probe matrix P, from the state s0 at t = 0 (one row) and the
+    state of each accepted step (see the module docstring), whose parts
+    x, dx/dt, A * sin(theta) and the sources end at cuts.  The buffer
+    holds the state of the last step recorded, then up to _BLOCK more."""
 
-    def __init__(self, grid, skip, p0):
-        self.grid, self.skip, self.n, self.filled = grid, skip, 0, 1
-        self.data = np.empty(p0.shape + (len(grid) - skip,))
-        self.t, self.p = np.zeros(_BLOCK + 1), np.empty(p0.shape + (_BLOCK + 1,))
-        self.p[:, :, 0] = p0
+    def __init__(self, grid, skip, P, s0, K, cuts):
+        self.grid, self.skip, self.P, self.cuts = grid, skip, P, cuts
+        self.n, self.filled = 0, 1
+        self.data = np.empty((K, P.shape[1], len(grid) - skip))
+        self.t, self.s = np.zeros(_BLOCK + 1), np.empty((K, _BLOCK + 1, len(P)))
+        self.s[:, 0] = s0
         if not skip:  # with skip > 0, no grid point at t = 0 is recorded
-            self.data[:, :, 0] = p0
+            self.data[:, :, 0] = s0 @ P
 
-    def add(self, rows, t, p):
-        """Buffer the samples p of the variants rows at time t."""
-        self.n += 1
-        self.t[self.n], self.p[:, :, self.n] = t, p
-        if self.n == _BLOCK:
+    def add(self, rows, t, x, xd, out, u):
+        """Buffer the state [x, xd, out, u] of the variants rows at time t."""
+        self.n = n = self.n + 1
+        a, b, c = self.cuts
+        s = self.s[:, n]
+        self.t[n] = t
+        s[:, :a], s[:, a:b], s[:, b:c], s[:, c:] = x, xd, out, u
+        if n == _BLOCK:
             self.flush(rows)
 
     def flush(self, rows, keep=slice(None)):
@@ -406,26 +420,27 @@ class _Record:
         ends = np.searchsorted(self.grid, t[1:] + slack, "right")
         lo, end = max(self.filled, self.skip), int(ends[-1]) if n else 0
         if end > lo:  # step j + 1 of the buffer covers the points to ends[j]
+            p = self.s[:, :n + 1] @ self.P
             j = np.searchsorted(ends, np.arange(lo, end), "right")
-            w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]), 1.0)
-            v = self.p[:, :, j] * (1.0 - w)
-            v += self.p[:, :, j + 1] * w
-            self.data[rows, :, lo - self.skip:end - self.skip] = v
+            w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]),
+                           1.0)[:, None]
+            v = p[:, j] * (1.0 - w)
+            v += p[:, j + 1] * w
+            self.data[rows, :, lo - self.skip:end - self.skip] = \
+                v.transpose(0, 2, 1)
         self.filled, self.n, self.t[0] = max(self.filled, end), 0, t[n]
-        self.p = self.p[keep]
-        self.p[:, :, 0] = self.p[:, :, n]
+        self.s = self.s[keep]
+        self.s[:, 0] = self.s[:, n]
 
 
 def _predict(past, t):
-    """The polynomial through the accepted points past, [(t_i, x_i)], at t."""
-    ts = [ti for ti, _ in past]
-    x = 0.0
-    for i, (ti, xi) in enumerate(past):
-        w = 1.0
-        for tj in ts[:i] + ts[i + 1:]:
-            w *= (t - tj) / (ti - tj)
-        x = x + w * xi
-    return x
+    """The polynomial through the accepted points past, [(t_i, x_i)], at t
+    (a one-point history's own point)."""
+    if len(past) == 1:
+        return past[0][1]
+    terms = [math.prod((t - tj) / (ti - tj) for tj, _ in past if tj != ti)
+             * xi for ti, xi in past]
+    return sum(terms[1:], terms[0])
 
 
 def tran_batch(circuits, tstep=None, tstop=None):
@@ -447,7 +462,8 @@ def tran_batch(circuits, tstep=None, tstop=None):
     pairs = _probe_pairs(circuits[0])
     names, P = [f"{q}({t})" for q, t in pairs], sys_.probes(pairs)
     x, s0, theta = sys_.seed_from_dc()
-    rec = _Record(grid, skip, np.tile(s0 @ P, (K, 1)))
+    M = sys_.N + 1
+    rec = _Record(grid, skip, P, s0, K, (M, 2 * M, 2 * M + sys_.A.shape[1]))
     x = np.tile(x, (K, 1))
     xd = np.zeros_like(x)  # time derivatives of the unknowns, 0 at DC
 
@@ -504,7 +520,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
                 h = max(tstep, h_try * grow)
                 continue
         stats["accepted_steps"] += 1
-        rec.add(rows, t_new, sys_.state(x_new, xd_new, s_new, u) @ P)
+        rec.add(rows, t_new, x_new, xd_new, s_new, u)
         t, x, xd, theta = t_new, x_new, xd_new, th_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)

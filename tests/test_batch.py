@@ -164,9 +164,9 @@ qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
             failed = np.array([True, failed[1]])
         return *out, failed
 
-    def spy_add(self, rows, t, p):
+    def spy_add(self, rows, t, x, xd, out, u):
         accepted.append(t)
-        add(self, rows, t, p)
+        add(self, rows, t, x, xd, out, u)
 
     monkeypatch.setattr(engine._System, "sources", spy_sources)
     monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
@@ -180,6 +180,43 @@ qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
     kept = partner.time <= before[-1]
     for name, values in whole[1].channels.items():
         assert np.array_equal(partner.channel(name)[kept], values[kept])
+
+
+def test_a_variant_dropping_after_the_step_parts_were_cached_goes_on_with_its_partners_amplitudes(
+        monkeypatch):
+    # variant 0 is made to fail every Newton iteration after a number of
+    # calls; the step it drops on is retried at the size whose parts were
+    # cached with both variants' (h/k)*A, and the partner must go on with
+    # its own
+    text = """t
+Vin n1 0 pulse(0 1.5m 5p 0.2p 0.2p 3p 20p)
+qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
+.tran 0.05p 100p
+.end
+"""
+    circuits = [_circ(text.format(vc=vc)) for vc in ("0.7m", "0.8m")]
+    newton = engine._System._newton
+    calls = []  # (variants, h, trap, the (h/k)*A used is the variants' own)
+
+    def fail_variant_0(self, xg, x, xd, theta, u, h, trap):
+        *out, failed = newton(self, xg, x, xd, theta, u, h, trap)
+        hkA = (h / 2.0 if trap else h) * self.A
+        calls.append((len(failed), h, trap,
+                      np.array_equal(self._step_parts[-1], hkA)))
+        if len(failed) == 2 and len(calls) > 300:
+            failed = np.array([True, failed[1]])
+        return *out, failed
+
+    monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
+    failed, partner = tran_batch(circuits)
+    assert isinstance(failed, ConvergenceError)
+    assert isinstance(partner, engine.WaveformSet)
+    # the first step of the partner alone has the size and rule of the
+    # last attempt of both variants
+    first = next(i for i, c in enumerate(calls) if c[0] == 1)
+    assert calls[first - 1][:3] == (2,) + calls[first][1:3]
+    assert all(c[3] for c in calls)
+    assert np.array_equal(partner.time, tran(circuits[1]).time)
 
 
 def test_batch_of_one_is_tran():

@@ -9,7 +9,9 @@ import pytest
 from qpsjsim import engine
 from qpsjsim.engine import (ConvergenceError, EngineError, WaveformSet,
                             dc_operating_point, tran)
+from qpsjsim.devices import _source_value
 from qpsjsim.netlist import elaborate, parse_netlist
+from qpsjsim.templates import NetworkSpec, network_netlist
 from qpsjsim.units import PHI0, TWO_E
 
 from conftest import crossing_rate
@@ -160,6 +162,42 @@ R1 n1 0 100meg
 """))
     freq, _ = crossing_rate(waves.time, waves.channel("i(l1)"))
     assert 2.0 * math.pi * freq == pytest.approx(1.0, rel=2e-3)
+
+
+MIXED_SOURCES = """t
+Vb n1 0 dc 1.5m
+Vp n2 0 pulse(0 1m 1.234p 0.37p 0.41p 2.05p 7.3p)
+Ip 0 n3 pulse(0 2u 0.5p 0.1p 0.2p 1p 3p)
+Ib n3 0 dc 1u
+R1 n1 n2 1k
+R2 n2 n3 1k
+R3 n3 0 1k
+.tran 0.1p 20p
+.end
+"""
+
+
+@pytest.mark.parametrize("text", [
+    MIXED_SOURCES,
+    network_netlist(NetworkSpec(weights=((1, 1, 1), (0, 1, 1)),
+                                input_periods=(60e-12, 90e-12, 120e-12))),
+], ids=["mixed", "fig8"])
+def test_sources_are_each_source_value_at_every_pulse_corner(text):
+    # the dc values are held once and the pulses evaluated at t: the same
+    # floats as each source's own value, at every corner and half a tstep
+    # to each side of it
+    circuit = _circ(text)
+    system = engine._System([circuit])
+    params = [p for m in system.models if m.sources for p in m.params]
+    pulses = [p["pulse"] for p in params if "dc" not in p]
+    assert 0 < len(pulses) < len(params)
+    dt = circuit.tstep / 2
+    times = sorted({c + d for p in pulses for c in p.corners(circuit.tstop)
+                    for d in (-dt, 0.0, dt)})
+    assert len(times) > 10
+    for t in times:
+        want = np.array([_source_value(p, t) for p in params])
+        assert system.sources(t).tobytes() == want.tobytes()
 
 
 # --- step-size control -----------------------------------------------------
