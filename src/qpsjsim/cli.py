@@ -83,10 +83,11 @@ def _write_spikes(path, trains):
 
 
 def _detect_all(waves):
-    """Pulse trains for every saved current channel."""
+    """Pulse trains for every saved current channel (none in a run that
+    records no sample)."""
     return [detect_pulses(waves.time, values, source=name)
             for name, values in waves.channels.items()
-            if name.startswith("i(")]
+            if name.startswith("i(") and len(values)]
 
 
 def cmd_sim(args):

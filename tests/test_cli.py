@@ -240,6 +240,20 @@ def test_sim_tstart_past_the_last_grid_point_writes_empty_outputs(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_sim_junction_run_with_no_sample_writes_empty_spikes(tmp_path):
+    # a current channel with no sample has no pulse to detect
+    net = _write(tmp_path, "t\nVs n1 0 dc 0.5m\nR1 n1 n2 1k\n"
+                           "qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n\n"
+                           ".tran 0.3p 1p 1p\n.end\n")
+    out = tmp_path / "out"
+    assert main(["sim", str(net), "--out", str(out)]) == EXIT_OK
+    assert (out / "waveforms.csv").read_text() == \
+        "time_ps,v(n1),v(n2),i(q1)\n"
+    assert (out / "spikes.csv").read_text() == \
+        "channel,t_peak_ps,charge_ac,width_ps\n"
+    assert (out / "manifest.json").exists()
+
+
 def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):
     net = _write(tmp_path, "t\nV1 n1 0 dc 1m\nV2 n1 0 dc 2m\nR1 n1 0 1k\n"
                            ".tran 1p 10p\n.end\n")
