@@ -150,10 +150,13 @@ class _System:
         self.models, self.N, self.N_dc = build_models(circuit, GMIN)
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
-        # G^T and C^T without the ground column: S^T's columns and c's
-        self._GT, self._CT = (_matrix((M, M), [
-            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)]
-        ).T[:, :N].copy() for part in zip(*[m.static() for m in self.models]))
+        G, C = (_matrix((M, M), [
+            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)])
+            for part in zip(*[m.static() for m in self.models]))
+        # G^T and C^T off the ground column, for S^T and c, in the memory
+        # order (which picks the BLAS kernel and its rounding) of each use
+        self._GT, self._CT = G.T[:, :N], C.T[:, :N]
+        self._CTc = self._CT.copy()
         # the circuit's sources as one flat list, sources(t) @ F negated:
         # the dc values once, the pulses evaluated at each t
         drives = [m for m in self.models if m.sources]
@@ -228,11 +231,9 @@ class _System:
             self._step_parts = (SW[:N, :N].T, WT, WT[:N], SW, hk * self.A)
             self._step = (h, trap)
         SN, WT, WTN, SW, hkA = self._step_parts
+        c = u @ self._F - (kh * x + xd if trap else kh * x) @ self._CTc
         if trap:
-            c = u @ self._F - (kh * x + xd) @ self._CT
             theta = theta + x @ WT
-        else:
-            c = u @ self._F - (kh * x) @ self._CT
         A = self.A
         xg = xg.copy()  # updated in place below
         # converged: a small update before, and a small residual now.  A
@@ -388,17 +389,17 @@ def _breakpoints(circuit, tstep, tend):
 
 
 class _Record:
-    """The samples of K variants on the grid points from skip on, through
-    the probe matrix P, from the state s0 at t = 0 (one row) and the
-    state of each accepted step (see the module docstring), whose parts
-    x, dx/dt, A * sin(theta) and the sources end at cuts.  The buffer
-    holds the state of the last step recorded, then up to _BLOCK more."""
+    """The samples of K variants on the grid points from skip on: probe
+    matrix P times the state at t = 0, s0 (one row), and at each accepted
+    step, whose parts x, dx/dt, A * sin(theta) and u end at cuts.  The
+    buffer holds the last step's state, then up to _BLOCK more."""
 
     def __init__(self, grid, skip, P, s0, K, cuts):
         self.grid, self.skip, self.P, self.cuts = grid, skip, P, cuts
         self.n, self.filled = 0, 1
         self.data = np.empty((K, P.shape[1], len(grid) - skip))
-        self.t, self.s = np.zeros(_BLOCK + 1), np.empty((K, _BLOCK + 1, len(P)))
+        self.t = np.zeros(_BLOCK + 1)
+        self.s = np.empty((K, _BLOCK + 1, len(P)))
         self.s[:, 0] = s0
         if not skip:  # with skip > 0, no grid point at t = 0 is recorded
             self.data[:, :, 0] = s0 @ P
@@ -434,8 +435,7 @@ class _Record:
 
 
 def _predict(past, t):
-    """The polynomial through the accepted points past, [(t_i, x_i)], at t
-    (a one-point history's own point)."""
+    """The polynomial through the accepted points past, [(t_i, x_i)], at t."""
     if len(past) == 1:
         return past[0][1]
     terms = [math.prod((t - tj) / (ti - tj) for tj, _ in past if tj != ti)
