@@ -90,6 +90,26 @@ def _detect_all(waves):
             if name.startswith("i(") and len(values)]
 
 
+def _write_run(out, command, params, waves, t0, written=()):
+    """Write a run's waveforms.csv and spikes.csv into out, then its
+    manifest, which lists the files already written first; returns the
+    waveforms' path."""
+    wave_path = out / "waveforms.csv"
+    spike_path = out / "spikes.csv"
+    export_csv(waves, wave_path)
+    _write_spikes(spike_path, _detect_all(waves))
+    manifest = RunManifest(
+        command=command,
+        params=params,
+        solver=SOLVER_SETTINGS,
+        outputs=[*written, wave_path.name, spike_path.name],
+        stats=waves.stats,
+        wall_time_s=round(time.perf_counter() - t0, 3),
+    )
+    manifest.write(out)
+    return wave_path
+
+
 def cmd_sim(args):
     t0 = time.perf_counter()
     try:
@@ -108,21 +128,9 @@ def cmd_sim(args):
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    out = _out_dir(args)
-    wave_path = out / "waveforms.csv"
-    spike_path = out / "spikes.csv"
-    export_csv(waves, wave_path)
-    _write_spikes(spike_path, _detect_all(waves))
-    manifest = RunManifest(
-        command="sim",
-        params={"netlist": str(args.netlist), "tstep_ps": args.tstep,
-                "tstop_ps": args.tstop},
-        solver=SOLVER_SETTINGS,
-        outputs=[wave_path.name, spike_path.name],
-        stats=waves.stats,
-        wall_time_s=round(time.perf_counter() - t0, 3),
-    )
-    manifest.write(out)
+    params = {"netlist": str(args.netlist), "tstep_ps": args.tstep,
+              "tstop_ps": args.tstop}
+    wave_path = _write_run(_out_dir(args), "sim", params, waves, t0)
     print(f"wrote {wave_path} ({len(waves.time)} samples)")
     return EXIT_OK
 
@@ -227,19 +235,7 @@ def cmd_figure(args):
     out = _out_dir(args)
     net_path = out / f"{fig}.cir"
     net_path.write_text(netlist)
-    wave_path = out / "waveforms.csv"
-    export_csv(waves, wave_path)
-    spike_path = out / "spikes.csv"
-    _write_spikes(spike_path, _detect_all(waves))
-    manifest = RunManifest(
-        command="figure",
-        params={"id": fig},
-        solver=SOLVER_SETTINGS,
-        outputs=[net_path.name, wave_path.name, spike_path.name],
-        stats=waves.stats,
-        wall_time_s=round(time.perf_counter() - t0, 3),
-    )
-    manifest.write(out)
+    _write_run(out, "figure", {"id": fig}, waves, t0, [net_path.name])
     for line in lines:
         print(line)
     return EXIT_OK
