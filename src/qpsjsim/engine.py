@@ -42,7 +42,6 @@ linearly the points of the uniform tstep grid they cover.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,14 +420,12 @@ class _Record:
         ends = np.searchsorted(self.grid, t[1:] + slack, "right")
         lo, end = max(self.filled, self.skip), int(ends[-1]) if n else 0
         if end > lo:  # step j + 1 of the buffer covers the points to ends[j]
-            p = self.s[:, :n + 1] @ self.P
+            p = (self.s[:, :n + 1] @ self.P).transpose(0, 2, 1)
             j = np.searchsorted(ends, np.arange(lo, end), "right")
-            w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]),
-                           1.0)[:, None]
-            v = p[:, j] * (1.0 - w)
-            v += p[:, j + 1] * w
-            self.data[rows, :, lo - self.skip:end - self.skip] = \
-                v.transpose(0, 2, 1)
+            w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]), 1.0)
+            v = p[:, :, j] * (1.0 - w)
+            v += p[:, :, j + 1] * w
+            self.data[rows, :, lo - self.skip:end - self.skip] = v
         self.filled, self.n, self.t[0] = max(self.filled, end), 0, t[n]
         self.s = self.s[keep]
         self.s[:, 0] = self.s[:, n]
@@ -438,8 +435,13 @@ def _predict(past, t):
     """The polynomial through the accepted points past, [(t_i, x_i)], at t."""
     if len(past) == 1:
         return past[0][1]
-    terms = [math.prod((t - tj) / (ti - tj) for tj, _ in past if tj != ti)
-             * xi for ti, xi in past]
+    terms = []
+    for ti, xi in past:
+        w = 1.0
+        for tj, _ in past:
+            if tj != ti:
+                w *= (t - tj) / (ti - tj)
+        terms.append(w * xi)
     return sum(terms[1:], terms[0])
 
 
