@@ -8,15 +8,17 @@ batch (:func:`~qpsjsim.engine.tran_batch`); each point's stats are its
 batch's, with the batch size as ``variants``.  Output CSVs are
 deterministic: the same inputs give byte-identical files.
 
-Exit codes: 0 success, 2 input error (parse/elaboration/usage),
-3 simulation failure (no convergence, or a non-finite result).
+The commands raise; :func:`main` alone maps a failure to its exit code
+and prints one ``error:`` line.  Exit codes: 0 success, 2 input error
+(a netlist that cannot be read, decoded, parsed or elaborated, a bad
+time grid or command line, an output path that cannot be created), 3
+simulation failure (no convergence, or a non-finite result).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -28,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import detect_pulses, export_csv
 from .devices import damping_parameter, topology
-from .engine import (SOLVER_SETTINGS, EngineError, _time_grid, tran,
+from .engine import (SOLVER_SETTINGS, EngineError, TimeGridError, tran,
                      tran_batch)
 from .netlist import NetlistError, elaborate, parse_netlist
 from .templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
@@ -46,28 +48,12 @@ OUT_DIR_ENV = "QPSJSIM_OUT"
 _FIRING_QUANTA = 4.0  # events above this many 2e count as neuron firings
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    params: dict
-    solver: dict
-    outputs: list
-    stats: dict | list = dataclasses.field(default_factory=dict)
-    deterministic: bool = True
-    wall_time_s: float = 0.0
-    version: str = __version__
-
-    def write(self, directory):
-        path = Path(directory) / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+class InputError(Exception):
+    """A command line naming no figure or sweep, or no value to sweep."""
 
 
 def _out_dir(args):
-    base = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(base)
+    path = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -90,6 +76,18 @@ def _detect_all(waves):
             if name.startswith("i(") and len(values)]
 
 
+def _write_manifest(out, command, params, outputs, stats, t0):
+    """Write out/manifest.json: the run's inputs, the solver settings,
+    the files written, what the solver did and the wall time since t0."""
+    manifest = {"command": command, "params": params,
+                "solver": SOLVER_SETTINGS, "outputs": outputs, "stats": stats,
+                "deterministic": True, "version": __version__,
+                "wall_time_s": round(time.perf_counter() - t0, 3)}
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_run(out, command, params, waves, t0, written=()):
     """Write a run's waveforms.csv and spikes.csv into out, then its
     manifest, which lists the files already written first; returns the
@@ -98,36 +96,16 @@ def _write_run(out, command, params, waves, t0, written=()):
     spike_path = out / "spikes.csv"
     export_csv(waves, wave_path)
     _write_spikes(spike_path, _detect_all(waves))
-    manifest = RunManifest(
-        command=command,
-        params=params,
-        solver=SOLVER_SETTINGS,
-        outputs=[*written, wave_path.name, spike_path.name],
-        stats=waves.stats,
-        wall_time_s=round(time.perf_counter() - t0, 3),
-    )
-    manifest.write(out)
+    _write_manifest(out, command, params,
+                    [*written, wave_path.name, spike_path.name], waves.stats,
+                    t0)
     return wave_path
 
 
 def cmd_sim(args):
     t0 = time.perf_counter()
-    try:
-        text = Path(args.netlist).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        circuit = elaborate(parse_netlist(text))
-        _time_grid(circuit, args.tstep, args.tstop)
-    except (NetlistError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        waves = tran(circuit, tstep=args.tstep, tstop=args.tstop)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    circuit = elaborate(parse_netlist(Path(args.netlist).read_text()))
+    waves = tran(circuit, tstep=args.tstep, tstop=args.tstop)
     params = {"netlist": str(args.netlist), "tstep_ps": args.tstep,
               "tstop_ps": args.tstop}
     wave_path = _write_run(_out_dir(args), "sim", params, waves, t0)
@@ -159,7 +137,7 @@ def _count_quanta(waves, channel):
                if round(e.charge / TWO_E) >= 1)
 
 
-def _figure_fig2():
+def _figure_fig2(fig):
     p = NeuronParams(n_pulses=22)
     netlist = neuron_netlist(p)
     waves = _simulate(netlist)
@@ -174,23 +152,23 @@ def _figure_fig2():
     return netlist, waves, lines
 
 
-def _figure_fig4(state):
-    p = SynapseBinaryParams(state=state)
+def _figure_fig4(fig):
+    p = SynapseBinaryParams(state="ab".index(fig[-1]))
     netlist = binary_synapse_netlist(p)
     waves = _simulate(netlist)
     n = _count_quanta(waves, "i(q1)")
-    lines = [f"binary synapse, Ic={p.ic_states[state] * 1e6:.0f} uA"
-             f" (weight {1 - state})",
+    lines = [f"binary synapse, Ic={p.ic_states[p.state] * 1e6:.0f} uA"
+             f" (weight {1 - p.state})",
              f"output pulses over {p.n_pulses} inputs: {n}"]
     return netlist, waves, lines
 
 
-def _figure_fig6(state):
-    p = SynapseMultiParams(state=state)
+def _figure_fig6(fig):
+    p = SynapseMultiParams(state="abcd".index(fig[-1]))
     netlist = multistate_synapse_netlist(p)
     waves = _simulate(netlist)
     n = _count_quanta(waves, "i(q1)")
-    lines = [f"multi-state synapse, Ic={p.ic_j2_states[state] * 1e6:.0f} uA",
+    lines = [f"multi-state synapse, Ic={p.ic_j2_states[p.state] * 1e6:.0f} uA",
              f"output pulses over {p.n_pulses} inputs: {n}"]
     return netlist, waves, lines
 
@@ -214,24 +192,22 @@ def _figure_network(fig):
     return netlist, waves, lines
 
 
+# Each figure id's builder takes the id: id -> (netlist, waves, lines).
+_FIGURES = {
+    "fig2": _figure_fig2,
+    "fig4a": _figure_fig4, "fig4b": _figure_fig4,
+    "fig6a": _figure_fig6, "fig6b": _figure_fig6,
+    "fig6c": _figure_fig6, "fig6d": _figure_fig6,
+    "fig8": _figure_network, "fig9": _figure_network,
+}
+
+
 def cmd_figure(args):
     t0 = time.perf_counter()
     fig = args.id
-    try:
-        if fig == "fig2":
-            netlist, waves, lines = _figure_fig2()
-        elif fig in ("fig4a", "fig4b"):
-            netlist, waves, lines = _figure_fig4({"fig4a": 0, "fig4b": 1}[fig])
-        elif fig in ("fig6a", "fig6b", "fig6c", "fig6d"):
-            netlist, waves, lines = _figure_fig6("abcd".index(fig[-1]))
-        elif fig in _NETWORK_WEIGHTS:
-            netlist, waves, lines = _figure_network(fig)
-        else:
-            print(f"error: unknown figure id {fig!r}", file=sys.stderr)
-            return EXIT_INPUT
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    if fig not in _FIGURES:
+        raise InputError(f"unknown figure id {fig!r}")
+    netlist, waves, lines = _FIGURES[fig](fig)
     out = _out_dir(args)
     net_path = out / f"{fig}.cir"
     net_path.write_text(netlist)
@@ -318,13 +294,11 @@ def cmd_sweep(args):
     key = (args.template, args.param)
     if key not in _SWEEPS:
         known = ", ".join(f"{t}/{p}" for t, p in sorted(_SWEEPS))
-        print(f"error: no sweep for {args.template}/{args.param}"
-              f" (available: {known})", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"no sweep for {args.template}/{args.param}"
+                         f" (available: {known})")
     values = [v for v in args.values.split(",") if v]
     if not values:
-        print("error: empty value list", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("empty value list")
     fn = _SWEEPS[key]
 
     points = []
@@ -347,27 +321,16 @@ def cmd_sweep(args):
             rows.append({"value": v, "status": f"failed: {error}"})
             stats.append({})
 
-    fields = ["value", "status"]
-    for row in rows:
-        for k in row:
-            if k not in fields:
-                fields.append(k)
+    fields = list(dict.fromkeys(k for row in rows for k in row))
     out = _out_dir(args)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    manifest = RunManifest(
-        command="sweep",
-        params={"template": args.template, "param": args.param,
-                "values": values},
-        solver=SOLVER_SETTINGS,
-        outputs=[sweep_path.name],
-        stats=stats,
-        wall_time_s=round(time.perf_counter() - t0, 3),
-    )
-    manifest.write(out)
+    _write_manifest(out, "sweep", {"template": args.template,
+                                   "param": args.param, "values": values},
+                    [sweep_path.name], stats, t0)
     for row in rows:
         print(row)
     return EXIT_OK
@@ -406,7 +369,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NetlistError, OSError, UnicodeDecodeError, TimeGridError,
+            InputError) as exc:
+        error, code = exc, EXIT_INPUT
+    except EngineError as exc:
+        error, code = exc, EXIT_CONVERGENCE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -66,10 +66,6 @@ _NO_INDEX = np.zeros(0, dtype=np.intp)
 _NO_VALUES = np.zeros(0)
 
 
-def _source_value(params, t):
-    return params["dc"] if "dc" in params else params["pulse"].value_at(t)
-
-
 # Jacobian entries of conductances g between nodes a and b: rows and
 # columns from _conductance(a, b), values from _g4(g).  Entries of branch
 # currents br from node a to b, with rows v(a) - v(b) - r*i(br): rows and

@@ -77,6 +77,10 @@ class EngineError(Exception):
     pass
 
 
+class TimeGridError(EngineError):
+    """A bad time grid, or one whose output exceeds MAX_OUTPUT_VALUES."""
+
+
 class ConvergenceError(EngineError):
     """Newton gave up at time t on a step of size h (ps); worst names the
     node or branch device with the largest residual."""
@@ -353,21 +357,21 @@ def dc_operating_point(circuit):
 def _time_grid(circuit, tstep=None, tstop=None, variants=1):
     """The uniform output grid from 0 to tstop, and how many of its
     points lie before the circuit's tstart (they are not recorded).
-    None takes the circuit's own tstep or tstop.  Raises EngineError
-    before allocating anything if the output of that many variants would
-    exceed MAX_OUTPUT_VALUES."""
+    None takes the circuit's own tstep or tstop.  Raises TimeGridError
+    for a bad grid; one whose output over that many variants would
+    exceed MAX_OUTPUT_VALUES is refused before anything is allocated."""
     tstep = circuit.tstep if tstep is None else tstep
     tstop = circuit.tstop if tstop is None else tstop
     if not (0 < tstep < tstop < np.inf and circuit.tstart <= tstop):
-        raise EngineError(f"need 0 < tstep < tstop < inf and tstart <= tstop"
-                          f" (ps), got {tstep}, {tstop} and {circuit.tstart}")
+        raise TimeGridError(f"need 0 < tstep < tstop < inf and tstart <= tstop"
+                            f" (ps), got {tstep}, {tstop} and {circuit.tstart}")
     points = np.round(tstop / tstep) + 1  # inf if tstop/tstep overflows
     channels = len(_probe_pairs(circuit))
     if variants * channels * points > MAX_OUTPUT_VALUES:
-        raise EngineError(f"cannot hold {variants * channels * points:.3g}"
-                          f" output values ({variants} variants x {channels}"
-                          f" channels x {points:.0f} samples); the limit is"
-                          f" {MAX_OUTPUT_VALUES:.3g}")
+        raise TimeGridError(f"cannot hold {variants * channels * points:.3g}"
+                            f" output values ({variants} variants x"
+                            f" {channels} channels x {points:.0f} samples);"
+                            f" the limit is {MAX_OUTPUT_VALUES:.3g}")
     grid = np.arange(int(points)) * tstep
     skip = int(np.count_nonzero(grid < circuit.tstart - 1e-9 * tstep))
     return grid, skip

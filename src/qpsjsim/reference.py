@@ -23,7 +23,6 @@ from operator import mul
 
 import numpy as np
 
-from .devices import _source_value
 from .engine import EngineError, WaveformSet, _time_grid
 from .netlist import GROUND, DeviceKind
 from .units import PHI0, TWO_E
@@ -45,6 +44,10 @@ _TOL = 1e-12  # per component: |error| <= _TOL * (1 + max(|y|, |y_new|))
 
 class UnsupportedTopologyError(EngineError):
     pass
+
+
+def _source_value(params, t):
+    return params["dc"] if "dc" in params else params["pulse"].value_at(t)
 
 
 def _kinds(circuit):

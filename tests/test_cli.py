@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["sim", "{tmp}/bad.cir"], "{tmp}/out"),
+    (["figure", "fig4a"], "{tmp}/file"),
+    (["sweep", "damping", "l", "1e-12"], "{tmp}/file/x"),
+], ids=["netlist_not_utf8", "out_is_a_file", "out_under_a_file"])
+def test_undecodable_netlist_or_uncreatable_out_is_input_error(
+        tmp_path, capsys, argv, out):
+    (tmp_path / "bad.cir").write_bytes(b"\xff")
+    (tmp_path / "file").write_text("not a directory")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    out = Path(out.format(tmp=tmp_path))
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.is_dir()
 
 
 def test_sim_output_too_large_is_input_error(tmp_path, capsys):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from qpsjsim import engine
-from qpsjsim.engine import (ConvergenceError, EngineError, WaveformSet,
-                            dc_operating_point, tran)
-from qpsjsim.devices import _source_value
+from qpsjsim.engine import (ConvergenceError, EngineError, TimeGridError,
+                            WaveformSet, dc_operating_point, tran)
 from qpsjsim.netlist import elaborate, parse_netlist
+from qpsjsim.reference import _source_value
 from qpsjsim.templates import NetworkSpec, network_netlist
 from qpsjsim.units import PHI0, TWO_E
 
@@ -337,19 +337,20 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
 
 def test_tran_argument_validation():
     circ = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 1p 10p\n.end\n")
-    with pytest.raises(EngineError):
+    assert issubclass(TimeGridError, EngineError)  # what callers catch
+    with pytest.raises(TimeGridError):
         tran(circ, tstep=0.0, tstop=10.0)
-    with pytest.raises(EngineError):
+    with pytest.raises(TimeGridError):
         tran(circ, tstep=5.0, tstop=1.0)
-    with pytest.raises(EngineError):
+    with pytest.raises(TimeGridError):
         tran(circ, tstop=math.inf)
-    # grids too long to size: no traceback beyond EngineError
-    with pytest.raises(EngineError, match="cannot hold"):
+    # grids too long to size: no traceback beyond TimeGridError
+    with pytest.raises(TimeGridError, match="cannot hold"):
         tran(circ, tstep=1e-300, tstop=1e10)  # tstop/tstep overflows
-    with pytest.raises(EngineError, match="cannot hold"):
+    with pytest.raises(TimeGridError, match="cannot hold"):
         tran(circ, tstep=1e-6, tstop=1e300)  # too many samples to index
     late = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 0.01p 2p 1p\n.end\n")
-    with pytest.raises(EngineError):
+    with pytest.raises(TimeGridError):
         tran(late, tstop=0.5)  # stops before the 1 ps tstart
 
 

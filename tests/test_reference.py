@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qpsjsim.engine import EngineError, tran
+from qpsjsim.engine import EngineError, TimeGridError, tran
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.reference import (UnsupportedTopologyError, _march,
                                reference_integrate)
@@ -131,9 +131,9 @@ def test_reference_samples_the_tran_grid_from_tstart():
     (1e-300, 1e10), (1e-6, 1e300)])  # grids too long to size
 def test_reference_rejects_bad_time_grid_like_tran(tstep, tstop):
     circ = _circ(_BLOCH.format("0.01p 2p 1p"))
-    with pytest.raises(EngineError):
+    with pytest.raises(TimeGridError):
         reference_integrate(circ, tstep=tstep, tstop=tstop)
-    with pytest.raises(EngineError):
+    with pytest.raises(TimeGridError):
         tran(circ, tstep=tstep, tstop=tstop)
 
 

@@ -1,0 +1,128 @@
+"""Compare the CLI outputs of two commits, file by file.
+
+Each side is a `git archive` of its commit, unpacked under --work by
+bench_pairs.checkout.  On each side this runs
+
+    python -m qpsjsim.cli figure ID --out DIR   (each of the nine figures)
+    python -m qpsjsim.cli sweep synapse ic 200e-6,300e-6 --out DIR
+
+with that side's src/ on PYTHONPATH, and compares each run's exit code
+and stdout, every file it wrote (waveforms.csv, spikes.csv, ID.cir,
+sweep.csv) and its manifest.json without wall_time_s.  Where a
+waveforms.csv differs, it prints each differing channel's largest
+|change| over the channel's peak on the parent side.  Exits 1 on any
+difference, 0 when there is none.
+
+    python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
+        --work /tmp/diff
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from bench_pairs import ROOT, SIDES, checkout
+
+FIGURES = ("fig2", "fig4a", "fig4b", "fig6a", "fig6b", "fig6c", "fig6d",
+           "fig8", "fig9")
+RUNS = {**{fig: ["figure", fig] for fig in FIGURES},
+        "sweep": ["sweep", "synapse", "ic", "200e-6,300e-6"]}
+
+
+def run_all(tree, out):
+    """Run every command of RUNS in tree, each into out/<name>; returns
+    each run's exit code and stdout as one text."""
+    shutil.rmtree(out, ignore_errors=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    texts = {}
+    for name, argv in RUNS.items():
+        res = subprocess.run([sys.executable, "-m", "qpsjsim.cli", *argv,
+                              "--out", str(out / name)], cwd=tree, env=env,
+                             capture_output=True, text=True)
+        texts[name] = f"exit {res.returncode}\n{res.stdout}"
+    return texts
+
+
+def _load_waveforms(path):
+    header = path.read_text().split("\n", 1)[0].split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def waveform_changes(a, b):
+    """How waveforms.csv b differs from a: per differing channel, its
+    largest |b - a| over the largest |a|."""
+    (head_a, data_a), (head_b, data_b) = _load_waveforms(a), _load_waveforms(b)
+    if head_a != head_b or data_a.shape != data_b.shape:
+        return [f"  columns {head_a} x {len(data_a)} rows became"
+                f" {head_b} x {len(data_b)} rows"]
+    lines = []
+    for name, x, y in zip(head_a, data_a.T, data_b.T):
+        delta = float(np.abs(y - x).max(initial=0.0))
+        if delta:
+            peak = float(np.abs(x).max())
+            lines.append(f"  {name}: max |change| {delta:.3g},"
+                         f" {delta / peak:.3g} of its peak {peak:.6g}")
+    return lines
+
+
+def compare(name, a, b):
+    """The lines saying how the file b of run name differs from its
+    parent a (none if they are the same)."""
+    where = f"{name}/{a.name}"
+    if not (a.exists() and b.exists()):
+        return [f"{where}: only on the {'parent' if a.exists() else 'change'}"
+                " side"]
+    if a.read_bytes() == b.read_bytes():
+        return []
+    if a.name == "manifest.json":
+        ma, mb = (json.loads(p.read_text()) for p in (a, b))
+        return [f"{where}: {key} differs" for key in sorted(ma.keys() | mb.keys())
+                if key != "wall_time_s" and ma.get(key) != mb.get(key)]
+    if a.name == "waveforms.csv":
+        return [f"{where} differs", *waveform_changes(a, b)]
+    return [f"{where} differs"]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent commit")
+    ap.add_argument("--change", default="HEAD", help="changed commit")
+    ap.add_argument("--work", type=Path, required=True,
+                    help="directory for the two checkouts and their outputs")
+    args = ap.parse_args(argv)
+
+    outs, texts = {}, {}
+    for side, rev in zip(SIDES, (args.parent, args.change)):
+        commit = subprocess.run(["git", "rev-parse", "--short", rev],
+                                cwd=ROOT, check=True, capture_output=True,
+                                text=True).stdout.strip()
+        print(f"{side}: {commit}", flush=True)
+        tree = checkout(commit, args.work / commit)
+        outs[side] = args.work / f"out-{side}"
+        texts[side] = run_all(tree, outs[side])
+
+    diffs = []
+    for name in RUNS:
+        if texts["parent"][name] != texts["change"][name]:
+            diffs.append(f"{name}: exit code or stdout differs")
+        a, b = (outs[side] / name for side in SIDES)
+        files = sorted({p.name for d in (a, b) if d.is_dir()
+                        for p in d.iterdir()})
+        for file in files:
+            diffs += compare(name, a / file, b / file)
+    print("\n".join(diffs) if diffs else
+          f"no difference: {len(RUNS)} runs, their exit codes, stdout and"
+          " files (manifests without wall_time_s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
