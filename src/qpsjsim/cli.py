@@ -97,8 +97,8 @@ def _write_run(out, command, params, waves, t0, written=()):
     export_csv(waves, wave_path)
     _write_spikes(spike_path, _detect_all(waves))
     _write_manifest(out, command, params,
-                    [*written, wave_path.name, spike_path.name], waves.stats,
-                    t0)
+                    [*written, wave_path.name, spike_path.name],
+                    waves.stats, t0)
     return wave_path
 
 
