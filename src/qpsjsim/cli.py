@@ -10,9 +10,10 @@ deterministic: the same inputs give byte-identical files.
 
 The commands raise; :func:`main` alone maps a failure to its exit code
 and prints one ``error:`` line.  Exit codes: 0 success, 2 input error
-(a netlist that cannot be read, decoded, parsed or elaborated, a bad
-time grid or command line, an output path that cannot be created), 3
-simulation failure (no convergence, or a non-finite result).
+(a netlist that cannot be read, decoded as UTF-8, parsed or elaborated,
+a bad time grid or command line, an output path that cannot be created;
+a path that is or lies under a non-directory is refused before the run),
+3 simulation failure (no convergence, or a non-finite result).
 """
 
 from __future__ import annotations
@@ -49,12 +50,18 @@ _FIRING_QUANTA = 4.0  # events above this many 2e count as neuron firings
 
 
 class InputError(Exception):
-    """A command line naming no figure or sweep, or no value to sweep."""
+    """A command line naming no figure or sweep, no value to sweep or an
+    output path under a non-directory, or a netlist that is not UTF-8."""
 
 
 def _out_dir(args):
+    """The output directory, checked but not created: refused if it, or
+    its nearest existing ancestor, is not a directory."""
     path = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise InputError(f"cannot create output directory {path}:"
+                         f" {existing} is not a directory")
     return path
 
 
@@ -104,11 +111,17 @@ def _write_run(out, command, params, waves, t0, written=()):
 
 def cmd_sim(args):
     t0 = time.perf_counter()
-    circuit = elaborate(parse_netlist(Path(args.netlist).read_text()))
-    waves = tran(circuit, tstep=args.tstep, tstop=args.tstop)
+    out = _out_dir(args)
+    try:
+        text = Path(args.netlist).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.netlist}: not UTF-8 at byte {exc.start}")
+    waves = tran(elaborate(parse_netlist(text)), tstep=args.tstep,
+                 tstop=args.tstop)
     params = {"netlist": str(args.netlist), "tstep_ps": args.tstep,
               "tstop_ps": args.tstop}
-    wave_path = _write_run(_out_dir(args), "sim", params, waves, t0)
+    out.mkdir(parents=True, exist_ok=True)
+    wave_path = _write_run(out, "sim", params, waves, t0)
     print(f"wrote {wave_path} ({len(waves.time)} samples)")
     return EXIT_OK
 
@@ -207,8 +220,9 @@ def cmd_figure(args):
     fig = args.id
     if fig not in _FIGURES:
         raise InputError(f"unknown figure id {fig!r}")
-    netlist, waves, lines = _FIGURES[fig](fig)
     out = _out_dir(args)
+    netlist, waves, lines = _FIGURES[fig](fig)
+    out.mkdir(parents=True, exist_ok=True)
     net_path = out / f"{fig}.cir"
     net_path.write_text(netlist)
     _write_run(out, "figure", {"id": fig}, waves, t0, [net_path.name])
@@ -300,6 +314,7 @@ def cmd_sweep(args):
     if not values:
         raise InputError("empty value list")
     fn = _SWEEPS[key]
+    out = _out_dir(args)
 
     points = []
     for v in values:
@@ -322,7 +337,7 @@ def cmd_sweep(args):
             stats.append({})
 
     fields = list(dict.fromkeys(k for row in rows for k in row))
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
@@ -371,8 +386,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetlistError, OSError, UnicodeDecodeError, TimeGridError,
-            InputError) as exc:
+    except (NetlistError, OSError, TimeGridError, InputError) as exc:
         error, code = exc, EXIT_INPUT
     except EngineError as exc:
         error, code = exc, EXIT_CONVERGENCE

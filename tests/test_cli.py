@@ -200,20 +200,31 @@ def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,out", [
-    (["sim", "{tmp}/bad.cir"], "{tmp}/out"),
-    (["figure", "fig4a"], "{tmp}/file"),
-    (["sweep", "damping", "l", "1e-12"], "{tmp}/file/x"),
-], ids=["netlist_not_utf8", "out_is_a_file", "out_under_a_file"])
+@pytest.mark.parametrize("argv,out,named", [
+    (["sim", "{tmp}/bad.cir"], "{tmp}/out", "{tmp}/bad.cir"),
+    (["figure", "fig4a"], "{tmp}/file", "{tmp}/file"),
+    (["sweep", "damping", "l", "1e-12"], "{tmp}/file/x", "{tmp}/file"),
+    (["sim", "{tmp}/good.cir"], "{tmp}/file", "{tmp}/file"),
+    (["sweep", "synapse", "ic", "200e-6"], "{tmp}/file/x", "{tmp}/file"),
+], ids=["netlist_not_utf8", "out_is_a_file", "out_under_a_file",
+        "sim_out_is_a_file", "sweep_out_under_a_file"])
 def test_undecodable_netlist_or_uncreatable_out_is_input_error(
-        tmp_path, capsys, argv, out):
+        tmp_path, capsys, monkeypatch, argv, out, named):
+    # refused before anything is simulated
+    def no_run(*args, **kwargs):
+        pytest.fail("simulated before the input error was found")
+
+    monkeypatch.setattr("qpsjsim.cli.tran", no_run)
+    monkeypatch.setattr("qpsjsim.cli.tran_batch", no_run)
     (tmp_path / "bad.cir").write_bytes(b"\xff")
+    _write(tmp_path, QPSJ_NETLIST, "good.cir")
     (tmp_path / "file").write_text("not a directory")
     argv = [a.format(tmp=tmp_path) for a in argv]
     out = Path(out.format(tmp=tmp_path))
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named.format(tmp=tmp_path) in err
     assert not out.is_dir()
 
 

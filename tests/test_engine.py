@@ -10,7 +10,7 @@ from qpsjsim import engine
 from qpsjsim.engine import (ConvergenceError, EngineError, TimeGridError,
                             WaveformSet, dc_operating_point, tran)
 from qpsjsim.netlist import elaborate, parse_netlist
-from qpsjsim.reference import _source_value
+from qpsjsim.reference import _source
 from qpsjsim.templates import NetworkSpec, network_netlist
 from qpsjsim.units import PHI0, TWO_E
 
@@ -196,7 +196,7 @@ def test_sources_are_each_source_value_at_every_pulse_corner(text):
                     for d in (-dt, 0.0, dt)})
     assert len(times) > 10
     for t in times:
-        want = np.array([_source_value(p, t) for p in params])
+        want = np.array([_source(p)(t) for p in params])
         assert system.sources(t).tobytes() == want.tobytes()
 
 

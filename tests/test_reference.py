@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qpsjsim.engine import EngineError, TimeGridError, tran
+from qpsjsim import reference
+from qpsjsim.engine import EngineError, TimeGridError, WaveformSet, tran
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.reference import (UnsupportedTopologyError, _march,
                                reference_integrate)
@@ -143,6 +144,63 @@ def test_reference_rejects_bad_time_grid_like_tran(tstep, tstop):
 def test_reference_march_raises_instead_of_looping(f):
     with pytest.raises(EngineError, match="at t ="):
         _march(f, [1.0], {"y": lambda t, y: y[0]}, np.arange(3.0), 0)
+
+
+def _dot(coefficients, values):
+    # left to right from 0.0, as sum() adds floats on CPython 3.10 and 3.11
+    total = 0.0
+    for a, v in zip(coefficients, values):
+        total += a * v
+    return total
+
+
+def _stage_loop_march(f, y0, outputs, grid, skip):
+    """reference._march as a generic loop over the rows of its tableau."""
+    t, y = 0.0, tuple(y0)
+    k1 = f(t, y)
+    h = float(grid[1])
+    data = np.empty((len(outputs), len(grid) - skip))
+    for k, t_out in enumerate(map(float, grid)):
+        while t < t_out:
+            h_try = min(h, t_out - t)
+            ks = [k1]
+            for c, row in zip(reference._C, reference._A):
+                yi = tuple(yj + h_try * _dot(row, kj)
+                           for yj, kj in zip(y, zip(*ks)))
+                ks.append(f(t + c * h_try, yi))
+            err = max(abs(h_try * _dot(reference._E, kj))
+                      / (1.0 + max(abs(a), abs(b)))
+                      for a, b, kj in zip(y, yi, zip(*ks))) / reference._TOL
+            assert math.isfinite(err) and h_try > 1e-12 * float(grid[1])
+            h = h_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+            if err <= 1.0:
+                t = t_out if h_try == t_out - t else t + h_try
+                y, k1 = yi, ks[-1]
+        if k >= skip:
+            data[:, k - skip] = [fn(t, y) for fn in outputs.values()]
+    return WaveformSet(grid[skip:], dict(zip(outputs, data)))
+
+
+@pytest.mark.parametrize("text", [
+    _BLOCH.format("0.0025p 20p"),
+    "t\nIb 0 n1 dc 300u\njj J1 n1 0 ic=200u rn=5 cj=0\n.tran 0.005p 20p\n.end\n",
+    "t\nIin 0 n1 pulse(0 1u 1p 0.1p 0.1p 1000p 2000p)\nL1 n1 0 1n\n"
+    "C1 n1 0 1f\nR1 n1 0 100meg\n.tran 0.01p 30p\n.end\n",
+    "t\nVb n1 0 pulse(0 1.5m 1p 1p 1p 5p 20p)\nR1 n1 n2 1k\n"
+    "qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.05n\n.tran 0.01p 20p\n.end\n",
+    "t\nIb 0 n1 pulse(0 300u 1p 1p 1p 5p 20p)\nR1 n1 0 10\n"
+    "jj J1 n1 0 ic=200u rn=5 cj=0.5f\n.tran 0.005p 20p\n.end\n",
+], ids=["qpsj_ac9", "jj_ac9", "lc_tank", "qpsj_pulse_ls", "jj_pulse_cj"])
+def test_written_out_stages_match_the_stage_loop_bit_for_bit(text,
+                                                             monkeypatch):
+    circuit = _circ(text)
+    got = reference_integrate(circuit)
+    monkeypatch.setattr(reference, "_march", _stage_loop_march)
+    want = reference_integrate(circuit)
+    assert list(got.channels) == list(want.channels)
+    np.testing.assert_array_equal(got.time, want.time)
+    for name, values in want.channels.items():
+        assert np.array_equal(got.channel(name), values), name
 
 
 def test_qpsj_reference_transports_positive_charge():

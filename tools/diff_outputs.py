@@ -1,17 +1,21 @@
-"""Compare the CLI outputs of two commits, file by file.
+"""Compare the CLI and reference outputs of two commits, file by file.
 
 Each side is a `git archive` of its commit, unpacked under --work by
-bench_pairs.checkout.  On each side this runs
+bench_pairs.checkout.  On each side, with that side's src/ on
+PYTHONPATH, this runs
 
     python -m qpsjsim.cli figure ID --out DIR   (each of the nine figures)
     python -m qpsjsim.cli sweep synapse ic 200e-6,300e-6 --out DIR
 
-with that side's src/ on PYTHONPATH, and compares each run's exit code
-and stdout, every file it wrote (waveforms.csv, spikes.csv, ID.cir,
-sweep.csv) and its manifest.json without wall_time_s.  Where a
-waveforms.csv differs, it prints each differing channel's largest
-|change| over the channel's peak on the parent side.  Exits 1 on any
-difference, 0 when there is none.
+and reference.reference_integrate on the two AC9 circuits and the LC
+tank, each written to DIR/waveforms.csv by analysis.export_csv, whose
+repr of every float reads back exactly, so equal files mean samples
+with equal bytes.  It compares each run's exit code and stdout, every
+file it wrote (waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its
+manifest.json without wall_time_s.  Where a waveforms.csv differs, it
+prints each differing channel's largest |change| over the channel's
+peak on the parent side.  Exits 1 on any difference, 0 when there is
+none.
 
     python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
         --work /tmp/diff
@@ -33,8 +37,33 @@ from bench_pairs import ROOT, SIDES, checkout
 
 FIGURES = ("fig2", "fig4a", "fig4b", "fig6a", "fig6b", "fig6c", "fig6d",
            "fig8", "fig9")
-RUNS = {**{fig: ["figure", fig] for fig in FIGURES},
-        "sweep": ["sweep", "synapse", "ic", "200e-6,300e-6"]}
+# reference_integrate on the netlist text argv[1], its samples written
+# to the directory after --out
+REFERENCE = """
+import sys
+from pathlib import Path
+from qpsjsim.analysis import export_csv
+from qpsjsim.netlist import elaborate, parse_netlist
+from qpsjsim.reference import reference_integrate
+out = Path(sys.argv[3])
+waves = reference_integrate(elaborate(parse_netlist(sys.argv[1])))
+out.mkdir(parents=True)
+export_csv(waves, out / "waveforms.csv")
+"""
+REFERENCE_CIRCUITS = {
+    "ac9_qpsj": "t\nVb n1 0 dc 1.5m\nqpsj Q1 n1 0 vc=0.7m rn=10k ls=0\n"
+                ".tran 0.0025p 20p\n.end\n",
+    "ac9_jj": "t\nIb 0 n1 dc 300u\njj J1 n1 0 ic=200u rn=5 cj=0\n"
+              ".tran 0.005p 20p\n.end\n",
+    "lc_tank": "t\nIin 0 n1 pulse(0 1u 1p 0.1p 0.1p 1000p 2000p)\nL1 n1 0 1n\n"
+               "C1 n1 0 1f\nR1 n1 0 100meg\n.tran 0.01p 30p\n.end\n",
+}
+# each run's arguments to python, before --out DIR
+RUNS = {**{fig: ["-m", "qpsjsim.cli", "figure", fig] for fig in FIGURES},
+        "sweep": ["-m", "qpsjsim.cli", "sweep", "synapse", "ic",
+                  "200e-6,300e-6"],
+        **{f"reference_{name}": ["-c", REFERENCE, text]
+           for name, text in REFERENCE_CIRCUITS.items()}}
 
 
 def run_all(tree, out):
@@ -44,9 +73,8 @@ def run_all(tree, out):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     texts = {}
     for name, argv in RUNS.items():
-        res = subprocess.run([sys.executable, "-m", "qpsjsim.cli", *argv,
-                              "--out", str(out / name)], cwd=tree, env=env,
-                             capture_output=True, text=True)
+        res = subprocess.run([sys.executable, *argv, "--out", str(out / name)],
+                             cwd=tree, env=env, capture_output=True, text=True)
         texts[name] = f"exit {res.returncode}\n{res.stdout}"
     return texts
 
