@@ -58,7 +58,8 @@ def _out_dir(args):
     """The output directory, checked but not created: refused if it, or
     its nearest existing ancestor, is not a directory."""
     path = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    existing = next((p for p in (path, *path.parents) if os.path.lexists(p)),
+                    path)
     if not existing.is_dir():
         raise InputError(f"cannot create output directory {path}:"
                          f" {existing} is not a directory")

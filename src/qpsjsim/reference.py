@@ -64,9 +64,10 @@ def _march(f, y0, outputs, grid, skip):
     """Integrate from t = 0 with local error control, landing on every
     grid point; outputs maps name -> fn(t, y), sampled on grid[skip:].
 
-    The stages are written out, each summed left to right from 0.0 with
-    its zero coefficients kept, as ``sum`` adds a row of floats on
-    CPython 3.10 and 3.11; one comprehension serves every state size."""
+    The stages and the error estimate are written out, each summed left
+    to right from 0.0 with its zero coefficients kept: the floats that
+    ``sum`` over a tableau row gives on CPython 3.10 and 3.11.  One
+    comprehension per stage serves every state size."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A
     c2, c3, c4, c5, c6, c7 = _C

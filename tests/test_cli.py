@@ -206,8 +206,10 @@ def test_sim_bad_time_grid_is_input_error(tmp_path, capsys, flags):
     (["sweep", "damping", "l", "1e-12"], "{tmp}/file/x", "{tmp}/file"),
     (["sim", "{tmp}/good.cir"], "{tmp}/file", "{tmp}/file"),
     (["sweep", "synapse", "ic", "200e-6"], "{tmp}/file/x", "{tmp}/file"),
+    (["sim", "{tmp}/good.cir"], "{tmp}/link/x", "{tmp}/link"),
 ], ids=["netlist_not_utf8", "out_is_a_file", "out_under_a_file",
-        "sim_out_is_a_file", "sweep_out_under_a_file"])
+        "sim_out_is_a_file", "sweep_out_under_a_file",
+        "sim_out_under_a_dangling_link"])
 def test_undecodable_netlist_or_uncreatable_out_is_input_error(
         tmp_path, capsys, monkeypatch, argv, out, named):
     # refused before anything is simulated
@@ -219,6 +221,7 @@ def test_undecodable_netlist_or_uncreatable_out_is_input_error(
     (tmp_path / "bad.cir").write_bytes(b"\xff")
     _write(tmp_path, QPSJ_NETLIST, "good.cir")
     (tmp_path / "file").write_text("not a directory")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
     argv = [a.format(tmp=tmp_path) for a in argv]
     out = Path(out.format(tmp=tmp_path))
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
