@@ -476,6 +476,13 @@ def tran_batch(circuits, tstep=None, tstop=None):
     tstep, tend = float(grid[1]), float(grid[-1])
     slack = 1e-9 * tstep  # float error of a sum of steps
     xtol = np.concatenate((sys_._xtol, [1.0]))  # the ground slot stays 0
+    # A voltage source's branch current has no column in C or W, so no
+    # integration rule acts on it: its ratio is 0, and the steps of a
+    # Thevenin bias are those of its Norton equivalent.  SPICE likewise
+    # checks only the charges and fluxes of storage elements (Nagel, 1975).
+    for m in sys_.models:
+        if m.sources and m.branch == "tran":
+            xtol[m.br] = np.inf
     rows = np.arange(K)  # the variants still stepping
     results = [None] * K
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)

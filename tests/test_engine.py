@@ -11,7 +11,8 @@ from qpsjsim.engine import (ConvergenceError, EngineError, TimeGridError,
                             WaveformSet, dc_operating_point, tran)
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.reference import _source
-from qpsjsim.templates import NetworkSpec, network_netlist
+from qpsjsim.templates import (NetworkSpec, NeuronParams, network_netlist,
+                               neuron_netlist)
 from qpsjsim.units import PHI0, TWO_E
 
 from conftest import crossing_rate
@@ -238,6 +239,23 @@ R1 n1 0 100meg
 """))
     assert waves.stats["accepted_steps"] == len(waves.time) - 1 == 300
     assert waves.stats["lte_rejections"] == 0
+
+
+def test_thevenin_and_norton_bias_take_one_step_sequence():
+    # fig2's bias, Vb behind Rb, and its Norton equivalent, Ib across Rb:
+    # a voltage source's branch current is no state of any integration
+    # rule, so it must not size the steps.  Newton's iterations may differ.
+    thevenin = neuron_netlist(NeuronParams(n_pulses=22))
+    norton = thevenin.replace(
+        "Vb nb 0 dc 0.001\nRb nb nm 9000.0\n",
+        "Ib 0 nm dc 1.1111111111111112e-07\nRb nm 0 9000.0\n")
+    assert norton != thevenin
+    a, b = (tran(_circ(text)) for text in (thevenin, norton))
+    steps = a.stats["accepted_steps"], b.stats["accepted_steps"]
+    assert abs(steps[0] - steps[1]) <= 0.01 * max(steps)
+    assert a.channels.keys() == b.channels.keys()
+    for name, x in a.channels.items():
+        assert np.max(np.abs(b.channels[name] - x)) <= 1e-6 * np.max(np.abs(x))
 
 
 # --- junction dynamics ------------------------------------------------------

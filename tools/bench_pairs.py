@@ -14,7 +14,9 @@ metric of BENCHMARK.json the file records every run in
 seed order, the median and quartiles of each side, the change's pairs
 won (ties count for neither side) and the median's change in percent.
 With --traced, one traced seed-0 run per side adds the per-layer
-figures.  The file is rewritten after every pair, so an interrupted set
+figures: its result line's, and every other layer it measured (such as
+analysis.export_s or reference.integrate_s), read from the all_metrics
+of the side's .perfbench_out/W/result-seed0-trace1.json.  The file is rewritten after every pair, so an interrupted set
 keeps the pairs it finished.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 11 \\
@@ -59,6 +61,17 @@ def run(tree, workload, seed, seconds, trace):
          "--seed", str(seed), "--seconds", str(seconds), "--trace",
          str(trace)], cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def traced(tree, workload, seconds):
+    """The per-layer metrics of one traced seed-0 run in tree: those of
+    its result line, with their units, then the other layers of its
+    result file's all_metrics."""
+    metrics = run(tree, workload, 0, seconds, 1)["metrics"]
+    path = tree / ".perfbench_out" / workload / "result-seed0-trace1.json"
+    layers = json.loads(path.read_text())["all_metrics"]
+    return {**metrics, **{name: {"value": value} for name, value
+                          in layers.items() if name not in metrics}}
 
 
 def summary(runs):
@@ -136,7 +149,7 @@ def main(argv=None):
             doc["workloads"][workload] = workload_record(res, metrics)
             out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.traced:
-        doc["traced_seed_0"] = {w: {s: run(trees[s], w, 0, seconds, 1)["metrics"]
+        doc["traced_seed_0"] = {w: {s: traced(trees[s], w, seconds)
                                     for s in SIDES} for w in results}
         out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
