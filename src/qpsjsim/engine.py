@@ -22,14 +22,16 @@ batch of one.
 
 Newton starts each step from the polynomial through the last three
 accepted points.  The difference between that prediction and the
-converged step estimates the trapezoidal local truncation error (LTE),
-and the step size follows it (the largest estimate of a batch): it grows
-above the requested tstep where the estimate allows, and never falls
-below tstep on its account.  Steps land exactly on every pulse-source
-corner.  A Newton failure halves the step, down to tstep /
-2**MAX_HALVINGS; steps halved below tstep use backward Euler.  The
-numerics are fixed module constants; run manifests record
-:data:`SOLVER_SETTINGS`.
+converged step estimates the trapezoidal local truncation error (LTE)
+of every unknown but the voltage sources' branch currents, which no
+integration rule acts on (so a Thevenin bias steps like its Norton
+equivalent, and SPICE too checks only storage elements).  The step
+size follows the estimate (the largest of a batch): it grows above the
+requested tstep where the estimate allows, and never falls below tstep
+on its account.  Steps land exactly on every pulse-source corner.  A
+Newton failure halves the step, down to tstep / 2**MAX_HALVINGS; steps
+halved below tstep use backward Euler.  The numerics are fixed module
+constants; run manifests record :data:`SOLVER_SETTINGS`.
 
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear

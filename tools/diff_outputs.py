@@ -12,9 +12,10 @@ tank, each written to DIR/waveforms.csv by analysis.export_csv, whose
 repr of every float reads back exactly, so equal files mean samples
 with equal bytes.  It compares each run's exit code and stdout, every
 file it wrote (waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its
-manifest.json without wall_time_s.  Where a waveforms.csv differs, it
-prints each differing channel's largest |change| over the channel's
-peak on the parent side.  Exits 1 on any difference, 0 when there is
+manifest.json without wall_time_s.  Where a manifest's stats differ,
+it prints each differing field as parent -> change (per point for a
+sweep); where a waveforms.csv differs, each differing channel's largest
+|change| over the channel's peak on the parent side.  Exits 1 on any difference, 0 when there is
 none.
 
     python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
@@ -101,6 +102,20 @@ def waveform_changes(a, b):
     return lines
 
 
+def stats_changes(a, b):
+    """Each field in which the manifest stats b differ from a, as
+    "field a -> b"; a sweep's stats, one dict per point, as
+    "point i field a -> b"."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [f"point {i} {line}" for i, (x, y) in enumerate(zip(a, b))
+                for line in stats_changes(x, y)]
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [f"{key} {a.get(key)} -> {b.get(key)}"
+                for key in [*a, *(k for k in b if k not in a)]
+                if a.get(key) != b.get(key)]
+    return [f"{a} -> {b}"]
+
+
 def compare(name, a, b):
     """The lines saying how the file b of run name differs from its
     parent a (none if they are the same)."""
@@ -112,8 +127,12 @@ def compare(name, a, b):
         return []
     if a.name == "manifest.json":
         ma, mb = (json.loads(p.read_text()) for p in (a, b))
-        return [f"{where}: {key} differs" for key in sorted(ma.keys() | mb.keys())
+        keys = [key for key in sorted(ma.keys() | mb.keys())
                 if key != "wall_time_s" and ma.get(key) != mb.get(key)]
+        return [line for key in keys for line in (
+            [f"{where}: stats {c}" for c in stats_changes(ma.get(key),
+                                                          mb.get(key))]
+            if key == "stats" else [f"{where}: {key} differs"])]
     if a.name == "waveforms.csv":
         return [f"{where} differs", *waveform_changes(a, b)]
     return [f"{where} differs"]
