@@ -16,8 +16,9 @@ won (ties count for neither side) and the median's change in percent.
 With --traced, one traced seed-0 run per side adds the per-layer
 figures: its result line's, and every other layer it measured (such as
 analysis.export_s or reference.integrate_s), read from the all_metrics
-of the side's .perfbench_out/W/result-seed0-trace1.json.  The file is rewritten after every pair, so an interrupted set
-keeps the pairs it finished.
+of the side's .perfbench_out/W/result-seed0-trace1.json.  The file is
+rewritten after every pair, so an interrupted set keeps the pairs it
+finished.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 11 \\
         --pairs 10 --work /tmp/bench

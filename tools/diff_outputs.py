@@ -15,8 +15,8 @@ file it wrote (waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its
 manifest.json without wall_time_s.  Where a manifest's stats differ,
 it prints each differing field as parent -> change (per point for a
 sweep); where a waveforms.csv differs, each differing channel's largest
-|change| over the channel's peak on the parent side.  Exits 1 on any difference, 0 when there is
-none.
+|change| over the channel's peak on the parent side.  Exits 1 on any
+difference, 0 when there is none.
 
     python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
         --work /tmp/diff
@@ -127,12 +127,16 @@ def compare(name, a, b):
         return []
     if a.name == "manifest.json":
         ma, mb = (json.loads(p.read_text()) for p in (a, b))
-        keys = [key for key in sorted(ma.keys() | mb.keys())
-                if key != "wall_time_s" and ma.get(key) != mb.get(key)]
-        return [line for key in keys for line in (
-            [f"{where}: stats {c}" for c in stats_changes(ma.get(key),
-                                                          mb.get(key))]
-            if key == "stats" else [f"{where}: {key} differs"])]
+        lines = []
+        for key in sorted(ma.keys() | mb.keys()):
+            if key == "wall_time_s" or ma.get(key) == mb.get(key):
+                continue
+            if key == "stats":
+                lines += [f"{where}: stats {change}" for change
+                          in stats_changes(ma.get("stats"), mb.get("stats"))]
+            else:
+                lines.append(f"{where}: {key} differs")
+        return lines
     if a.name == "waveforms.csv":
         return [f"{where} differs", *waveform_changes(a, b)]
     return [f"{where} differs"]
