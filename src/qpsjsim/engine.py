@@ -17,7 +17,7 @@ and theta, held here as arrays.
 Circuits that differ only in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)
 share G, C, W, B and the sources, so :func:`tran_batch` steps them as
 one batch: each array of the step state stacks the variants in rows,
-and each Newton iteration is one stacked LU solve.  :func:`tran` is the
+and their Jacobians are factored as one stack.  :func:`tran` is the
 batch of one.
 
 Newton starts each step from the polynomial through the last three
@@ -28,10 +28,16 @@ integration rule acts on (so a Thevenin bias steps like its Norton
 equivalent, and SPICE too checks only storage elements).  The step
 size follows the estimate (the largest of a batch): it grows above the
 requested tstep where the estimate allows, and never falls below tstep
-on its account.  Steps land exactly on every pulse-source corner.  A
-Newton failure halves the step, down to tstep / 2**MAX_HALVINGS; steps
-halved below tstep use backward Euler.  The numerics are fixed module
-constants; run manifests record :data:`SOLVER_SETTINGS`.
+on its account.  Every size it proposes is rounded down onto a ladder,
+tstep * 2**(j/4), so consecutive steps share their size.  Steps land
+exactly on every pulse-source corner.  A Newton failure halves the
+step, down to tstep / 2**MAX_HALVINGS; steps halved below tstep use
+backward Euler.  Newton is a chord iteration: it applies the inverse
+Jacobians of an earlier iterate, factored when the step size or rule
+changes and at each iteration of a step from JACOBIAN_REFRESH_ITER on,
+as RADAU5 and VODE keep their factors while the step size holds.  The
+numerics are fixed module constants; run manifests record
+:data:`SOLVER_SETTINGS`.
 
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear
@@ -44,6 +50,7 @@ linearly the points of the uniform tstep grid they cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +68,8 @@ GMIN = 1e-9  # 1/kohm: junction leak and the DC tie of every node to ground
 MAX_HALVINGS = 8
 MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
 LTE_FRACTION = 0.005  # LTE bound, as a fraction of RELTOL*|x| + abstol
+RUNGS_PER_OCTAVE = 4  # steps the LTE estimate sizes are tstep * 2**(j/4)
+JACOBIAN_REFRESH_ITER = 3  # a step's Newton iterations from this one refactor
 MAX_OUTPUT_VALUES = 2 ** 27  # float64 output samples a run may hold: 1 GiB
 _BLOCK = 64  # accepted steps recorded per interpolation pass
 
@@ -70,6 +79,8 @@ SOLVER_SETTINGS = {
     "max_newton_iters": MAX_NEWTON_ITERS, "gmin": GMIN,
     "method": "trapezoidal", "max_halvings": MAX_HALVINGS,
     "max_angle_step": MAX_ANGLE_STEP, "lte_fraction": LTE_FRACTION,
+    "ladder_ratio": 2.0 ** (1.0 / RUNGS_PER_OCTAVE),
+    "jacobian_refresh_iter": JACOBIAN_REFRESH_ITER,
 }
 
 _GROUND = np.zeros(1)  # the slot appended to the unknowns for ground
@@ -193,8 +204,10 @@ class _System:
         self.A = np.array([np.concatenate([_NO_VALUES] + [
             m.amplitude for m in models if m.junction]) for models in
             [self.models] + [build_models(c, GMIN)[0] for c in circuits[1:]]])
+        self._eye = np.eye(self.N)
         self.keep(np.ones(len(circuits), dtype=bool))
-        self.solves = 0  # LU solves of the stack, one per Newton iteration
+        self.iterations = 0  # Newton updates of the stack
+        self.factorizations = 0  # Jacobian stacks factored (and inverted)
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
@@ -207,6 +220,7 @@ class _System:
         K, N = len(self.A), self.N
         self._jn_stack = (self._jn_idx + N * N * np.arange(K)[:, None]).ravel()
         self._step = None  # the (h, trap) of _newton's cached step parts
+        self._jinv = None  # and the inverse Jacobians of that step size
 
     def sources(self, t):
         """The values of every source at time t, as one flat array."""
@@ -226,15 +240,16 @@ class _System:
         # (h/k)*(x_new + (k - 1)*x); k - 1 is 1 (trapezoidal) or 0
         N, K = self.N, len(xg)
         kh = 2.0 / h if trap else 1.0 / h
-        # consecutive steps often share their size: 38% of fig2's, 71% of
-        # fig8's and 76% of the fig4a/b batch's (none of the AC9 circuits')
+        # on the ladder most steps share the size of the one before: 83% of
+        # fig2's, 93% of fig8's and 92% of the fig4a/b batch's, 73% and 78%
+        # of the AC9 circuits' (without it 47%, 73%, 76% and none)
         if self._step != (h, trap):
             hk = h / 2.0 if trap else h
             WT = hk * self._WT
             # one product gives the rows of S @ x_new and W @ x_new
             SW = np.concatenate((self._GT + kh * self._CT, WT), axis=1)
             self._step_parts = (SW[:N, :N].T, WT, WT[:N], SW, hk * self.A)
-            self._step = (h, trap)
+            self._step, self._jinv = (h, trap), None
         SN, WT, WTN, SW, hkA = self._step_parts
         c = u @ self._F - (kh * x + xd if trap else kh * x) @ self._CTc
         if trap:
@@ -253,14 +268,20 @@ class _System:
                 ok = delta_ok & (np.abs(F) < self._ftol).all(axis=1)
                 if ok.all():
                     break
-            g = (hkA * np.cos(th))[:, self._jn_j] * self._jn_bw
-            J = SN + np.bincount(self._jn_stack, g.ravel(),
-                                 minlength=K * N * N).reshape(K, N, N)
-            self.solves += 1
-            try:
-                dx = np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                break
+            # a chord iteration: the inverse Jacobians of an earlier
+            # iterate, kept while (h, trap) holds, even across steps, and
+            # refactored at each iteration of a step that needs many
+            if self._jinv is None or i >= JACOBIAN_REFRESH_ITER:
+                g = (hkA * np.cos(th))[:, self._jn_j] * self._jn_bw
+                J = SN + np.bincount(self._jn_stack, g.ravel(),
+                                     minlength=K * N * N).reshape(K, N, N)
+                self.factorizations += 1
+                try:
+                    self._jinv = np.linalg.solve(J, self._eye)
+                except np.linalg.LinAlgError:
+                    break  # the retry has another h, or another batch
+            self.iterations += 1
+            dx = (self._jinv @ F[:, :, None])[:, :, 0]
             if K > 1:  # a lone variant that gets here has not converged
                 dx[ok] = 0.0
             if not np.isfinite(dx).all():  # a diverged variant stops here
@@ -451,14 +472,21 @@ def _predict(past, t):
     return sum(terms[1:], terms[0])
 
 
+def _rung(h, tstep):
+    """The largest step tstep * 2**(j/RUNGS_PER_OCTAVE), j an integer, that
+    is at most h (to rounding)."""
+    j = math.floor(RUNGS_PER_OCTAVE * math.log2(h / tstep) + 1e-9)
+    return tstep * 2.0 ** (j / RUNGS_PER_OCTAVE)
+
+
 def tran_batch(circuits, tstep=None, tstop=None):
     """Integrate circuits that differ only in junction amplitudes (JJ/MJJ
     Ic, QPSJ Vc) as one batch; returns one :class:`WaveformSet`, or the
     :class:`EngineError` a variant failed with, per circuit.
 
     The variants share one step sequence: one predictor and LTE estimate
-    (the largest over the variants), one S and c per step, one stacked
-    LU solve per Newton iteration, and the output grid.  A Newton failure
+    (the largest over the variants), one S and c per step, one stack of
+    inverse Jacobians per factorization, and the output grid.  A Newton failure
     halves the step of every variant; a variant that still fails at
     tstep / 2**MAX_HALVINGS drops out, and the rest go on.  ``stats``
     counts the batch's shared work (see :func:`tran`).  Errors common to
@@ -522,17 +550,19 @@ def tran_batch(circuits, tstep=None, tstop=None):
             continue
         # Milne's device: x_new - xp is h*(t_new - t1)*(t_new - t2)*x3/6,
         # x3 the third derivative, and the trapezoidal LTE is h**3*x3/12.
-        # A step of at most tstep passes whatever its estimate.
+        # A step of at most tstep passes whatever its estimate.  Each step
+        # size it proposes is rounded down onto the ladder, by 0.84 to 1
+        # (0.92 on average), on top of the safety factor 0.95.
         grow = 1.0
         if len(past) == 3:
             (t2, _), (t1, _), (_, x0) = past
             tol = RELTOL * np.maximum(np.abs(x0), np.abs(x_new)) + xtol
             err = float((np.abs(x_new - xp) / tol).max()) * h_try * h_try / (
                 2.0 * LTE_FRACTION * (t_new - t1) * (t_new - t2))
-            grow = min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** (-1.0 / 3.0)))
+            grow = min(5.0, max(0.2, 0.95 * max(err, 1e-10) ** (-1.0 / 3.0)))
             if err > 1.0 and h_try > tstep + slack:
                 stats["lte_rejections"] += 1
-                h = max(tstep, h_try * grow)
+                h = _rung(max(tstep, h_try * grow), tstep)
                 continue
         stats["accepted_steps"] += 1
         rec.add(rows, t_new, x_new, xd_new, s_new, u)
@@ -543,9 +573,10 @@ def tran_batch(circuits, tstep=None, tstop=None):
         else:
             past = past[-2:] + [(t, x)]
             h = (min(2.0 * h, tstep) if h < tstep - slack
-                 else max(tstep, h_try * grow))
+                 else _rung(max(tstep, h_try * grow), tstep))
     rec.flush(rows)
-    stats["newton_iterations"] = sys_.solves
+    stats["newton_iterations"] = sys_.iterations
+    stats["jacobian_factorizations"] = sys_.factorizations
 
     for k in rows:  # row by row: no temporary the size of the output
         results[k] = (WaveformSet(grid[skip:], dict(zip(names, rec.data[k])),
@@ -562,7 +593,9 @@ def tran(circuit, tstep=None, tstop=None):
     uniform tstep grid from tstart to tstop, interpolated linearly
     between the accepted steps (see the module docstring).  ``stats``
     holds the counts ``accepted_steps``, ``lte_rejections``,
-    ``newton_halvings`` and ``newton_iterations`` (one LU solve each).
+    ``newton_halvings``, ``newton_iterations`` (Newton updates) and
+    ``jacobian_factorizations`` (each one LU factorization, which gives
+    the inverse Jacobian the updates apply until the next).
     """
     (waves,) = tran_batch([circuit], tstep, tstop)
     if isinstance(waves, EngineError):

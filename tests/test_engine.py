@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from qpsjsim import engine
+from qpsjsim.cli import EXIT_CONVERGENCE, main
 from qpsjsim.engine import (ConvergenceError, EngineError, TimeGridError,
                             WaveformSet, dc_operating_point, tran)
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.reference import _source
-from qpsjsim.templates import (NetworkSpec, NeuronParams, network_netlist,
+from qpsjsim.templates import (NetworkSpec, NeuronParams, SynapseBinaryParams,
+                               binary_synapse_netlist, network_netlist,
                                neuron_netlist)
 from qpsjsim.units import PHI0, TWO_E
 
@@ -258,6 +260,43 @@ def test_thevenin_and_norton_bias_take_one_step_sequence():
         assert np.max(np.abs(b.channels[name] - x)) <= 1e-6 * np.max(np.abs(x))
 
 
+def test_step_sizes_lie_on_a_ladder_and_newton_reuses_its_jacobian(
+        monkeypatch):
+    # fig4a: every step size the LTE estimate proposes is rounded down to
+    # tstep * 2**(j/4); only a step that lands on a pulse corner, or goes
+    # halfway to one, is cut to fit.  So step sizes repeat, and Newton
+    # keeps its factored Jacobian across the steps of one size.
+    circuit = _circ(binary_synapse_netlist(SynapseBinaryParams(state=0)))
+    times, sizes = [], []
+    sources, newton = engine._System.sources, engine._System._newton
+
+    def spy_sources(self, t):
+        times.append(t)
+        return sources(self, t)
+
+    def spy_newton(self, xg, x, xd, theta, u, h, trap):
+        sizes.append(h)
+        return newton(self, xg, x, xd, theta, u, h, trap)
+
+    monkeypatch.setattr(engine._System, "sources", spy_sources)
+    monkeypatch.setattr(engine._System, "_newton", spy_newton)
+    waves = tran(circuit)
+    tstep = circuit.tstep
+    corners = engine._breakpoints(circuit, tstep, float(waves.time[-1]))
+    # the DC solve reads the sources at t = 0; each step then at its end
+    assert times[0] == 0.0 and len(times) == len(sizes) + 1
+    rungs = []
+    for t, h in zip(times[1:], sizes):
+        c = next(c for c in corners if c >= t)
+        if t != c and abs(c - t - h) > 1e-9 * tstep:
+            j = round(4 * math.log2(h / tstep))
+            assert h == tstep * 2.0 ** (j / 4), (t, h)
+            rungs.append(j)
+    assert len(rungs) > 0.9 * len(sizes) and max(rungs) >= 4
+    stats = waves.stats
+    assert 3 * stats["jacobian_factorizations"] <= stats["newton_iterations"]
+
+
 # --- junction dynamics ------------------------------------------------------
 
 def test_blockade_zero_current_below_vc():
@@ -351,6 +390,39 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
     assert err.value.h == pytest.approx(0.05)
     assert err.value.worst == "device 'q1'"
     assert "step 0.05 ps" in str(err.value) and "device 'q1'" in str(err.value)
+
+
+def test_a_failing_transient_factorization_ends_cleanly(monkeypatch, tmp_path,
+                                                       capsys):
+    # every factorization of the transient's stacked Jacobians raises (the
+    # DC solve, of one matrix, still runs): Newton fails at every halving
+    solve = np.linalg.solve
+
+    def singular(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    text = """t
+Vb n1 0 dc 1.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
+.tran 0.1p 10p
+.end
+"""
+    with pytest.raises(ConvergenceError) as err:
+        with pytest.warns(RuntimeWarning):
+            tran(_circ(text))
+    assert err.value.t == err.value.h == 0.1 / 2 ** engine.MAX_HALVINGS
+    assert err.value.worst == "device 'q1'"
+    net = tmp_path / "singular.cir"
+    net.write_text(text)
+    with pytest.warns(RuntimeWarning):
+        assert main(["sim", str(net), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton failed to converge")
+    assert "device 'q1'" in err and "Traceback" not in err
 
 
 def test_tran_argument_validation():

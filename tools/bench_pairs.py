@@ -13,12 +13,13 @@ commits whose perfbench/ is the same.  For each workload and end-to-end
 metric of BENCHMARK.json the file records every run in
 seed order, the median and quartiles of each side, the change's pairs
 won (ties count for neither side) and the median's change in percent.
-With --traced, one traced seed-0 run per side adds the per-layer
-figures: its result line's, and every other layer it measured (such as
-analysis.export_s or reference.integrate_s), read from the all_metrics
-of the side's .perfbench_out/W/result-seed0-trace1.json.  The file is
-rewritten after every pair, so an interrupted set keeps the pairs it
-finished.
+With --traced, TRACED_RUNS traced seed-0 runs per side, alternating
+which side runs first, add the per-layer figures: their result lines',
+and every other layer they measured (such as analysis.export_s or
+reference.integrate_s), read from the all_metrics of the side's
+.perfbench_out/W/result-seed0-trace1.json after each run.  Each layer
+records its runs and their median as its value.  The file is rewritten
+after every pair, so an interrupted set keeps the pairs it finished.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 11 \\
         --pairs 10 --work /tmp/bench
@@ -40,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # one traced run's layer times vary by up to a third
 
 
 def checkout(rev, dest):
@@ -73,6 +75,14 @@ def traced(tree, workload, seconds):
     layers = json.loads(path.read_text())["all_metrics"]
     return {**metrics, **{name: {"value": value} for name, value
                           in layers.items() if name not in metrics}}
+
+
+def layer_medians(runs):
+    """Each layer of the traced runs, its value the median of theirs."""
+    return {name: {**entry, "value": statistics.median(
+                       r[name]["value"] for r in runs),
+                   "runs": [r[name]["value"] for r in runs]}
+            for name, entry in runs[0].items()}
 
 
 def summary(runs):
@@ -113,7 +123,8 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced", action="store_true",
-                    help="add one traced seed-0 run per side and workload")
+                    help=f"add {TRACED_RUNS} traced seed-0 runs per side"
+                         " and workload")
     ap.add_argument("--work", type=Path, required=True,
                     help="directory for the two checkouts")
     args = ap.parse_args(argv)
@@ -150,8 +161,13 @@ def main(argv=None):
             doc["workloads"][workload] = workload_record(res, metrics)
             out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.traced:
-        doc["traced_seed_0"] = {w: {s: traced(trees[s], w, seconds)
-                                    for s in SIDES} for w in results}
+        runs = {w: {s: [] for s in SIDES} for w in results}
+        for i in range(TRACED_RUNS):
+            for workload, res in runs.items():
+                for side in SIDES[::-1] if i % 2 else SIDES:
+                    res[side].append(traced(trees[side], workload, seconds))
+        doc["traced_seed_0"] = {w: {s: layer_medians(res[s]) for s in SIDES}
+                                for w, res in runs.items()}
         out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
