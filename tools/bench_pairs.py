@@ -41,7 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-TRACED_RUNS = 3  # one traced run's layer times vary by up to a third
+TRACED_RUNS = 3  # one traced run's layer times spread by tens of percent
 
 
 def checkout(rev, dest):
