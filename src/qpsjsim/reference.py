@@ -3,9 +3,10 @@
 Used in tests as an oracle for the MNA engine: the circuit's ODE is
 formed explicitly for a small set of recognized topologies and integrated
 on plain floats by the Dormand-Prince 5(4) pair with local error control
-(1e-12 relative per component).  No step crosses an output time, so every
-sample on the tstep grid is an accepted step end.  Supported topologies
-(at most two state variables):
+(1e-13 per component, relative above 1).  A step ends where the error
+control puts it, on a pulse-source corner (the engine's breakpoints) or
+on tstop; the tstep grid is sampled from each accepted step's 4th-order
+dense output.  Supported topologies (at most two state variables):
 
 * voltage-biased QPSJ: vsource (+ optional series resistor) driving a
   single QPSJ to ground; states (q, i), or q alone when ls = 0
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .engine import EngineError, WaveformSet, _time_grid
+from .engine import EngineError, WaveformSet, _breakpoints, _time_grid
 from .netlist import GROUND, DeviceKind
 from .units import PHI0, TWO_E
 
@@ -37,7 +38,11 @@ _A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
       (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
-_TOL = 1e-12  # per component: |error| <= _TOL * (1 + max(|y|, |y_new|))
+# the continuous extension's weights (d2 = 0), for r5 in _march
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
+_TOL = 1e-13  # per component: |error| <= _TOL * (1 + max(|y|, |y_new|))
 
 
 class UnsupportedTopologyError(EngineError):
@@ -60,27 +65,41 @@ def _kinds(circuit):
     return out
 
 
-def _march(f, y0, outputs, grid, skip):
-    """Integrate from t = 0 with local error control, landing on every
-    grid point; outputs maps name -> fn(t, y), sampled on grid[skip:].
+def _march(f, y0, outputs, grid, skip, breaks=None):
+    """Integrate from t = 0 with local error control; outputs maps
+    name -> fn(t, y), sampled on grid[skip:].  A step ends where the
+    error control puts it, or on the next of breaks (the pulse corners,
+    then grid[-1], which None takes alone).  Each grid point in (t, t + h]
+    of an accepted step is read from the step's 4th-order continuous
+    extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6, contd5):
 
-    The stages and the error estimate are written out, each summed left
-    to right from 0.0 with its zero coefficients kept: the floats that
-    ``sum`` over a tableau row gives on CPython 3.10 and 3.11.  One
+        y(t + s*h) = y0 + s*(r2 + (1-s)*(r3 + s*(r4 + (1-s)*r5)))
+
+    with r2 = y1 - y0, r3 = h*k1 - r2, r4 = r2 - h*k7 - r3 and
+    r5 = h * sum(D[j]*k[j]); a grid point on the step's end takes y1.
+
+    The stages, the error estimate and r5 are written out, each summed
+    left to right from 0.0 with its zero coefficients kept: the floats
+    that ``sum`` over a tableau row gives on CPython 3.10 and 3.11.  One
     comprehension per stage serves every state size."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A
     c2, c3, c4, c5, c6, c7 = _C
     e1, e2, e3, e4, e5, e6, e7 = _E
+    d1, d2, d3, d4, d5, d6, d7 = _D
     fns = tuple(outputs.values())
+    times = [*map(float, grid), math.inf]
     t, y = 0.0, tuple(y0)
     k1 = f(t, y)
-    h = float(grid[1])
+    h = times[1]
     hmin = 1e-12 * h
     data = np.empty((len(fns), len(grid) - skip))
-    for k, t_out in enumerate(map(float, grid)):
-        while t < t_out:
-            h_try = min(h, t_out - t)
+    if not skip:
+        data[:, 0] = [fn(t, y) for fn in fns]
+    k = 1  # the next grid point to sample
+    for bp in (times[-2],) if breaks is None else breaks:
+        while t < bp:
+            h_try = min(h, bp - t)
             k2 = f(t + c2 * h_try, [yj + h_try * (0.0 + a21 * p1)
                                     for yj, p1 in zip(y, k1)])
             k3 = f(t + c3 * h_try, [yj + h_try * (0.0 + a31 * p1 + a32 * p2)
@@ -111,17 +130,37 @@ def _march(f, y0, outputs, grid, skip):
                     f"reference state non-finite at t = {t:.6g} ps")
             h = h_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
             if err <= 1.0:
-                t = t_out if h_try == t_out - t else t + h_try
-                y, k1 = yi, k7
+                t_new = bp if h_try == bp - t else t + h_try
+                if times[k] <= t_new:
+                    rs = []
+                    for a, b, p1, p2, p3, p4, p5, p6, p7 \
+                            in zip(y, yi, k1, k2, k3, k4, k5, k6, k7):
+                        r2 = b - a
+                        r3 = h_try * p1 - r2
+                        rs.append((a, r2, r3, r2 - h_try * p7 - r3,
+                                   h_try * (0.0 + d1 * p1 + d2 * p2 + d3 * p3
+                                            + d4 * p4 + d5 * p5 + d6 * p6
+                                            + d7 * p7)))
+                    while times[k] <= t_new:
+                        tk = times[k]
+                        if tk == t_new:
+                            yk = yi
+                        else:
+                            s = (tk - t) / h_try
+                            s1 = 1.0 - s
+                            yk = [a + s * (r2 + s1 * (r3 + s * (r4 + s1 * r5)))
+                                  for a, r2, r3, r4, r5 in rs]
+                        if k >= skip:
+                            data[:, k - skip] = [fn(tk, yk) for fn in fns]
+                        k += 1
+                t, y, k1 = t_new, yi, k7
             elif h < hmin:
                 raise EngineError(
                     f"reference step below {hmin:.3g} ps at t = {t:.6g} ps")
-        if k >= skip:
-            data[:, k - skip] = [fn(t, y) for fn in fns]
     return WaveformSet(grid[skip:], dict(zip(outputs, data)))
 
 
-def _qpsj_case(circuit, kinds, grid, skip):
+def _qpsj_case(circuit, kinds):
     qp = kinds[DeviceKind.QPSJ][0]
     vs = kinds[DeviceKind.VSOURCE][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -158,10 +197,10 @@ def _qpsj_case(circuit, kinds, grid, skip):
         f"i({qp.name})": cur,
         f"v({node_name})": lambda t, y: src(t),
     }
-    return _march(f, y0, outputs, grid, skip)
+    return f, y0, outputs
 
 
-def _jj_case(circuit, kinds, grid, skip):
+def _jj_case(circuit, kinds):
     jj = (kinds.get(DeviceKind.JJ, []) + kinds.get(DeviceKind.MJJ, []))[0]
     isrc = kinds[DeviceKind.ISOURCE][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -203,10 +242,10 @@ def _jj_case(circuit, kinds, grid, skip):
         # the whole junction current: the source less the parallel resistors
         f"i({jj.name})": lambda t, y: src(t) - g_ext * volt(t, y),
     }
-    return _march(f, y0, outputs, grid, skip)
+    return f, y0, outputs
 
 
-def _lc_case(circuit, kinds, grid, skip):
+def _lc_case(circuit, kinds):
     ind = kinds[DeviceKind.INDUCTOR][0]
     cap = kinds[DeviceKind.CAPACITOR][0]
     res = kinds.get(DeviceKind.RESISTOR, [])
@@ -229,7 +268,7 @@ def _lc_case(circuit, kinds, grid, skip):
         f"v({node_name})": lambda t, y: y[0],
         f"i({ind.name})": lambda t, y: y[1],
     }
-    return _march(f, [0.0, 0.0], outputs, grid, skip)
+    return f, [0.0, 0.0], outputs
 
 
 def reference_integrate(circuit, tstep=None, tstop=None):
@@ -246,16 +285,19 @@ def reference_integrate(circuit, tstep=None, tstop=None):
             and not kinds.get(DeviceKind.ISOURCE) \
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
-        return _qpsj_case(circuit, kinds, grid, skip)
-    if n_jj == 1 and n_qp == 0 and len(kinds.get(DeviceKind.ISOURCE, [])) == 1 \
+        case = _qpsj_case
+    elif n_jj == 1 and n_qp == 0 and len(kinds.get(DeviceKind.ISOURCE, [])) == 1 \
             and not kinds.get(DeviceKind.VSOURCE) \
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
-        return _jj_case(circuit, kinds, grid, skip)
-    if n_jj == 0 and n_qp == 0 \
+        case = _jj_case
+    elif n_jj == 0 and n_qp == 0 \
             and len(kinds.get(DeviceKind.INDUCTOR, [])) == 1 \
             and len(kinds.get(DeviceKind.CAPACITOR, [])) == 1 \
             and not kinds.get(DeviceKind.VSOURCE):
-        return _lc_case(circuit, kinds, grid, skip)
-    raise UnsupportedTopologyError(
-        "reference integrator supports only single-junction or LC test circuits")
+        case = _lc_case
+    else:
+        raise UnsupportedTopologyError("reference integrator supports only"
+                                       " single-junction or LC test circuits")
+    breaks = _breakpoints(circuit, float(grid[1]), float(grid[-1]))
+    return _march(*case(circuit, kinds), grid, skip, breaks)

@@ -7,16 +7,17 @@ PYTHONPATH, this runs
     python -m qpsjsim.cli figure ID --out DIR   (each of the nine figures)
     python -m qpsjsim.cli sweep synapse ic 200e-6,300e-6 --out DIR
 
-and reference.reference_integrate on the two AC9 circuits and the LC
-tank, each written to DIR/waveforms.csv by analysis.export_csv, whose
-repr of every float reads back exactly, so equal files mean samples
-with equal bytes.  It compares each run's exit code and stdout, every
-file it wrote (waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its
-manifest.json without wall_time_s.  Where a manifest's stats differ,
-it prints each differing field as parent -> change (per point for a
-sweep); where a waveforms.csv differs, each differing channel's largest
-|change| over the channel's peak on the parent side.  Exits 1 on any
-difference, 0 when there is none.
+and reference.reference_integrate on the two AC9 circuits, the LC tank
+and two pulsed circuits whose steps land on the pulse corners, each
+written to DIR/waveforms.csv by analysis.export_csv, whose repr of every
+float reads back exactly, so equal files mean samples with equal bytes.
+It compares each run's exit code and stdout, every file it wrote
+(waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its manifest.json
+without wall_time_s.  Where a manifest's stats differ, it prints each
+differing field as parent -> change (per point for a sweep); where a
+waveforms.csv differs, each differing channel's largest |change| over
+the channel's peak on the parent side.  Exits 1 on any difference, 0
+when there is none.
 
     python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
         --work /tmp/diff
@@ -58,6 +59,11 @@ REFERENCE_CIRCUITS = {
               ".tran 0.005p 20p\n.end\n",
     "lc_tank": "t\nIin 0 n1 pulse(0 1u 1p 0.1p 0.1p 1000p 2000p)\nL1 n1 0 1n\n"
                "C1 n1 0 1f\nR1 n1 0 100meg\n.tran 0.01p 30p\n.end\n",
+    "qpsj_pulse_ls": "t\nVb n1 0 pulse(0 1.5m 1p 1p 1p 5p 20p)\nR1 n1 n2 1k\n"
+                     "qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.05n\n"
+                     ".tran 0.01p 20p\n.end\n",
+    "jj_pulse_cj": "t\nIb 0 n1 pulse(0 300u 1p 1p 1p 5p 20p)\nR1 n1 0 10\n"
+                   "jj J1 n1 0 ic=200u rn=5 cj=0.5f\n.tran 0.005p 20p\n.end\n",
 }
 # each run's arguments to python, before --out DIR
 RUNS = {**{fig: ["-m", "qpsjsim.cli", "figure", fig] for fig in FIGURES},
