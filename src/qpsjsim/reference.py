@@ -286,7 +286,8 @@ def reference_integrate(circuit, tstep=None, tstop=None):
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
         case = _qpsj_case
-    elif n_jj == 1 and n_qp == 0 and len(kinds.get(DeviceKind.ISOURCE, [])) == 1 \
+    elif n_jj == 1 and n_qp == 0 \
+            and len(kinds.get(DeviceKind.ISOURCE, [])) == 1 \
             and not kinds.get(DeviceKind.VSOURCE) \
             and not kinds.get(DeviceKind.INDUCTOR) \
             and not kinds.get(DeviceKind.CAPACITOR):
