@@ -88,16 +88,16 @@ def _march(f, y0, outputs, grid, skip, breaks=None):
     e1, e2, e3, e4, e5, e6, e7 = _E
     d1, d2, d3, d4, d5, d6, d7 = _D
     fns = tuple(outputs.values())
-    times = [*map(float, grid), math.inf]
     t, y = 0.0, tuple(y0)
     k1 = f(t, y)
-    h = times[1]
+    h = float(grid[1])
     hmin = 1e-12 * h
     data = np.empty((len(fns), len(grid) - skip))
     if not skip:
         data[:, 0] = [fn(t, y) for fn in fns]
-    k = 1  # the next grid point to sample
-    for bp in (times[-2],) if breaks is None else breaks:
+    later = map(float, grid[1:])
+    k, tk = 1, next(later)  # the next grid point to sample, and its time
+    for bp in (float(grid[-1]),) if breaks is None else breaks:
         while t < bp:
             h_try = min(h, bp - t)
             k2 = f(t + c2 * h_try, [yj + h_try * (0.0 + a21 * p1)
@@ -131,7 +131,7 @@ def _march(f, y0, outputs, grid, skip, breaks=None):
             h = h_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
             if err <= 1.0:
                 t_new = bp if h_try == bp - t else t + h_try
-                if times[k] <= t_new:
+                if tk <= t_new:
                     rs = []
                     for a, b, p1, p2, p3, p4, p5, p6, p7 \
                             in zip(y, yi, k1, k2, k3, k4, k5, k6, k7):
@@ -141,8 +141,7 @@ def _march(f, y0, outputs, grid, skip, breaks=None):
                                    h_try * (0.0 + d1 * p1 + d2 * p2 + d3 * p3
                                             + d4 * p4 + d5 * p5 + d6 * p6
                                             + d7 * p7)))
-                    while times[k] <= t_new:
-                        tk = times[k]
+                    while tk <= t_new:
                         if tk == t_new:
                             yk = yi
                         else:
@@ -152,7 +151,7 @@ def _march(f, y0, outputs, grid, skip, breaks=None):
                                   for a, r2, r3, r4, r5 in rs]
                         if k >= skip:
                             data[:, k - skip] = [fn(tk, yk) for fn in fns]
-                        k += 1
+                        k, tk = k + 1, next(later, math.inf)
                 t, y, k1 = t_new, yi, k7
             elif h < hmin:
                 raise EngineError(

@@ -188,15 +188,15 @@ def _dot(coefficients, values):
 
 def _stage_loop_march(f, y0, outputs, grid, skip, breaks=None):
     """reference._march as a generic loop over the rows of its tableau."""
-    times = [*map(float, grid), math.inf]
     t, y = 0.0, tuple(y0)
     k1 = f(t, y)
-    h = times[1]
+    h = float(grid[1])
     data = np.empty((len(outputs), len(grid) - skip))
     if not skip:
         data[:, 0] = [fn(t, y) for fn in outputs.values()]
-    k = 1
-    for bp in (times[-2],) if breaks is None else breaks:
+    later = map(float, grid[1:])
+    k, tk = 1, next(later)
+    for bp in (float(grid[-1]),) if breaks is None else breaks:
         while t < bp:
             h_try = min(h, bp - t)
             ks = [k1]
@@ -207,7 +207,7 @@ def _stage_loop_march(f, y0, outputs, grid, skip, breaks=None):
             err = max(abs(h_try * _dot(reference._E, kj))
                       / (1.0 + max(abs(a), abs(b)))
                       for a, b, kj in zip(y, yi, zip(*ks))) / reference._TOL
-            assert math.isfinite(err) and h_try > 1e-12 * times[1]
+            assert math.isfinite(err) and h_try > 1e-12 * float(grid[1])
             h = h_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
             if err > 1.0:
                 continue
@@ -218,15 +218,14 @@ def _stage_loop_march(f, y0, outputs, grid, skip, breaks=None):
                 r3 = h_try * kj[0] - r2
                 rs.append((a, r2, r3, r2 - h_try * kj[-1] - r3,
                            h_try * _dot(reference._D, kj)))
-            while times[k] <= t_new:
-                s = (times[k] - t) / h_try
-                yk = yi if times[k] == t_new else [
+            while tk <= t_new:
+                s = (tk - t) / h_try
+                yk = yi if tk == t_new else [
                     a + s * (r2 + (1.0 - s) * (r3 + s * (r4 + (1.0 - s) * r5)))
                     for a, r2, r3, r4, r5 in rs]
                 if k >= skip:
-                    data[:, k - skip] = [fn(times[k], yk)
-                                         for fn in outputs.values()]
-                k += 1
+                    data[:, k - skip] = [fn(tk, yk) for fn in outputs.values()]
+                k, tk = k + 1, next(later, math.inf)
             t, y, k1 = t_new, yi, ks[-1]
     return WaveformSet(grid[skip:], dict(zip(outputs, data)))
 
