@@ -116,8 +116,8 @@ jj J1 n1 0 ic=200u rn=5 cj=0
 
 
 def test_reference_steps_at_the_pace_of_its_error_control(monkeypatch):
-    # the AC9 QPSJ's 8,001 samples are read between steps, so it takes
-    # far fewer than the 6 evaluations per sample of a step to each one
+    # the AC9 QPSJ's 8,001 samples are read between step ends, so it needs
+    # far fewer than the 6 evaluations per sample a step to each one costs
     calls = 0
     march = reference._march
 
