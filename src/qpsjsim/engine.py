@@ -265,9 +265,12 @@ class _System:
             s = A * np.sin(th)
             F = P[:, :N] + c + s @ self._BT
             if i:
-                ok = delta_ok & (np.abs(F) < self._ftol).all(axis=1)
-                if ok.all():
-                    break
+                ok = (np.abs(F) < self._ftol).all(axis=1)
+                if ok.any():  # only then can the update test decide
+                    ok &= (np.abs(dx) < RELTOL * np.abs(xg[:, :N])
+                           + self._xtol).all(axis=1)
+                    if ok.all():
+                        break
             # a chord iteration: the inverse Jacobians of an earlier
             # iterate, kept while (h, trap) holds, even across steps, and
             # refactored at each iteration of a step that needs many
@@ -295,8 +298,6 @@ class _System:
                 dx *= MAX_ANGLE_STEP / np.maximum(angle.max(axis=1),
                                                   MAX_ANGLE_STEP)[:, None]
             xg[:, :N] -= dx
-            delta_ok = (np.abs(dx)
-                        < RELTOL * np.abs(xg[:, :N]) + self._xtol).all(axis=1)
         self.failed_f = F  # the residuals that ConvergenceError reports
         xd_new = kh * (xg - x)
         return xg, xd_new - xd if trap else xd_new, th, s, ~ok
