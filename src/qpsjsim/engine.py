@@ -34,10 +34,12 @@ exactly on every pulse-source corner.  A Newton failure halves the
 step, down to tstep / 2**MAX_HALVINGS; steps halved below tstep use
 backward Euler.  Newton is a chord iteration: it applies the inverse
 Jacobians of an earlier iterate, factored when the step size or rule
-changes and at each iteration of a step from JACOBIAN_REFRESH_ITER on,
-as RADAU5 and VODE keep their factors while the step size holds.  The
-numerics are fixed module constants; run manifests record
-:data:`SOLVER_SETTINGS`.
+changes, as RADAU5 and VODE keep their factors while the step size
+holds.  At each iteration of a step from JACOBIAN_REFRESH_ITER on they
+are refreshed: while the held inverses are close to the new Jacobians'
+(|I - J @ X|_inf < SCHULZ_GATE), SCHULZ_STEPS Newton-Schulz steps refine
+them, else they are factored anew.  The numerics are fixed module
+constants; run manifests record :data:`SOLVER_SETTINGS`.
 
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear
@@ -69,7 +71,9 @@ MAX_HALVINGS = 8
 MAX_ANGLE_STEP = 1.5  # junction phase/charge-angle limit per iteration, rad
 LTE_FRACTION = 0.005  # LTE bound, as a fraction of RELTOL*|x| + abstol
 RUNGS_PER_OCTAVE = 4  # steps the LTE estimate sizes are tstep * 2**(j/4)
-JACOBIAN_REFRESH_ITER = 3  # a step's Newton iterations from this one refactor
+JACOBIAN_REFRESH_ITER = 3  # a step's Newton iterations from this one refresh
+SCHULZ_GATE = 0.5  # a held inverse X with |I - J @ X|_inf below is refined
+SCHULZ_STEPS = 2  # Newton-Schulz steps per refinement
 MAX_OUTPUT_VALUES = 2 ** 27  # float64 output samples a run may hold: 1 GiB
 _BLOCK = 64  # accepted steps recorded per interpolation pass
 
@@ -81,6 +85,7 @@ SOLVER_SETTINGS = {
     "max_angle_step": MAX_ANGLE_STEP, "lte_fraction": LTE_FRACTION,
     "ladder_ratio": 2.0 ** (1.0 / RUNGS_PER_OCTAVE),
     "jacobian_refresh_iter": JACOBIAN_REFRESH_ITER,
+    "schulz_gate": SCHULZ_GATE, "schulz_steps": SCHULZ_STEPS,
 }
 
 _GROUND = np.zeros(1)  # the slot appended to the unknowns for ground
@@ -208,6 +213,7 @@ class _System:
         self.keep(np.ones(len(circuits), dtype=bool))
         self.iterations = 0  # Newton updates of the stack
         self.factorizations = 0  # Jacobian stacks factored (and inverted)
+        self.refinements = 0  # held inverse stacks refined instead
         # absolute tolerances of the rows of F (KCL in uA, branch rows in mV)
         # and of the unknowns (node voltages in mV, branch currents in uA)
         counts = [self.n, self.N - self.n]
@@ -273,14 +279,13 @@ class _System:
                         break
             # a chord iteration: the inverse Jacobians of an earlier
             # iterate, kept while (h, trap) holds, even across steps, and
-            # refactored at each iteration of a step that needs many
+            # refreshed at each iteration of a step that needs many
             if self._jinv is None or i >= JACOBIAN_REFRESH_ITER:
                 g = (hkA * np.cos(th))[:, self._jn_j] * self._jn_bw
                 J = SN + np.bincount(self._jn_stack, g.ravel(),
                                      minlength=K * N * N).reshape(K, N, N)
-                self.factorizations += 1
                 try:
-                    self._jinv = np.linalg.solve(J, self._eye)
+                    self._jinv = self._invert(J)
                 except np.linalg.LinAlgError:
                     break  # the retry has another h, or another batch
             self.iterations += 1
@@ -301,6 +306,28 @@ class _System:
         self.failed_f = F  # the residuals that ConvergenceError reports
         xd_new = kh * (xg - x)
         return xg, xd_new - xd if trap else xd_new, th, s, ~ok
+
+    def _invert(self, J):
+        """The inverses of the Jacobian stack J.  Where the held stack X
+        leaves every residual R = I - J @ X at |R|_inf < SCHULZ_GATE,
+        SCHULZ_STEPS Newton-Schulz steps refine it: X <- X + X @ R, with
+        R <- R @ R between steps, so two leave |R|_inf**4 at most
+        (Schulz, 1933; Pan and Schreiber, 1991), for half the time of a
+        factorization at N = 64.  Otherwise J is factored: also where J
+        or X holds a NaN, or J is singular (then |R|_inf >= 1), so a
+        singular stack raises LinAlgError as before."""
+        X = self._jinv
+        if X is not None:
+            R = self._eye - J @ X
+            if np.abs(R).sum(axis=2).max() < SCHULZ_GATE:
+                self.refinements += 1
+                X = X + X @ R
+                for _ in range(1, SCHULZ_STEPS):
+                    R = R @ R
+                    X += X @ R
+                return X
+        self.factorizations += 1
+        return np.linalg.solve(J, self._eye)
 
     def _worst(self, resid):
         """The node or branch device of the largest entry of resid."""
@@ -578,6 +605,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
     rec.flush(rows)
     stats["newton_iterations"] = sys_.iterations
     stats["jacobian_factorizations"] = sys_.factorizations
+    stats["jacobian_refinements"] = sys_.refinements
 
     for k in rows:  # row by row: no temporary the size of the output
         results[k] = (WaveformSet(grid[skip:], dict(zip(names, rec.data[k])),
@@ -594,9 +622,10 @@ def tran(circuit, tstep=None, tstop=None):
     uniform tstep grid from tstart to tstop, interpolated linearly
     between the accepted steps (see the module docstring).  ``stats``
     holds the counts ``accepted_steps``, ``lte_rejections``,
-    ``newton_halvings``, ``newton_iterations`` (Newton updates) and
+    ``newton_halvings``, ``newton_iterations`` (Newton updates),
     ``jacobian_factorizations`` (each one LU factorization, which gives
-    the inverse Jacobian the updates apply until the next).
+    the inverse Jacobians the updates apply until the next refresh) and
+    ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead).
     """
     (waves,) = tran_batch([circuit], tstep, tstop)
     if isinstance(waves, EngineError):

@@ -48,11 +48,12 @@ def test_sim_writes_outputs_and_manifest(tmp_path, capsys):
         "reltol": 0.001, "abstol_v": 1e-06, "abstol_i": 1e-06,
         "max_newton_iters": 50, "gmin": 1e-09, "method": "trapezoidal",
         "max_halvings": 8, "max_angle_step": 1.5, "lte_fraction": 0.005,
-        "ladder_ratio": 2 ** 0.25, "jacobian_refresh_iter": 3}
+        "ladder_ratio": 2 ** 0.25, "jacobian_refresh_iter": 3,
+        "schulz_gate": 0.5, "schulz_steps": 2}
     stats = manifest["stats"]
     assert sorted(stats) == ["accepted_steps", "jacobian_factorizations",
-                             "lte_rejections", "newton_halvings",
-                             "newton_iterations"]
+                             "jacobian_refinements", "lte_rejections",
+                             "newton_halvings", "newton_iterations"]
     samples = len((out / "waveforms.csv").read_text().splitlines()) - 1
     assert 0 < stats["accepted_steps"] < samples
     assert "wrote" in capsys.readouterr().out

@@ -295,6 +295,75 @@ def test_step_sizes_lie_on_a_ladder_and_newton_reuses_its_jacobian(
     assert len(rungs) > 0.9 * len(sizes) and max(rungs) >= 4
     stats = waves.stats
     assert 3 * stats["jacobian_factorizations"] <= stats["newton_iterations"]
+    assert stats["jacobian_refinements"] > 0
+
+
+def _held_inverses(sys_, J, norms):
+    """Hold inverses X of the stack J whose residuals I - J @ X are
+    random matrices of the given infinity norms, one per variant.  Their
+    first row dominates, so their 1-norms are much smaller."""
+    E = np.random.default_rng(1).standard_normal(J.shape)
+    E[:, 0] *= 10.0
+    E *= np.asarray(norms)[:, None, None] / np.abs(E).sum(axis=2).max(axis=1)[
+        :, None, None]
+    sys_._jinv = np.linalg.solve(J, sys_._eye) @ (sys_._eye - E)
+    return np.abs(sys_._eye - J @ sys_._jinv).sum(axis=2).max(axis=1)
+
+
+def _jacobians(sys_, K=2):
+    rng = np.random.default_rng(0)
+    return 4.0 * sys_._eye + rng.standard_normal((K, sys_.N, sys_.N))
+
+
+def test_a_close_held_inverse_is_refined_not_factored():
+    # |I - J @ X| < 1/2 for every variant: two Newton-Schulz steps take
+    # the residual to its 4th power, and LAPACK is not called
+    sys_ = engine._System([_circ(neuron_netlist(NeuronParams()))])
+    J = _jacobians(sys_)
+    before = _held_inverses(sys_, J, [0.45, 0.2])
+    assert before.max() < engine.SCHULZ_GATE and before.min() > 0.19
+    X = sys_._invert(J)
+    after = np.abs(sys_._eye - J @ X).sum(axis=2).max(axis=1)
+    assert np.all(after <= before ** 4 + 1e-12)
+    assert (sys_.refinements, sys_.factorizations) == (1, 0)
+
+
+@pytest.mark.parametrize("case", ["far", "nan", "singular"])
+def test_a_far_nan_or_singular_jacobian_is_factored(case):
+    # a held inverse too far from one variant's Jacobian, a NaN in J or a
+    # singular J (whose residual norm is at least 1) goes to LAPACK
+    sys_ = engine._System([_circ(neuron_netlist(NeuronParams()))])
+    J = _jacobians(sys_)
+    _held_inverses(sys_, J, [0.2, 0.55 if case == "far" else 0.2])
+    if case == "nan":
+        J[1, 2, 3] = np.nan
+    if case == "singular":
+        J[1, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sys_._invert(J)
+    else:
+        np.testing.assert_array_equal(sys_._invert(J),
+                                      np.linalg.solve(J, sys_._eye))
+    assert (sys_.refinements, sys_.factorizations) == (0, 1)
+
+
+def test_newton_leaves_its_starting_iterate_unchanged():
+    # the step loop reads its prediction after Newton for the LTE
+    # estimate; updated in place, the estimate would read 0
+    sys_ = engine._System([_circ("""t
+Vs n1 0 pulse(0 1m 0p 1p 1p 5p 20p)
+R1 n1 n2 1k
+qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n
+.tran 0.1p 10p
+.end
+""")])
+    x, _, theta = sys_.seed_from_dc()
+    x = x[None]
+    xg = x.copy()
+    x_new, _, _, _, failed = sys_._newton(xg, x, np.zeros_like(x), theta,
+                                          sys_.sources(1.0), 0.1, False)
+    assert not failed.any() and np.abs(x_new - x).max() > 0.1
+    np.testing.assert_array_equal(xg, x)
 
 
 # --- junction dynamics ------------------------------------------------------
