@@ -315,7 +315,7 @@ class _System:
         (Schulz, 1933; Pan and Schreiber, 1991), for half the time of a
         factorization at N = 64.  Otherwise J is factored: also where J
         or X holds a NaN, or J is singular (then |R|_inf >= 1), so a
-        singular stack raises LinAlgError as before."""
+        singular stack raises LinAlgError."""
         X = self._jinv
         if X is not None:
             R = self._eye - J @ X
