@@ -304,13 +304,13 @@ def _held_inverses(sys_, J, norms):
     first row dominates, so their 1-norms are much smaller."""
     E = np.random.default_rng(1).standard_normal(J.shape)
     E[:, 0] *= 10.0
-    E *= np.asarray(norms)[:, None, None] / np.abs(E).sum(axis=2).max(axis=1)[
-        :, None, None]
+    E *= (np.asarray(norms) / np.abs(E).sum(axis=2).max(axis=1))[:, None, None]
     sys_._jinv = np.linalg.solve(J, sys_._eye) @ (sys_._eye - E)
     return np.abs(sys_._eye - J @ sys_._jinv).sum(axis=2).max(axis=1)
 
 
 def _jacobians(sys_, K=2):
+    """A well-conditioned random stack of K Jacobians of sys_'s size."""
     rng = np.random.default_rng(0)
     return 4.0 * sys_._eye + rng.standard_normal((K, sys_.N, sys_.N))
 
