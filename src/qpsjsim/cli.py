@@ -5,7 +5,7 @@ exact inputs needed to reproduce the run and what the solver did
 (``WaveformSet.stats``; a sweep lists them per point).  A sweep runs
 the points whose circuits differ only in junction amplitudes as one
 batch (:func:`~qpsjsim.engine.tran_batch`); each point's stats are its
-batch's, with the batch size as ``variants``.  Output CSVs are
+batch's, whose size they record as ``variants``.  Output CSVs are
 deterministic: the same inputs give byte-identical files.
 
 The commands raise; :func:`main` alone maps a failure to its exit code
@@ -281,8 +281,9 @@ _SWEEPS = {
 
 def _sweep_waves(circuits):
     """The waveforms of each circuit (None where there is none), or the
-    error it failed with.  Circuits of one topology run as one batch;
-    each result's stats record its batch size as ``variants``."""
+    error it failed with.  Circuits of one topology run as one batch,
+    and the points that fail leave the others the results of the batch
+    without them."""
     groups = []  # [topology, [indices]]
     for i, circuit in enumerate(circuits):
         if circuit is not None:
@@ -298,8 +299,6 @@ def _sweep_waves(circuits):
         except EngineError as exc:
             batch = [exc] * len(members)
         for i, waves in zip(members, batch):
-            if not isinstance(waves, EngineError):
-                waves.stats["variants"] = len(members)
             results[i] = waves
     return results
 

@@ -44,10 +44,10 @@ constants; run manifests record :data:`SOLVER_SETTINGS`.
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear
 in the state [x, dx/dt, A * sin(theta), source values].  Each accepted
-step's raw state goes into a buffer of _BLOCK; when it fills, before a
-variant drops out of a batch, and at the end, one product with the
-probe matrix gives the buffered samples, and one pass interpolates
-linearly the points of the uniform tstep grid they cover.
+step's raw state goes into a buffer of _BLOCK; when it fills and at the
+end, one product with the probe matrix gives the buffered samples, and
+one pass interpolates linearly the points of the uniform tstep grid
+they cover.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import (_NO_INDEX, _NO_VALUES, build_models, device_groups,
-                      topology)
+from .devices import _NO_VALUES, build_models, device_groups, topology
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # step halved below tstep use backward Euler.
@@ -195,22 +194,14 @@ class _System:
                               for m in self.junctions for idx, w in m.angle])
         B = _matrix((M, nj), [(idx, self.cols[m], b)
                               for m in self.junctions for idx, b in m.output])
-        entries = [(_NO_INDEX, _NO_VALUES, _NO_INDEX)]  # (J_nl index, B*W, j)
-        for m in self.junctions:
-            j = self.cols[m]
-            for idx, b in m.output:
-                for col, w in m.angle:  # entries off the ground slot
-                    keep = (idx % M < N) & (col % M < N)
-                    entries.append((idx[keep] * N + col[keep],
-                                    np.full(keep.sum(), b * w), j[keep]))
         self._WT, self._BT = W.T.copy(), B[:N].T.copy()
-        self._jn_idx, self._jn_bw, self._jn_j = (np.concatenate(e)
-                                                 for e in zip(*entries))
+        self._WN, self._BN = W[:, :N], B[:N]
         self.A = np.array([np.concatenate([_NO_VALUES] + [
             m.amplitude for m in models if m.junction]) for models in
             [self.models] + [build_models(c, GMIN)[0] for c in circuits[1:]]])
         self._eye = np.eye(self.N)
-        self.keep(np.ones(len(circuits), dtype=bool))
+        self._step = None  # the (h, trap) of _newton's cached step parts
+        self._jinv = None  # and the inverse Jacobians of that step size
         self.iterations = 0  # Newton updates of the stack
         self.factorizations = 0  # Jacobian stacks factored (and inverted)
         self.refinements = 0  # held inverse stacks refined instead
@@ -219,14 +210,6 @@ class _System:
         counts = [self.n, self.N - self.n]
         self._ftol = np.repeat([ABSTOL_I, ABSTOL_V], counts)
         self._xtol = np.repeat([ABSTOL_V, ABSTOL_I], counts)
-
-    def keep(self, rows):
-        """Go on with the variants that rows (a boolean mask) selects."""
-        self.A = self.A[rows]
-        K, N = len(self.A), self.N
-        self._jn_stack = (self._jn_idx + N * N * np.arange(K)[:, None]).ravel()
-        self._step = None  # the (h, trap) of _newton's cached step parts
-        self._jinv = None  # and the inverse Jacobians of that step size
 
     def sources(self, t):
         """The values of every source at time t, as one flat array."""
@@ -281,9 +264,7 @@ class _System:
             # iterate, kept while (h, trap) holds, even across steps, and
             # refreshed at each iteration of a step that needs many
             if self._jinv is None or i >= JACOBIAN_REFRESH_ITER:
-                g = (hkA * np.cos(th))[:, self._jn_j] * self._jn_bw
-                J = SN + np.bincount(self._jn_stack, g.ravel(),
-                                     minlength=K * N * N).reshape(K, N, N)
+                J = SN + (self._BN * (hkA * np.cos(th))[:, None, :]) @ self._WN
                 try:
                     self._jinv = self._invert(J)
                 except np.linalg.LinAlgError:
@@ -458,19 +439,18 @@ class _Record:
         if not skip:  # with skip > 0, no grid point at t = 0 is recorded
             self.data[:, :, 0] = s0 @ P
 
-    def add(self, rows, t, x, xd, out, u):
-        """Buffer the state [x, xd, out, u] of the variants rows at time t."""
+    def add(self, t, x, xd, out, u):
+        """Buffer the state [x, xd, out, u] of the variants at time t."""
         self.n = n = self.n + 1
         a, b, c = self.cuts
         s = self.s[:, n]
         self.t[n] = t
         s[:, :a], s[:, a:b], s[:, b:c], s[:, c:] = x, xd, out, u
         if n == _BLOCK:
-            self.flush(rows)
+            self.flush()
 
-    def flush(self, rows, keep=slice(None)):
-        """Write the grid points that the buffered steps cover into the
-        rows of the output, then go on with the variants keep selects."""
+    def flush(self):
+        """Write the grid points the buffered steps cover into the output."""
         n, t, slack = self.n, self.t[:self.n + 1], 1e-9 * self.grid[1]
         ends = np.searchsorted(self.grid, t[1:] + slack, "right")
         lo, end = max(self.filled, self.skip), int(ends[-1]) if n else 0
@@ -480,9 +460,8 @@ class _Record:
             w = np.minimum((self.grid[lo:end] - t[j]) / (t[j + 1] - t[j]), 1.0)
             v = p[:, :, j] * (1.0 - w)
             v += p[:, :, j + 1] * w
-            self.data[rows, :, lo - self.skip:end - self.skip] = v
+            self.data[:, :, lo - self.skip:end - self.skip] = v
         self.filled, self.n, self.t[0] = max(self.filled, end), 0, t[n]
-        self.s = self.s[keep]
         self.s[:, 0] = self.s[:, n]
 
 
@@ -515,10 +494,13 @@ def tran_batch(circuits, tstep=None, tstop=None):
     The variants share one step sequence: one predictor and LTE estimate
     (the largest over the variants), one S and c per step, one stack of
     inverse Jacobians per factorization, and the output grid.  A Newton failure
-    halves the step of every variant; a variant that still fails at
-    tstep / 2**MAX_HALVINGS drops out, and the rest go on.  ``stats``
-    counts the batch's shared work (see :func:`tran`).  Errors common to
-    every variant (grid, topology, DC operating point) raise.
+    halves the step of every variant.  Where variants still fail at
+    tstep / 2**MAX_HALVINGS, the run stops, and the others run again from
+    t = 0 as a batch of their own: each result is that of the batch
+    without the failed variants, and a lone survivor's is its
+    :func:`tran`.  ``stats`` counts the batch's shared work (see
+    :func:`tran`).  Errors common to every variant (grid, topology, DC
+    operating point) raise.
     """
     K = len(circuits)
     grid, skip = _time_grid(circuits[0], tstep, tstop, K)
@@ -541,14 +523,13 @@ def tran_batch(circuits, tstep=None, tstop=None):
     for m in sys_.models:
         if m.sources and m.branch == "tran":
             xtol[m.br] = np.inf
-    rows = np.arange(K)  # the variants still stepping
-    results = [None] * K
+    errors = {}  # the variants that failed, by index
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
     breaks = iter(_breakpoints(circuits[0], tstep, tend))
     bp = next(breaks)
     past = [(0.0, x)]  # accepted points since the last breakpoint, oldest first
     t, h = 0.0, tstep
-    while t < tend and len(rows):
+    while t < tend:
         # land on the next breakpoint, without leaving a sliver before it
         r = bp - t
         h_try = r if r < h + slack else min(h, r / 2) if r < h + tstep else h
@@ -563,18 +544,12 @@ def tran_batch(circuits, tstep=None, tstop=None):
             if h < tstep / (2.0 ** MAX_HALVINGS):
                 for i in np.flatnonzero(failed):
                     worst = sys_._worst(sys_.failed_f[i])
-                    results[rows[i]] = ConvergenceError(
+                    errors[i] = ConvergenceError(
                         f"Newton failed to converge at t = {t_new:.6g} ps "
                         f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
                         f"halvings; worst residual at {worst}",
                         t=t_new, h=h_try, worst=worst)
-                # the rest converged at h_try: retry the step without these
-                keep = ~failed
-                rec.flush(rows, keep)
-                sys_.keep(keep)
-                rows, x, xd, theta = (a[keep] for a in (rows, x, xd, theta))
-                past = [(ti, xi[keep]) for ti, xi in past]
-                h = h_try
+                break
             continue
         # Milne's device: x_new - xp is h*(t_new - t1)*(t_new - t2)*x3/6,
         # x3 the third derivative, and the trapezoidal LTE is h**3*x3/12.
@@ -593,7 +568,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
                 h = _rung(max(tstep, h_try * grow), tstep)
                 continue
         stats["accepted_steps"] += 1
-        rec.add(rows, t_new, x_new, xd_new, s_new, u)
+        rec.add(t_new, x_new, xd_new, s_new, u)
         t, x, xd, theta = t_new, x_new, xd_new, th_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)
@@ -602,17 +577,22 @@ def tran_batch(circuits, tstep=None, tstop=None):
             past = past[-2:] + [(t, x)]
             h = (min(2.0 * h, tstep) if h < tstep - slack
                  else _rung(max(tstep, h_try * grow), tstep))
-    rec.flush(rows)
+    if errors:  # the survivors run again as a batch of their own
+        del rec  # free this run's output before the rerun holds its own
+        rest = [k for k in range(K) if k not in errors]
+        errors.update(zip(rest, tran_batch([circuits[k] for k in rest],
+                                           tstep, tstop) if rest else []))
+        return [errors[k] for k in range(K)]
+    rec.flush()
     stats["newton_iterations"] = sys_.iterations
     stats["jacobian_factorizations"] = sys_.factorizations
     stats["jacobian_refinements"] = sys_.refinements
-
-    for k in rows:  # row by row: no temporary the size of the output
-        results[k] = (WaveformSet(grid[skip:], dict(zip(names, rec.data[k])),
-                                  dict(stats))
-                      if all(np.isfinite(row).all() for row in rec.data[k])
-                      else EngineError("non-finite waveform sample"))
-    return results
+    stats["variants"] = K
+    # row by row: no temporary the size of the output
+    return [WaveformSet(grid[skip:], dict(zip(names, data)), dict(stats))
+            if all(np.isfinite(row).all() for row in data)
+            else EngineError("non-finite waveform sample")
+            for data in rec.data]
 
 
 def tran(circuit, tstep=None, tstop=None):
@@ -625,7 +605,8 @@ def tran(circuit, tstep=None, tstop=None):
     ``newton_halvings``, ``newton_iterations`` (Newton updates),
     ``jacobian_factorizations`` (each one LU factorization, which gives
     the inverse Jacobians the updates apply until the next refresh) and
-    ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead).
+    ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead)
+    and ``variants`` (the batch's size, here 1).
     """
     (waves,) = tran_batch([circuit], tstep, tstop)
     if isinstance(waves, EngineError):

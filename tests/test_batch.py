@@ -115,7 +115,7 @@ def test_batch_rejects_circuits_of_another_topology(change):
 
 def test_a_failing_variant_fails_alone():
     # the second variant's Vc is NaN, so its Newton iteration fails at
-    # every step size; it drops out and the first one finishes
+    # every step size; the first one runs again alone, as its own run
     text = """t
 Vb n1 0 pulse(0 1.5m 2p 0.2p 0.2p 3p 10p)
 R1 n1 n2 1k
@@ -130,26 +130,31 @@ qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n
     assert isinstance(bad, ConvergenceError)
     assert bad.t == bad.h == 0.05 / 2 ** engine.MAX_HALVINGS
     own = tran(circuits[0])
-    i, mine = own.channel("i(q1)"), good.channel("i(q1)")
-    assert np.max(np.abs(mine - i)) <= 1e-6 * np.max(np.abs(i))
-    assert good.stats["newton_halvings"] == engine.MAX_HALVINGS + 1
+    assert good.stats == own.stats
+    for name, values in own.channels.items():
+        assert np.array_equal(good.channel(name), values)
 
 
-def test_a_variant_dropping_after_a_recorded_block_keeps_its_partner_samples(
-        monkeypatch):
-    # variant 0 is made to fail every Newton iteration from t_drop on, after
-    # more than one block of accepted steps; the block its partner had
-    # buffered by then is recorded before the batch narrows to the partner
+@pytest.mark.parametrize("fail_at", [
+    {"0.7m": 61.3},  # K = 2, after more than one recorded block
+    {"0.7m": 61.3, "0.9m": 30.0},  # K = 3, two variants at other times
+], ids=["k2", "k3"])
+def test_failing_variants_leave_the_survivor_its_own_run(monkeypatch,
+                                                         fail_at):
+    # the variants of fail_at's Vc are made to fail every Newton iteration
+    # from their times on; each failure stops the run, and the rest run
+    # again without the failed variant
     text = """t
 Vin n1 0 pulse(0 1.5m 5p 0.2p 0.2p 3p 20p)
 qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
 .tran 0.05p 100p
 .end
 """
-    circuits = [_circ(text.format(vc=vc)) for vc in ("0.7m", "0.8m")]
-    whole = tran_batch(circuits)
-    t_drop = 61.3
-    times, accepted, dropped = [], [], []
+    vcs = [*fail_at, "0.8m"]
+    circuits = [_circ(text.format(vc=vc)) for vc in vcs]
+    when = {engine._System([c]).A[0, 0]: fail_at.get(vc, math.inf)
+            for c, vc in zip(circuits, vcs)}
+    times, accepted, forced = [], [], []
     sources, newton, add = (engine._System.sources, engine._System._newton,
                             engine._Record.add)
 
@@ -157,65 +162,32 @@ qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
         times.append(t)
         return sources(self, t)
 
-    def fail_variant_0(self, *args):
+    def fail_late(self, *args):
         *out, failed = newton(self, *args)
-        if len(failed) == 2 and times[-1] > t_drop:
-            dropped.append(len(accepted))
-            failed = np.array([True, failed[1]])
-        return *out, failed
+        late = np.array([times[-1] > when[a] for a in self.A[:, 0]])
+        if late.any() and not forced:
+            forced.append(len(accepted))
+        return *out, failed | late
 
-    def spy_add(self, rows, t, x, xd, out, u):
+    def spy_add(self, t, *state):
         accepted.append(t)
-        add(self, rows, t, x, xd, out, u)
+        add(self, t, *state)
 
     monkeypatch.setattr(engine._System, "sources", spy_sources)
-    monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
+    monkeypatch.setattr(engine._System, "_newton", fail_late)
     monkeypatch.setattr(engine._Record, "add", spy_add)
-    failed, partner = tran_batch(circuits)
-    assert isinstance(failed, ConvergenceError) and failed.t > t_drop
+    *errors, survivor = tran_batch(circuits)
     # the first forced failure falls inside a block, after the first one
-    # was recorded; the steps accepted before it are those of the batch
-    before = accepted[:dropped[0]]
-    assert len(before) > engine._BLOCK and len(before) % engine._BLOCK
-    kept = partner.time <= before[-1]
-    for name, values in whole[1].channels.items():
-        assert np.array_equal(partner.channel(name)[kept], values[kept])
-
-
-def test_a_dropped_variant_leaves_its_partner_its_own_cached_amplitudes(
-        monkeypatch):
-    # variant 0 is made to fail every Newton iteration after 300 calls;
-    # the step it drops on is retried at the size whose parts were cached
-    # with both variants' (h/k)*A, and the partner must go on with its own
-    text = """t
-Vin n1 0 pulse(0 1.5m 5p 0.2p 0.2p 3p 20p)
-qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
-.tran 0.05p 100p
-.end
-"""
-    circuits = [_circ(text.format(vc=vc)) for vc in ("0.7m", "0.8m")]
-    newton = engine._System._newton
-    calls = []  # (variants, h, trap, the (h/k)*A used is the variants' own)
-
-    def fail_variant_0(self, xg, x, xd, theta, u, h, trap):
-        *out, failed = newton(self, xg, x, xd, theta, u, h, trap)
-        hkA = (h / 2.0 if trap else h) * self.A
-        calls.append((len(failed), h, trap,
-                      np.array_equal(self._step_parts[-1], hkA)))
-        if len(failed) == 2 and len(calls) > 300:
-            failed = np.array([True, failed[1]])
-        return *out, failed
-
-    monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
-    failed, partner = tran_batch(circuits)
-    assert isinstance(failed, ConvergenceError)
-    assert isinstance(partner, engine.WaveformSet)
-    # the first step of the partner alone has the size and rule of the
-    # last attempt of both variants
-    first = next(i for i, c in enumerate(calls) if c[0] == 1)
-    assert calls[first - 1][:3] == (2,) + calls[first][1:3]
-    assert all(c[3] for c in calls)
-    assert partner.time[-1] == pytest.approx(100.0)
+    # was recorded
+    assert forced[0] > engine._BLOCK and forced[0] % engine._BLOCK
+    # each failed variant has its own error, at its own time
+    for error, t_fail in zip(errors, fail_at.values()):
+        assert isinstance(error, ConvergenceError)
+        assert t_fail < error.t < t_fail + 1.0
+    own = tran(circuits[-1])
+    assert survivor.stats == own.stats and own.stats["variants"] == 1
+    for name, values in own.channels.items():
+        assert np.array_equal(survivor.channel(name), values)
 
 
 def test_batch_of_one_is_tran():

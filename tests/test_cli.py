@@ -53,7 +53,8 @@ def test_sim_writes_outputs_and_manifest(tmp_path, capsys):
     stats = manifest["stats"]
     assert sorted(stats) == ["accepted_steps", "jacobian_factorizations",
                              "jacobian_refinements", "lte_rejections",
-                             "newton_halvings", "newton_iterations"]
+                             "newton_halvings", "newton_iterations",
+                             "variants"]
     samples = len((out / "waveforms.csv").read_text().splitlines()) - 1
     assert 0 < stats["accepted_steps"] < samples
     assert "wrote" in capsys.readouterr().out

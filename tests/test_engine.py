@@ -366,6 +366,51 @@ qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n
     np.testing.assert_array_equal(xg, x)
 
 
+def test_assembled_jacobian_is_the_derivative_of_the_residual(monkeypatch):
+    # fig8: six MJJs share the node nlift, so their sine-law terms sum in
+    # its row.  The stack Newton factors at a mid-run trapezoidal step
+    # must be the derivative of the residual it iterates on.
+    circuit = _circ(network_netlist(NetworkSpec(
+        weights=((1, 1, 1), (0, 1, 1)),
+        input_periods=(60e-12, 90e-12, 120e-12))))
+    newton, invert = engine._System._newton, engine._System._invert
+    calls, stacks = [], []
+
+    def spy_newton(self, *args):
+        calls.append((self, args))
+        return newton(self, *args)
+
+    monkeypatch.setattr(engine._System, "_newton", spy_newton)
+    tran(circuit, tstop=400.0)
+    sys_, (xg, x, xd, theta, u, h, trap) = calls[-1]
+    assert trap and h > circuit.tstep
+    # an iterate off the solution, where the angles differ from theta's
+    xg = xg + np.append(np.random.default_rng(0).standard_normal(sys_.N), 0.0)
+    # one iteration: the stack at xg goes to _invert, F(xg) to failed_f
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(engine._System, "_invert",
+                        lambda self, J: stacks.append(J) or invert(self, J))
+
+    def residual(xg):
+        newton(sys_, xg, x, xd, theta, u, h, trap)
+        return sys_.failed_f[0]
+
+    sys_._jinv = None
+    residual(xg)
+    (J,) = stacks[0]
+    delta = 1e-4
+    fd = np.empty_like(J)
+    for j in range(sys_.N):
+        e = np.zeros_like(xg)
+        e[0, j] = delta
+        fd[:, j] = (residual(xg + e) - residual(xg - e)) / (2.0 * delta)
+    peak = np.abs(J).max(axis=1, keepdims=True)
+    assert np.all(np.abs(J - fd) <= 1e-6 * peak)
+    # the junction terms of nlift's row: its own column and six nj nodes'
+    nl = J - sys_._step_parts[0]
+    assert np.count_nonzero(nl[circuit.node_index("nlift")]) == 7
+
+
 # --- junction dynamics ------------------------------------------------------
 
 def test_blockade_zero_current_below_vc():

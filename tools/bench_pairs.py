@@ -19,7 +19,8 @@ and every other layer they measured (such as analysis.export_s or
 reference.integrate_s), read from the all_metrics of the side's
 .perfbench_out/W/result-seed0-trace1.json after each run.  Each layer
 records its runs and their median as its value.  The file is rewritten
-after every pair, so an interrupted set keeps the pairs it finished.
+after every pair and every traced run, so an interrupted set keeps the
+pairs and traced runs it finished.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 11 \\
         --pairs 10 --work /tmp/bench
@@ -166,9 +167,10 @@ def main(argv=None):
             for workload, res in runs.items():
                 for side in SIDES[::-1] if i % 2 else SIDES:
                     res[side].append(traced(trees[side], workload, seconds))
-        doc["traced_seed_0"] = {w: {s: layer_medians(res[s]) for s in SIDES}
-                                for w, res in runs.items()}
-        out.write_text(json.dumps(doc, indent=1) + "\n")
+                    doc["traced_seed_0"] = {
+                        w: {s: layer_medians(r[s]) for s in SIDES if r[s]}
+                        for w, r in runs.items() if any(r.values())}
+                    out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -13,11 +13,11 @@ written to DIR/waveforms.csv by analysis.export_csv, whose repr of every
 float reads back exactly, so equal files mean samples with equal bytes.
 It compares each run's exit code and stdout, every file it wrote
 (waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its manifest.json
-without wall_time_s.  Where a manifest's stats differ, it prints each
-differing field as parent -> change (per point for a sweep); where a
-waveforms.csv differs, each differing channel's largest |change| over
-the channel's peak on the parent side.  Exits 1 on any difference, 0
-when there is none.
+without wall_time_s.  Where a manifest's stats or solver settings
+differ, it prints each differing field as parent -> change (per point
+for a sweep's stats); where a waveforms.csv differs, each differing
+channel's largest |change| over the channel's peak on the parent side.
+Exits 1 on any difference, 0 when there is none.
 
     python3 tools/diff_outputs.py --parent HEAD~1 [--change HEAD] \\
         --work /tmp/diff
@@ -137,9 +137,9 @@ def compare(name, a, b):
         for key in sorted(ma.keys() | mb.keys()):
             if key == "wall_time_s" or ma.get(key) == mb.get(key):
                 continue
-            if key == "stats":
-                lines += [f"{where}: stats {change}" for change
-                          in stats_changes(ma.get("stats"), mb.get("stats"))]
+            if key in ("stats", "solver"):
+                lines += [f"{where}: {key} {change}" for change
+                          in stats_changes(ma.get(key), mb.get(key))]
             else:
                 lines.append(f"{where}: {key} differs")
         return lines
