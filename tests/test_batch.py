@@ -135,23 +135,22 @@ qpsj Q1 n2 0 vc=0.7m rn=10k ls=0.1n
         assert np.array_equal(good.channel(name), values)
 
 
-@pytest.mark.parametrize("fail_at", [
-    {"0.7m": 61.3},  # K = 2, after more than one recorded block
-    {"0.7m": 61.3, "0.9m": 30.0},  # K = 3, two variants at other times
-], ids=["k2", "k3"])
-def test_failing_variants_leave_the_survivor_its_own_run(monkeypatch,
-                                                         fail_at):
-    # the variants of fail_at's Vc are made to fail every Newton iteration
-    # from their times on; each failure stops the run, and the rest run
-    # again without the failed variant
-    text = """t
+_LATE_TEXT = """t
 Vin n1 0 pulse(0 1.5m 5p 0.2p 0.2p 3p 20p)
 qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
 .tran 0.05p 100p
 .end
 """
+
+
+def _fail_late(monkeypatch, fail_at):
+    """Run fail_at's Vc values and a Vc = 0.8m survivor as one batch, each
+    of the former made to fail every Newton iteration from its time on;
+    failures are keyed by a variant's amplitude, so they follow it into a
+    rerun.  Gives the circuits, the results and, for each forced failure,
+    the number of steps accepted before it."""
     vcs = [*fail_at, "0.8m"]
-    circuits = [_circ(text.format(vc=vc)) for vc in vcs]
+    circuits = [_circ(_LATE_TEXT.format(vc=vc)) for vc in vcs]
     when = {engine._System([c]).A[0, 0]: fail_at.get(vc, math.inf)
             for c, vc in zip(circuits, vcs)}
     times, accepted, forced = [], [], []
@@ -165,7 +164,7 @@ qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
     def fail_late(self, *args):
         *out, failed = newton(self, *args)
         late = np.array([times[-1] > when[a] for a in self.A[:, 0]])
-        if late.any() and not forced:
+        if late.any():
             forced.append(len(accepted))
         return *out, failed | late
 
@@ -176,18 +175,75 @@ qpsj Q1 n1 0 vc={vc} rn=10k ls=0.1n
     monkeypatch.setattr(engine._System, "sources", spy_sources)
     monkeypatch.setattr(engine._System, "_newton", fail_late)
     monkeypatch.setattr(engine._Record, "add", spy_add)
-    *errors, survivor = tran_batch(circuits)
+    return circuits, tran_batch(circuits), forced
+
+
+def _is_own_run(waves, circuit):
+    own = tran(circuit)
+    assert waves.stats == own.stats and own.stats["variants"] == 1
+    for name, values in own.channels.items():
+        assert np.array_equal(waves.channel(name), values)
+
+
+def test_a_variant_dropping_after_a_recorded_block_keeps_its_partner_samples(
+        monkeypatch):
+    # variant 0 fails from t = 61.3 ps on, after more than one block of
+    # accepted steps was recorded; its partner runs again alone, and every
+    # sample it keeps, those before the failure too, is its own run's
+    circuits, (failed, partner), forced = _fail_late(monkeypatch,
+                                                     {"0.7m": 61.3})
     # the first forced failure falls inside a block, after the first one
     # was recorded
     assert forced[0] > engine._BLOCK and forced[0] % engine._BLOCK
+    assert isinstance(failed, ConvergenceError)
+    assert 61.3 < failed.t < 62.3
+    _is_own_run(partner, circuits[1])
+
+
+def test_failing_variants_leave_the_survivor_its_own_run(monkeypatch):
+    # K = 3: Vc = 0.9m fails from 30 ps on and 0.7m from 61.3 ps on; each
+    # failure stops the run, and the rest run again without the failed
+    # variant
+    fail_at = {"0.7m": 61.3, "0.9m": 30.0}
+    circuits, (*errors, survivor), _ = _fail_late(monkeypatch, fail_at)
     # each failed variant has its own error, at its own time
     for error, t_fail in zip(errors, fail_at.values()):
         assert isinstance(error, ConvergenceError)
         assert t_fail < error.t < t_fail + 1.0
-    own = tran(circuits[-1])
-    assert survivor.stats == own.stats and own.stats["variants"] == 1
-    for name, values in own.channels.items():
-        assert np.array_equal(survivor.channel(name), values)
+    _is_own_run(survivor, circuits[-1])
+
+
+def test_a_dropped_variant_leaves_its_partner_its_own_cached_amplitudes(
+        monkeypatch):
+    # variant 0 is made to fail every Newton iteration after 300 calls;
+    # the partner's rerun must build its step parts from its own (h/k)*A,
+    # not reuse those cached with both variants' amplitudes
+    circuits = [_circ(_LATE_TEXT.format(vc=vc)) for vc in ("0.7m", "0.8m")]
+    newton = engine._System._newton
+    calls = []  # (variants, h, trap, A, the (h/k)*A used is the variants')
+
+    def fail_variant_0(self, xg, x, xd, theta, u, h, trap):
+        *out, failed = newton(self, xg, x, xd, theta, u, h, trap)
+        hkA = (h / 2.0 if trap else h) * self.A
+        calls.append((len(failed), h, trap, self.A.copy(),
+                      np.array_equal(self._step_parts[-1], hkA)))
+        if len(failed) == 2 and len(calls) > 300:
+            failed = np.array([True, failed[1]])
+        return *out, failed
+
+    monkeypatch.setattr(engine._System, "_newton", fail_variant_0)
+    failed, partner = tran_batch(circuits)
+    assert isinstance(failed, ConvergenceError)
+    assert isinstance(partner, engine.WaveformSet)
+    # the partner alone starts again at t = 0, with the first step of a
+    # run, and with its own row of the batch's amplitudes
+    first = next(i for i, c in enumerate(calls) if c[0] == 1)
+    assert first > 300 and calls[first][1:3] == calls[0][1:3]
+    assert all(np.array_equal(c[3], calls[0][3][1:]) for c in calls[first:])
+    assert all(c[4] for c in calls)
+    assert partner.time[-1] == pytest.approx(100.0)
+    monkeypatch.undo()
+    _is_own_run(partner, circuits[1])
 
 
 def test_batch_of_one_is_tran():
