@@ -23,6 +23,12 @@ step state: the engine keeps the unknowns, their time derivatives and
 the junction angles, and discretizes them for every kind at once.
 :func:`build_models` gives one :class:`DeviceModel` per device kind.
 :func:`damping_parameter` alone takes SI values.
+
+A model holds one row per bank (:func:`banks`): m identical QPSJs in
+parallel, such as the neuron's threshold junctions, are one row whose
+branch unknown is one member's current.  Only its KCL entries (+-m) and
+its leak (m*gmin) count the members; its branch equation, sine law and
+DC output are each member's, so its Newton and LTE tests are too.
 """
 
 from __future__ import annotations
@@ -83,9 +89,11 @@ def _incidence(a, b, br):
     return np.concatenate([a, b, br, br, br]), np.concatenate([br, br, a, b, br])
 
 
-def _pm5(r):
+def _pm5(r, m=1.0):
+    """As above, with KCL entries +-m: the currents of m parallel
+    branches, each equal to br's."""
     ones = np.ones(len(r))
-    return np.concatenate([ones, -ones, ones, -ones, -r])
+    return np.concatenate([m * ones, -m * ones, ones, -ones, -r])
 
 
 def _series(l):
@@ -117,16 +125,23 @@ class DeviceModel:
     factor) terms over the unknowns "x", their time derivatives "xd",
     and, by device, the kind's A * sin(theta) "out" and source values
     "src"; by default a branch kind's current is its branch unknown.
+
+    Each device of devs is one row of the model and stands for the
+    devices named in its entry of ``members`` (by default itself): a
+    bank of m identical parallel devices (see :func:`banks`), m = ``m``.
     """
 
     kinds = ()  # device kinds held, grouped in this order
     branch = None  # "tran" or "dc": a branch unknown always, or at DC only
     junction = False  # probed by default; obeys the sine law (see above)
+    parallel = False  # identical parallel devices form banks
     amplitude_params = ()
     sources = ()
 
-    def __init__(self, devs, br=None, gmin=0.0):
+    def __init__(self, devs, br=None, gmin=0.0, members=None):
         self.names = [d.name for d in devs]
+        self.members = members or [[name] for name in self.names]
+        self.m = np.array([len(names) for names in self.members], dtype=float)
         self.params = [d.params for d in devs]
         self.a = np.array([d.nodes[0] for d in devs], dtype=np.intp)
         self.b = np.array([d.nodes[1] for d in devs], dtype=np.intp)
@@ -161,8 +176,8 @@ class DeviceModel:
         clamped to the edge, with a RuntimeWarning."""
         preset = [p.get(self.preset) for p in self.params]
         for row in ratio:
-            for name, r, p in zip(self.names, row, preset):
-                if p is None and abs(r) > 1.0:
+            for names, r, p in zip(self.members, row, preset):
+                for name in names if p is None and abs(r) > 1.0 else ():
                     warnings.warn(f"{name}: DC bias {self.bias} = {abs(r):.4g}"
                                   f" lies outside the {self.window}; initial"
                                   f" state clamped to its edge", RuntimeWarning)
@@ -276,10 +291,13 @@ class PhaseSlipModel(InductorModel):
     Vc*sin(2*pi*q/2e) on the branch from node a to b, whose charge q is
     the integral of the branch current.  At DC a QPSJ is in Coulomb
     blockade: its branch current is held at zero and its branch voltage
-    gives the initial charge."""
+    gives the initial charge.  A bank of m QPSJs in parallel is one row,
+    whose branch current is one member's: its KCL entries are +-m, and
+    its leak is m*gmin, as the m leaks of the members."""
 
     kinds = (DeviceKind.QPSJ,)
     junction = True
+    parallel = True
     amplitude_params = ("vc",)
     preset, unit = "q0", _W  # state q (aC) = theta / _W
     bias, window = "|v|/Vc", "Coulomb blockade"
@@ -294,13 +312,13 @@ class PhaseSlipModel(InductorModel):
         self.output = ((self.br, 1.0),)
 
     def static(self):
-        gmin = _g4(np.full(len(self.rn), self.gmin))
-        return (np.concatenate([_pm5(self.rn), gmin]),
+        gmin = _g4(self.m * self.gmin)
+        return (np.concatenate([_pm5(self.rn, self.m), gmin]),
                 np.concatenate([_series(self.l), np.zeros(len(gmin))]))
 
     def dc(self):
-        ones, zeros = np.ones(len(self.rn)), np.zeros(len(self.rn))
-        values = [ones, -ones, zeros, zeros, ones, _g4(self.gmin * ones)]
+        m, ones, zeros = self.m, np.ones(len(self.m)), np.zeros(len(self.m))
+        values = [m, -m, zeros, zeros, ones, _g4(self.gmin * m)]
         return self.s_rows, self.s_cols, np.concatenate(values)
 
     def dc_output(self, xg):
@@ -321,21 +339,48 @@ def device_groups(circuit):
     return [(cls, devs) for cls, devs in groups if devs]
 
 
-def build_models(circuit, gmin):
-    """One model per device kind present, in the order of ``_MODELS`` (the
-    engine sums their contributions in that order), and the numbers N and
-    N_dc of transient and DC unknowns: branch currents follow the node
-    voltages, first the "tran" branches, then the DC-only ones."""
-    groups = device_groups(circuit)
-    nxt = circuit.node_count
+def banks(cls, variants):
+    """The rows of a model of class cls, as lists of the indices of the
+    devices each stands for; variants holds the model's devices in each
+    circuit of a batch, in one order.  Where cls is ``parallel``, devices
+    with one kind, one ordered pair of terminals (so anti-parallel ones
+    stay apart) and equal parameters in every variant form one bank, as
+    SPICE's instance multiplier M does; every other device is its own."""
+    def key(i):
+        return [(v[i].kind, v[i].nodes, v[i].params) for v in variants]
+
+    rows = []
+    for i in range(len(variants[0])):
+        row = next((row for row in rows
+                    if cls.parallel and key(row[0]) == key(i)), None)
+        if row is None:
+            rows.append([i])
+        else:
+            row.append(i)
+    return rows
+
+
+def build_models(circuits, gmin):
+    """For each circuit of a batch (circuits of one topology), one model
+    per device kind present, in the order of ``_MODELS`` (the engine sums
+    their contributions in that order), with one row per bank (see
+    :func:`banks`); and the numbers N and N_dc of transient and DC
+    unknowns: branch currents follow the node voltages, first the "tran"
+    branches, then the DC-only ones."""
+    groups = [device_groups(c) for c in circuits]
+    rows = [banks(cls, [g[j][1] for g in groups])
+            for j, (cls, _) in enumerate(groups[0])]
+    nxt = circuits[0].node_count
     branches, sizes = {}, []
     for scope in ("tran", "dc"):
-        for cls, devs in groups:
+        for (cls, _), r in zip(groups[0], rows):
             if cls.branch == scope:
-                branches[cls] = np.arange(nxt, nxt + len(devs), dtype=np.intp)
-                nxt += len(devs)
+                branches[cls] = np.arange(nxt, nxt + len(r), dtype=np.intp)
+                nxt += len(r)
         sizes.append(nxt)
-    return [cls(devs, branches.get(cls), gmin) for cls, devs in groups], *sizes
+    return [[cls([devs[row[0]] for row in r], branches.get(cls), gmin,
+                 [[devs[i].name for i in row] for row in r])
+             for (cls, devs), r in zip(g, rows)] for g in groups], *sizes
 
 
 def topology(circuit):

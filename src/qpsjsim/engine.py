@@ -20,6 +20,16 @@ one batch: each array of the step state stacks the variants in rows,
 and their Jacobians are factored as one stack.  :func:`tran` is the
 batch of one.
 
+A bank, m identical QPSJs in parallel (one ordered pair of terminals,
+equal parameters in every variant), is one row of unknowns, as SPICE's
+instance multiplier M makes m devices one: its branch unknown is one
+member's current, its KCL entries are +-m, and its leak is m*GMIN, the
+members' leaks, which set a floating node's DC level.  Its branch
+equation, angle and tolerances are each member's, so every residual,
+update and LTE test reads what the members' rows would, and the steps
+are those of the circuit integrated device by device.  Every member's
+name resolves in the probes, the operating point and the DC warnings.
+
 Newton starts each step from the polynomial through the last three
 accepted points.  The difference between that prediction and the
 converged step estimates the trapezoidal local truncation error (LTE)
@@ -167,7 +177,8 @@ class _System:
             raise EngineError("circuits integrated together must differ only"
                               " in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)")
         self.n = circuit.node_count
-        self.models, self.N, self.N_dc = build_models(circuit, GMIN)
+        variants, self.N, self.N_dc = build_models(circuits, GMIN)
+        self.models = variants[0]
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
         G, C = (_matrix((M, M), [
@@ -197,8 +208,7 @@ class _System:
         self._WT, self._BT = W.T.copy(), B[:N].T.copy()
         self._WN, self._BN = W[:, :N], B[:N]
         self.A = np.array([np.concatenate([_NO_VALUES] + [
-            m.amplitude for m in models if m.junction]) for models in
-            [self.models] + [build_models(c, GMIN)[0] for c in circuits[1:]]])
+            m.amplitude for m in models if m.junction]) for models in variants])
         self._eye = np.eye(self.N)
         self._step = None  # the (h, trap) of _newton's cached step parts
         self._jinv = None  # and the inverse Jacobians of that step size
@@ -363,9 +373,10 @@ class _System:
             (np.arange(M), np.arange(M), 1.0)] + [
             (at[part](m, idx), M + devices[m], f)
             for m in self.models for part, idx, f in m.probe])
-        names = [name for m in self.models for name in m.names]
+        row = {name: i for i, names in enumerate(
+            names for m in self.models for names in m.members) for name in names}
         return P[:, [self.circuit.node_index(t) % M if q == "v"
-                     else M + names.index(t) for q, t in pairs]]
+                     else M + row[t] for q, t in pairs]]
 
 
 def dc_operating_point(circuit):
@@ -380,10 +391,11 @@ def dc_operating_point(circuit):
     x, s0, theta = sys_.seed_from_dc()
     names = [d.name for d in circuit.devices]
     currents = s0 @ sys_.probes([("i", name) for name in names])
+    states = {name: s for m in sys_.junctions for members, s in zip(
+        m.members, theta[0, sys_.cols[m]] / m.unit) for name in members}
     return OperatingPoint(dict(zip(circuit.node_names, x)),
-                          dict(zip(names, currents[0])), {
-        name: s for m in sys_.junctions
-        for name, s in zip(m.names, theta[0, sys_.cols[m]] / m.unit)})
+                          dict(zip(names, currents[0])),
+                          {name: states[name] for name in names if name in states})
 
 
 def _time_grid(circuit, tstep=None, tstop=None, variants=1):
@@ -588,6 +600,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
     stats["jacobian_factorizations"] = sys_.factorizations
     stats["jacobian_refinements"] = sys_.refinements
     stats["variants"] = K
+    stats["unknowns"] = sys_.N
     # row by row: no temporary the size of the output
     return [WaveformSet(grid[skip:], dict(zip(names, data)), dict(stats))
             if all(np.isfinite(row).all() for row in data)
@@ -605,8 +618,12 @@ def tran(circuit, tstep=None, tstop=None):
     ``newton_halvings``, ``newton_iterations`` (Newton updates),
     ``jacobian_factorizations`` (each one LU factorization, which gives
     the inverse Jacobians the updates apply until the next refresh) and
-    ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead)
-    and ``variants`` (the batch's size, here 1).
+    ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead),
+    ``variants`` (the batch's size, here 1) and ``unknowns`` (the size N
+    of the transient system, each bank one row: fig2 9, fig8 46).  The
+    traced ``netlist.unknowns`` of perfbench counts the DC system
+    instead, which adds the JJs' DC-only branches (fig8 52: 46 and six
+    MJJ branches).
     """
     (waves,) = tran_batch([circuit], tstep, tstop)
     if isinstance(waves, EngineError):
