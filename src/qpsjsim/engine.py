@@ -48,8 +48,10 @@ changes, as RADAU5 and VODE keep their factors while the step size
 holds.  At each iteration of a step from JACOBIAN_REFRESH_ITER on they
 are refreshed: while the held inverses are close to the new Jacobians'
 (|I - J @ X|_inf < SCHULZ_GATE), SCHULZ_STEPS Newton-Schulz steps refine
-them, else they are factored anew.  The numerics are fixed module
-constants; run manifests record :data:`SOLVER_SETTINGS`.
+them, else they are factored anew.  Newton tests convergence once for
+the whole stack; only a batch that fails the test freezes the variants
+that converged.  The numerics are fixed module constants; run manifests
+record :data:`SOLVER_SETTINGS`.
 
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear
@@ -232,8 +234,12 @@ class _System:
         """Newton iteration from xg on a trapezoidal (or, if not trap,
         backward Euler) step h from x, of derivative xd and junction angles
         theta, to the source values u, each variant until it converges.
-        Returns the unknowns (with the ground slot), their derivative, the
-        angles, A * sin(angles) and which variants failed to converge."""
+        Each iteration first tests the whole stack, and only a batch that
+        fails the test masks its converged variants.  A non-finite update
+        shows as a NaN residual, after which its variant has failed; no
+        NaN angle damps another variant's update.  Returns the unknowns
+        (with the ground slot), their derivative, the angles,
+        A * sin(angles) and which variants failed to converge."""
         # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
         # the angles move by W @ the integral over the step,
         # (h/k)*(x_new + (k - 1)*x); k - 1 is 1 (trapezoidal) or 0
@@ -255,6 +261,7 @@ class _System:
             theta = theta + x @ WT
         A = self.A
         xg = xg.copy()  # updated in place below
+        xN = xg[:, :N]  # its unknowns, without the ground slot
         # converged: a small update before, and a small residual now.  A
         # converged variant's unknowns stop moving, so it stays converged.
         ok = np.zeros(K, dtype=bool)
@@ -263,13 +270,20 @@ class _System:
             th = theta + P[:, N:]
             s = A * np.sin(th)
             F = P[:, :N] + c + s @ self._BT
-            if i:
-                ok = (np.abs(F) < self._ftol).all(axis=1)
-                if ok.any():  # only then can the update test decide
-                    ok &= (np.abs(dx) < RELTOL * np.abs(xg[:, :N])
-                           + self._xtol).all(axis=1)
-                    if ok.all():
-                        break
+            if i:  # the whole stack first, then (K > 1) each variant
+                excess = np.abs(F) - self._ftol  # < 0 if small, NaN if NaN
+                worst = excess.max()
+                if worst < 0.0 and (np.abs(dx) < RELTOL * np.abs(xN)
+                                    + self._xtol).all():
+                    ok[:] = True
+                    break
+                if K > 1:  # which variants converged, to freeze them
+                    ok = excess.max(axis=1) < 0.0
+                    if ok.any():
+                        ok &= (np.abs(dx) < RELTOL * np.abs(xN)
+                               + self._xtol).all(axis=1)
+                if worst != worst and np.isnan(excess[~ok]).any(axis=1).all():
+                    break  # every variant still iterating has diverged
             # a chord iteration: the inverse Jacobians of an earlier
             # iterate, kept while (h, trap) holds, even across steps, and
             # refreshed at each iteration of a step that needs many
@@ -283,17 +297,12 @@ class _System:
             dx = (self._jinv @ F[:, :, None])[:, :, 0]
             if K > 1:  # a lone variant that gets here has not converged
                 dx[ok] = 0.0
-            if not np.isfinite(dx).all():  # a diverged variant stops here
-                bad = ~np.isfinite(dx).all(axis=1)
-                if (ok | bad).all():
-                    break
-                dx[bad] = 0.0  # no NaN reaches the others' damping
             # damp the step so no junction jumps minima within one iteration
             angle = np.abs(dx @ WTN)
-            if angle.max(initial=0.0) > MAX_ANGLE_STEP:
+            if not angle.max(initial=0.0) <= MAX_ANGLE_STEP:
                 dx *= MAX_ANGLE_STEP / np.maximum(angle.max(axis=1),
                                                   MAX_ANGLE_STEP)[:, None]
-            xg[:, :N] -= dx
+            xN -= dx
         self.failed_f = F  # the residuals that ConvergenceError reports
         xd_new = kh * (xg - x)
         return xg, xd_new - xd if trap else xd_new, th, s, ~ok

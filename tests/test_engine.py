@@ -537,6 +537,45 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
     assert "device 'q1'" in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("case", ["amplitude", "inverse"])
+def test_a_non_finite_update_fails_its_attempt_at_once(monkeypatch, case):
+    # a NaN Vc, or NaN inverse Jacobians of a circuit without junctions,
+    # where no angle can see the NaN: each attempt stops after the NaN
+    # update, so every halving fails after one update, down to the floor
+    if case == "amplitude":
+        circuit = _circ("""t
+Vb n1 0 dc 1.5m
+qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
+.tran 0.1p 10p
+.end
+""")
+        circuit.devices[1].params["vc"] = math.nan
+    else:
+        circuit = _circ("""t
+Iin 0 n1 pulse(0 1u 5p 0.01p 0.01p 1000p 2000p)
+R1 n1 0 1k
+C1 n1 0 1f
+.tran 0.1p 10p
+.end
+""")
+        monkeypatch.setattr(engine._System, "_invert",
+                            lambda self, J: np.full_like(J, np.nan))
+    updates = []  # the Newton updates of each attempt
+    newton = engine._System._newton
+
+    def counted(self, *args):
+        before = self.iterations
+        result = newton(self, *args)
+        updates.append(self.iterations - before)
+        return result
+
+    monkeypatch.setattr(engine._System, "_newton", counted)
+    with pytest.raises(ConvergenceError) as err:
+        tran(circuit)
+    assert err.value.t == err.value.h == 0.1 / 2 ** engine.MAX_HALVINGS
+    assert updates == [1] * (engine.MAX_HALVINGS + 1)
+
+
 def test_tran_argument_validation():
     circ = _circ("t\nVs n1 0 dc 1m\nR1 n1 0 1k\n.tran 1p 10p\n.end\n")
     assert issubclass(TimeGridError, EngineError)  # what callers catch
