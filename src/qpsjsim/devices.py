@@ -24,6 +24,9 @@ the junction angles, and discretizes them for every kind at once.
 :func:`build_models` gives one :class:`DeviceModel` per device kind.
 :func:`damping_parameter` alone takes SI values.
 
+At DC, as in SPICE, capacitors are open and inductors and JJs shorts,
+on the transient unknowns: a JJ's short is a conductance, 1/_DC_SHORT.
+
 A model holds one row per bank (:func:`banks`): m identical QPSJs in
 parallel, such as the neuron's threshold junctions, are one row whose
 branch unknown is one member's current.  Only its KCL entries (+-m) and
@@ -63,7 +66,8 @@ def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
 _W = 2.0 * math.pi / TWO_E  # QPSJ charge-to-angle factor, rad/aC
 _WJ = 2.0 * math.pi / PHI0  # JJ flux-to-phase factor, rad/(mV*ps)
 
-# Series resistance (kOhm) of the branches shorted at DC.  It keeps
+# Resistance (kOhm) of the shorts at DC: in series on an inductor's
+# branch row, as a conductance 1/_DC_SHORT across a JJ.  It keeps
 # superconducting loops (JJ-L-JJ) nonsingular; the split it picks is the
 # flux-free one.
 _DC_SHORT = 1e-9
@@ -109,7 +113,8 @@ class DeviceModel:
     is that ground slot, which the engine drops; ``xdg`` holds their
     time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
     F_nl(x) = sources``: ``static`` gives the values of G and C, fixed
-    per circuit, at ``s_rows, s_cols``; a source kind declares the rows
+    per circuit, at ``s_rows, s_cols``, and ``dc`` those of the DC
+    system there, on the same unknowns; a source kind declares the rows
     its values enter, negated, as (index array, factor) pairs
     (``sources``).
 
@@ -132,7 +137,7 @@ class DeviceModel:
     """
 
     kinds = ()  # device kinds held, grouped in this order
-    branch = None  # "tran" or "dc": a branch unknown always, or at DC only
+    branch = False  # has a branch unknown, its current from node a to b
     junction = False  # probed by default; obeys the sine law (see above)
     parallel = False  # identical parallel devices form banks
     amplitude_params = ()
@@ -149,7 +154,7 @@ class DeviceModel:
         self.gmin = gmin  # leak conductance across junctions
         self.s_rows = self.s_cols = _NO_INDEX
         self.probe = ()
-        if self.branch == "tran":  # branch currents from node a to b
+        if self.branch:
             self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
             self.probe = (("x", br, 1.0),)
         self.setup()
@@ -222,7 +227,7 @@ class CurrentSourceModel(DeviceModel):
 
 class VoltageSourceModel(DeviceModel):
     kinds = (DeviceKind.VSOURCE,)
-    branch = "tran"
+    branch = True
 
     def setup(self):
         self.sources = ((self.br, -1.0),)
@@ -234,7 +239,7 @@ class VoltageSourceModel(DeviceModel):
 
 class InductorModel(DeviceModel):
     kinds = (DeviceKind.INDUCTOR,)
-    branch = "tran"
+    branch = True
 
     def setup(self):
         self.l = self._param("value")
@@ -250,11 +255,11 @@ class JosephsonModel(CapacitorModel):
     """JJs, then MJJs (a JJ with ic = states[state]): the capacitance Cj in
     parallel with Rn and the supercurrent Ic*sin(phi), from node a to b,
     whose phase phi moves by 2*pi/Phi0 times the flux v(a) - v(b).  At DC
-    a JJ is a short: a DC-only branch through a tiny series resistance,
-    whose current Ic*sin(phi) carries."""
+    a JJ is a short, the conductance 1/_DC_SHORT between its terminals,
+    without 1/Rn (so the short's current is the JJ's bias), and
+    Ic*sin(phi) carries that current."""
 
     kinds = (DeviceKind.JJ, DeviceKind.MJJ)
-    branch = "dc"
     junction = True
     amplitude_params = ("ic", "states", "state")
     preset, unit = "phi0", 1.0  # state phi (rad) = theta
@@ -276,14 +281,10 @@ class JosephsonModel(CapacitorModel):
         return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
 
     def dc(self):
-        k = len(self.amplitude)
-        rows, cols = _incidence(self.a, self.b, self.br)
-        values = [_g4(np.full(k, self.gmin)), _pm5(np.full(k, _DC_SHORT))]
-        return (np.concatenate([self.s_rows, rows]),
-                np.concatenate([self.s_cols, cols]), np.concatenate(values))
+        return self.s_rows, self.s_cols, _g4(np.full(len(self.c), 1 / _DC_SHORT))
 
     def dc_output(self, xg):
-        return xg[self.br]
+        return (xg[self.a] - xg[self.b]) / _DC_SHORT
 
 
 class PhaseSlipModel(InductorModel):
@@ -364,23 +365,20 @@ def build_models(circuits, gmin):
     """For each circuit of a batch (circuits of one topology), one model
     per device kind present, in the order of ``_MODELS`` (the engine sums
     their contributions in that order), with one row per bank (see
-    :func:`banks`); and the numbers N and N_dc of transient and DC
-    unknowns: branch currents follow the node voltages, first the "tran"
-    branches, then the DC-only ones."""
+    :func:`banks`); and the number N of unknowns, at DC as in a step:
+    the node voltages, then the branch currents of the ``branch`` kinds,
+    in that order."""
     groups = [device_groups(c) for c in circuits]
     rows = [banks(cls, [g[j][1] for g in groups])
             for j, (cls, _) in enumerate(groups[0])]
-    nxt = circuits[0].node_count
-    branches, sizes = {}, []
-    for scope in ("tran", "dc"):
-        for (cls, _), r in zip(groups[0], rows):
-            if cls.branch == scope:
-                branches[cls] = np.arange(nxt, nxt + len(r), dtype=np.intp)
-                nxt += len(r)
-        sizes.append(nxt)
+    nxt, branches = circuits[0].node_count, {}
+    for (cls, _), r in zip(groups[0], rows):
+        if cls.branch:
+            branches[cls] = np.arange(nxt, nxt + len(r), dtype=np.intp)
+            nxt += len(r)
     return [[cls([devs[row[0]] for row in r], branches.get(cls), gmin,
                  [[devs[i].name for i in row] for row in r])
-             for (cls, devs), r in zip(g, rows)] for g in groups], *sizes
+             for (cls, devs), r in zip(g, rows)] for g in groups], nxt
 
 
 def topology(circuit):

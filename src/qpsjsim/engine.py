@@ -179,7 +179,7 @@ class _System:
             raise EngineError("circuits integrated together must differ only"
                               " in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)")
         self.n = circuit.node_count
-        variants, self.N, self.N_dc = build_models(circuits, GMIN)
+        variants, self.N = build_models(circuits, GMIN)
         self.models = variants[0]
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
@@ -329,43 +329,46 @@ class _System:
         self.factorizations += 1
         return np.linalg.solve(J, self._eye)
 
-    def _worst(self, resid):
-        """The node or branch device of the largest entry of resid."""
+    def _worst(self, resid, amplitude=None):
+        """The node or branch device of the largest entry of resid; or,
+        where one of a variant's amplitudes is not finite, of the first row
+        its sine term enters: the NaN begins there, and B spreads it to
+        every row of the residual."""
         names = ([f"node {name!r}" for name in self.circuit.node_names]
                  + [f"device {name!r}" for m in self.models
-                    if m.branch == "tran" for name in m.names])
+                    if m.branch for name in m.names])
+        if amplitude is not None and not np.isfinite(amplitude).all():
+            resid = ~np.isfinite(amplitude) @ (self._BT != 0.0)
         return names[int(np.argmax(np.abs(resid)))] if len(resid) else "node '?'"
 
     def seed_from_dc(self):
-        """Solve the static system, which every variant shares.  Returns
-        the transient unknowns it gives, with a ground slot, the state at
-        t = 0 (one row; dx/dt = 0, and A * sin(theta) what the solution
-        asks of the junctions), and the angles (one row per variant) that
-        give those outputs, or their windows' edges."""
-        n, N, Nd = self.n, self.N, self.N_dc
-        M = Nd + 1
+        """Solve the static system, which every variant shares, on the
+        transient unknowns (each JJ's short is a conductance).  Returns the
+        unknowns it gives, with a ground slot, the state at t = 0 (one
+        row; dx/dt = 0, and A * sin(theta) what the solution asks of the
+        junctions), and the angles (one row per variant) that give those
+        outputs, or their windows' edges."""
+        n, N, M = self.n, self.N, self.N + 1
         nodes = np.arange(n)
         tie = (nodes, nodes, np.full(n, GMIN))  # keeps floating nodes defined
-        A = _matrix((M, M), [tie] + [m.dc() for m in self.models])[:Nd, :Nd]
-        b = np.zeros(Nd)  # the sources enter no DC-only branch row
+        A = _matrix((M, M), [tie] + [m.dc() for m in self.models])[:N, :N]
         u = self.sources(0.0)
-        b[:N] = -(u @ self._F)
+        b = -(u @ self._F)
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all(np.isfinite(x)):
-            resid = A @ (np.zeros(Nd) if x is None else x) - b
+            resid = A @ (np.zeros(N) if x is None else x) - b
             worst = self._worst(resid[:n])
             raise ConvergenceError(f"DC operating point did not converge;"
                                    f" worst residual at {worst}", worst=worst)
-        xg = np.concatenate((x, _GROUND))
-        out = np.concatenate([_NO_VALUES] + [m.dc_output(xg)
+        x = np.concatenate((x, _GROUND))
+        out = np.concatenate([_NO_VALUES] + [m.dc_output(x)
                                              for m in self.junctions])
         ratio = out / self.A
         theta = np.concatenate([np.zeros((len(ratio), 0))] + [
             m.seed(ratio[:, self.cols[m]]) for m in self.junctions], axis=1)
-        x = np.concatenate((xg[:N], _GROUND))
         return x, np.concatenate((x, 0.0 * x, out, u))[None], theta
 
     def probes(self, pairs):
@@ -542,7 +545,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
     # Thevenin bias are those of its Norton equivalent.  SPICE likewise
     # checks only the charges and fluxes of storage elements (Nagel, 1975).
     for m in sys_.models:
-        if m.sources and m.branch == "tran":
+        if m.sources and m.branch:
             xtol[m.br] = np.inf
     errors = {}  # the variants that failed, by index
     stats = dict(accepted_steps=0, lte_rejections=0, newton_halvings=0)
@@ -564,7 +567,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
             h = h_try / 2.0
             if h < tstep / (2.0 ** MAX_HALVINGS):
                 for i in np.flatnonzero(failed):
-                    worst = sys_._worst(sys_.failed_f[i])
+                    worst = sys_._worst(sys_.failed_f[i], sys_.A[i])
                     errors[i] = ConvergenceError(
                         f"Newton failed to converge at t = {t_new:.6g} ps "
                         f"with step {h_try:.3g} ps after {MAX_HALVINGS} "
@@ -629,10 +632,7 @@ def tran(circuit, tstep=None, tstop=None):
     the inverse Jacobians the updates apply until the next refresh) and
     ``jacobian_refinements`` (refreshes by Newton-Schulz steps instead),
     ``variants`` (the batch's size, here 1) and ``unknowns`` (the size N
-    of the transient system, each bank one row: fig2 9, fig8 46).  The
-    traced ``netlist.unknowns`` of perfbench counts the DC system
-    instead, which adds the JJs' DC-only branches (fig8 52: 46 and six
-    MJJ branches).
+    of the system, each bank one row: fig2 9, fig8 46).
     """
     (waves,) = tran_batch([circuit], tstep, tstop)
     if isinstance(waves, EngineError):

@@ -1,5 +1,6 @@
-"""Shared fixtures: the expensive template simulations are run once per
-session and reused by the behavioral and acceptance tests."""
+"""Shared fixtures: each figure of ``qpsjsim figure`` is simulated once
+per session, by the CLI's own builder, and reused by the behavioral,
+acceptance, batch and stats-record tests."""
 
 import time
 from types import SimpleNamespace
@@ -7,45 +8,57 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qpsjsim.engine import tran
-from qpsjsim.netlist import elaborate, parse_netlist
+from qpsjsim import cli
 from qpsjsim.templates import (NeuronParams, SynapseBinaryParams,
                                binary_synapse_netlist, neuron_netlist)
 
 
-def run_scenario(ast):
-    """Elaborate and integrate, returning waveforms plus wall time."""
-    circuit = elaborate(ast)
-    t0 = time.perf_counter()
-    waves = tran(circuit)
-    return SimpleNamespace(waves=waves, elapsed=time.perf_counter() - t0)
+class FigureRuns(dict):
+    """The run of each figure ID, made by ``cli._FIGURES[ID]`` when first
+    asked for: its netlist, its waves and the builder's wall time
+    (parse, elaborate, integrate and summarize)."""
+
+    def __missing__(self, fig):
+        t0 = time.perf_counter()
+        netlist, waves, _ = cli._FIGURES[fig](fig)
+        self[fig] = run = SimpleNamespace(
+            netlist=netlist, waves=waves, elapsed=time.perf_counter() - t0)
+        return run
 
 
 @pytest.fixture(scope="session")
-def neuron_run():
-    """Threshold-10 neuron driven by 22 input pulses (two firing cycles)."""
-    p = NeuronParams(n_pulses=22)
-    out = run_scenario(parse_netlist(neuron_netlist(p)))
-    out.params = p
-    return out
+def figure_runs():
+    return FigureRuns()
+
+
+def _figure_run(runs, fig, params, netlist):
+    """The run of figure fig, with the template params whose netlist it
+    simulated."""
+    run = runs[fig]
+    assert run.netlist == netlist(params)
+    return SimpleNamespace(**vars(run), params=params)
 
 
 @pytest.fixture(scope="session")
-def binary_on_run():
-    """Binary synapse in the low-Ic (weight 1) state, 10 inputs."""
-    p = SynapseBinaryParams(state=0)
-    out = run_scenario(parse_netlist(binary_synapse_netlist(p)))
-    out.params = p
-    return out
+def neuron_run(figure_runs):
+    """fig2: threshold-10 neuron driven by 22 input pulses (two firing
+    cycles)."""
+    return _figure_run(figure_runs, "fig2", NeuronParams(n_pulses=22),
+                       neuron_netlist)
 
 
 @pytest.fixture(scope="session")
-def binary_off_run():
-    """Binary synapse in the high-Ic (weight 0) state, 10 inputs."""
-    p = SynapseBinaryParams(state=1)
-    out = run_scenario(parse_netlist(binary_synapse_netlist(p)))
-    out.params = p
-    return out
+def binary_on_run(figure_runs):
+    """fig4a: binary synapse in the low-Ic (weight 1) state, 10 inputs."""
+    return _figure_run(figure_runs, "fig4a", SynapseBinaryParams(state=0),
+                       binary_synapse_netlist)
+
+
+@pytest.fixture(scope="session")
+def binary_off_run(figure_runs):
+    """fig4b: binary synapse in the high-Ic (weight 0) state, 10 inputs."""
+    return _figure_run(figure_runs, "fig4b", SynapseBinaryParams(state=1),
+                       binary_synapse_netlist)
 
 
 def crossing_rate(time_axis, values):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import corpus
 import test_netlist
-from conftest import crossing_rate, run_scenario
+from conftest import crossing_rate
 from qpsjsim.analysis import (detect_pulses, neuron_firing_energy,
                               switching_energy, window_charges)
 from qpsjsim.devices import damping_parameter
@@ -191,21 +191,23 @@ def _expected_weight1_pulses(spec, row):
     return total
 
 
-def test_ac6_network():
-    t0 = time.perf_counter()
+def test_ac6_network(figure_runs):
     results = []
     ok = True
-    for weights in (((1, 1, 1), (0, 1, 1)), ((1, 0, 1), (0, 0, 1))):
+    elapsed = 0.0
+    for fig, weights in (("fig8", ((1, 1, 1), (0, 1, 1))),
+                         ("fig9", ((1, 0, 1), (0, 0, 1)))):
         spec = NetworkSpec(weights=weights,
                            input_periods=(60e-12, 90e-12, 120e-12))
-        waves = tran(elaborate(parse_netlist(network_netlist(spec))))
+        run = figure_runs[fig]
+        assert run.netlist == network_netlist(spec)
+        waves, elapsed = run.waves, elapsed + run.elapsed
         for y, row in enumerate(spec.weights):
             expected = _expected_weight1_pulses(spec, row) \
                 // spec.neuron.n_threshold
             got = len(_firings(waves, f"i(rloadn{y})"))
             ok = ok and abs(got - expected) <= 1
             results.append(f"{list(row)}:{got} (floor {expected})")
-    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _report("AC6 network", ok,
             f"firing counts per neuron {'; '.join(results)}, +-1 allowed, "

@@ -11,8 +11,7 @@ from qpsjsim.analysis import detect_pulses
 from qpsjsim.engine import ConvergenceError, EngineError, tran, tran_batch
 from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.templates import (NetworkSpec, SynapseBinaryParams,
-                               SynapseMultiParams, binary_synapse_netlist,
-                               multistate_synapse_netlist, network_netlist)
+                               binary_synapse_netlist, network_netlist)
 from qpsjsim.units import TWO_E
 
 
@@ -26,15 +25,14 @@ def _same_events(mine, theirs, charge_tol):
     assert np.all(np.abs(mine.charges() - theirs.charges()) <= charge_tol)
 
 
-def test_binary_synapse_batch_matches_each_own_run():
+def test_binary_synapse_batch_matches_each_own_run(figure_runs):
     # fig4a/b: both Ic states as one K = 2 batch, as the synapse sweep runs
     # them; their quiet stretches are linear, so the shared steps change
     # each waveform only at the level of rounding
-    circuits = [_circ(binary_synapse_netlist(SynapseBinaryParams(state=s)))
-                for s in (0, 1)]
-    batch = tran_batch(circuits)
-    for circuit, waves in zip(circuits, batch):
-        own = tran(circuit)
+    runs = [figure_runs[fig] for fig in ("fig4a", "fig4b")]
+    owns = [run.waves for run in runs]
+    batch = tran_batch([_circ(run.netlist) for run in runs])
+    for own, waves in zip(owns, batch):
         assert list(waves.channels) == list(own.channels)
         for name, values in own.channels.items():
             peak = np.max(np.abs(values))
@@ -46,23 +44,23 @@ def test_binary_synapse_batch_matches_each_own_run():
     # as fine as the more demanding variant needs, and cover both
     # variants in fewer steps than their two own runs
     assert batch[0].stats == batch[1].stats
-    steps = max(tran(c).stats["accepted_steps"] for c in circuits)
+    steps = max(own.stats["accepted_steps"] for own in owns)
     assert steps <= batch[0].stats["accepted_steps"] < 1.1 * steps
 
 
-def test_multistate_synapse_batch_matches_each_own_run():
+def test_multistate_synapse_batch_matches_each_own_run(figure_runs):
     # fig6a-d: four MJJ states of one circuit, one K = 4 batch.  The steps
     # follow the variant with the largest LTE estimate, so a variant's
     # steps are not those of its own run: each waveform must stay closer
     # to its own run than halving tstep moves that run, and the output
     # must carry the same pulses, at the same peaks, with charges within
     # AC2's 1% of 2e
-    circuits = [_circ(multistate_synapse_netlist(SynapseMultiParams(state=s)))
-                for s in range(4)]
+    runs = [figure_runs[fig] for fig in ("fig6a", "fig6b", "fig6c", "fig6d")]
+    circuits = [_circ(run.netlist) for run in runs]
     batch = tran_batch(circuits)
     counts, steps = [], []
-    for circuit, waves in zip(circuits, batch):
-        own = tran(circuit)
+    for run, circuit, waves in zip(runs, circuits, batch):
+        own = run.waves
         steps.append(own.stats["accepted_steps"])
         finer = tran(circuit, tstep=circuit.tstep / 2)
         assert list(waves.channels) == list(own.channels)
@@ -246,10 +244,10 @@ def test_a_dropped_variant_leaves_its_partner_its_own_cached_amplitudes(
     _is_own_run(partner, circuits[1])
 
 
-def test_batch_of_one_is_tran():
-    circuit = _circ(binary_synapse_netlist(SynapseBinaryParams(state=1)))
-    (waves,) = tran_batch([circuit])
-    own = tran(circuit)
+def test_batch_of_one_is_tran(figure_runs):
+    # fig4b, whose figure run is its tran
+    own = figure_runs["fig4b"].waves
+    (waves,) = tran_batch([_circ(figure_runs["fig4b"].netlist)])
     assert waves.stats == own.stats
     for name, values in own.channels.items():
         assert np.array_equal(waves.channel(name), values)

@@ -64,6 +64,55 @@ jj J1 n1 0 ic=200u rn=5 cj=1f
     assert op.junction_states["j1"] == pytest.approx(math.asin(0.5), rel=1e-6)
 
 
+def test_dc_parallel_jjs_split_their_bias_equally():
+    # two shorts of equal conductance share the 100 uA; each junction's
+    # t = 0 current adds its v/Rn, 5e-8 mV over 5 ohm
+    op = dc_operating_point(_circ("""t
+Ib 0 n1 dc 100u
+jj J1 n1 0 ic=200u rn=5 cj=0.1p
+jj J2 n1 0 ic=200u rn=5 cj=0.1p
+.tran 0.01p 1p
+.end
+"""))
+    assert op.branch_currents["j1"] == op.branch_currents["j2"]
+    assert op.branch_currents["j1"] == pytest.approx(50.00001, rel=1e-12)
+    assert op.junction_states["j1"] == pytest.approx(math.asin(0.25),
+                                                     rel=1e-6)
+
+
+def test_dc_superconducting_loop_is_nonsingular():
+    # J1 in parallel with L1 and J2 in series: each short is _DC_SHORT, so
+    # J1 takes two thirds of the bias and the loop the flux-free rest
+    op = dc_operating_point(_circ("""t
+Ib 0 n1 dc 100u
+jj J1 n1 0 ic=200u rn=5 cj=0.1p
+L1 n1 n2 10p
+jj J2 n2 0 ic=200u rn=5 cj=0.1p
+.tran 0.01p 1p
+.end
+"""))
+    currents = [op.branch_currents[name] for name in ("j1", "l1", "j2")]
+    assert currents == pytest.approx(
+        [66.66667999999999, 33.33333333333333, 33.333339999999986], rel=1e-9)
+
+
+def test_dc_solves_the_transient_system(monkeypatch, figure_runs):
+    # a JJ's DC short is a conductance on its own entries: the DC matrix of
+    # fig8 has the transient unknowns, no branch rows of its own
+    unknowns = figure_runs["fig8"].waves.stats["unknowns"]
+    shapes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    with pytest.warns(RuntimeWarning):  # the neurons' bias, as in fig8
+        dc_operating_point(_circ(figure_runs["fig8"].netlist))
+    assert unknowns == 46 and shapes == [(46, 46)]
+
+
 def test_dc_initial_states_respect_overrides():
     op = dc_operating_point(_circ("""t
 Vb n1 0 dc 0.35m
@@ -243,16 +292,16 @@ R1 n1 0 100meg
     assert waves.stats["lte_rejections"] == 0
 
 
-def test_thevenin_and_norton_bias_take_one_step_sequence():
+def test_thevenin_and_norton_bias_take_one_step_sequence(neuron_run):
     # fig2's bias, Vb behind Rb, and its Norton equivalent, Ib across Rb:
     # a voltage source's branch current is no state of any integration
     # rule, so it must not size the steps.  Newton's iterations may differ.
-    thevenin = neuron_netlist(NeuronParams(n_pulses=22))
+    thevenin = neuron_run.netlist
     norton = thevenin.replace(
         "Vb nb 0 dc 0.001\nRb nb nm 9000.0\n",
         "Ib 0 nm dc 1.1111111111111112e-07\nRb nm 0 9000.0\n")
     assert norton != thevenin
-    a, b = (tran(_circ(text)) for text in (thevenin, norton))
+    a, b = neuron_run.waves, tran(_circ(norton))
     steps = a.stats["accepted_steps"], b.stats["accepted_steps"]
     assert abs(steps[0] - steps[1]) <= 0.01 * max(steps)
     assert a.channels.keys() == b.channels.keys()
@@ -541,7 +590,9 @@ qpsj Q1 n1 0 vc=0.7m rn=10k ls=0.1n
 def test_a_non_finite_update_fails_its_attempt_at_once(monkeypatch, case):
     # a NaN Vc, or NaN inverse Jacobians of a circuit without junctions,
     # where no angle can see the NaN: each attempt stops after the NaN
-    # update, so every halving fails after one update, down to the floor
+    # update, so every halving fails after one update, down to the floor.
+    # The error names the row the NaN began in: Q1's branch row, whose
+    # sine term is NaN, not the first of the rows it spread to
     if case == "amplitude":
         circuit = _circ("""t
 Vb n1 0 dc 1.5m
@@ -574,6 +625,8 @@ C1 n1 0 1f
         tran(circuit)
     assert err.value.t == err.value.h == 0.1 / 2 ** engine.MAX_HALVINGS
     assert updates == [1] * (engine.MAX_HALVINGS + 1)
+    assert err.value.worst == {"amplitude": "device 'q1'",
+                               "inverse": "node 'n1'"}[case]
 
 
 def test_tran_argument_validation():

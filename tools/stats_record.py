@@ -25,10 +25,10 @@ PATH = Path(__file__).resolve().parent.parent / "tests" / "stats_record.json"
 SWEEP = ("synapse", "ic", "200e-6,300e-6")
 
 
-def record():
-    """The stats of each figure and sweep point, keyed by its command."""
-    rec = {f"figure {fig}": build(fig)[1].stats
-           for fig, build in cli._FIGURES.items()}
+def record(waves=lambda fig: cli._FIGURES[fig](fig)[1]):
+    """The stats of each figure and sweep point, keyed by its command;
+    waves(ID) gives the waves of figure ID, by default run here."""
+    rec = {f"figure {fig}": waves(fig).stats for fig in cli._FIGURES}
     template, param, values = SWEEP
     circuits = [cli._SWEEPS[template, param](v)[0] for v in values.split(",")]
     rec["sweep " + " ".join(SWEEP)] = [waves.stats for waves
