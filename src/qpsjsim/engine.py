@@ -2,17 +2,21 @@
 
 Unknown vector layout: node voltages (mV) first, then branch currents
 (uA).  The device equations live in the models of :mod:`qpsjsim.devices`;
-this module scatters them with ``np.bincount`` into G @ x + C @ dx/dt +
+this module scatters them with ``np.add.at`` into G @ x + C @ dx/dt +
 F_nl(x) = sources and integrates it: at DC (capacitors open, inductors
 and JJs shorted, QPSJs in Coulomb blockade, dx/dt = 0) to seed the
 junction angles, then per step by the one rule x_new = x + (h/k)*(dx/dt_new
 + (k - 1)*dx/dt), trapezoidal (k = 2) or backward Euler (k = 1), and
-damped Newton iteration on F = S @ x_new + c + F_nl(x_new), whose
-S = G + (k/h)*C and c are fixed once per step.  Every junction obeys one
-sine law, F_nl = B @ (A * sin(theta)): its angle theta moves by W @ the
-unknowns' integral over the step, and its model declares only its row
-of W, its column of B and its amplitude A.  The step state is x, dx/dt
-and theta, held here as arrays.
+damped Newton iteration on S @ x_new + F_nl(x_new) - sources - C @ y,
+S = G + (k/h)*C.  As in SPICE's companion models, the step's history is
+one constant, y = (k/h)*x + (k - 1)*dx/dt, and dx/dt_new = (k/h)*x_new - y.
+Every junction obeys one sine law, F_nl = B @ (A * sin(theta)): its angle
+theta moves by W @ the unknowns' integral over the step, and its model
+declares only its row of W, its column of B and its amplitude A.  So a
+variant's residual is one product, of its row [x_new, A * sin(theta),
+u, y] with the rows [S^T; B^T; F; -C^T] (u @ F the sources, negated),
+built once per step size.  The step state is x, dx/dt and theta, one row
+per variant of each array.
 
 Circuits that differ only in junction amplitudes (JJ/MJJ Ic, QPSJ Vc)
 share G, C, W, B and the sources, so :func:`tran_batch` steps them as
@@ -186,10 +190,7 @@ class _System:
         G, C = (_matrix((M, M), [
             (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)])
             for part in zip(*[m.static() for m in self.models]))
-        # G^T and C^T off the ground column, for S^T and c, in the memory
-        # order (which picks the BLAS kernel and its rounding) of each use
-        self._GT, self._CT = G.T[:, :N], C.T[:, :N]
-        self._CTc = self._CT.copy()
+        self._GT, self._CT = G.T[:, :N], C.T[:, :N]  # S^T = G^T + (k/h)*C^T
         # the circuit's sources as one flat list, sources(t) @ F negated:
         # the dc values once, the pulses evaluated at each t
         drives = [m for m in self.models if m.sources]
@@ -211,6 +212,11 @@ class _System:
         self._WN, self._BN = W[:, :N], B[:N]
         self.A = np.array([np.concatenate([_NO_VALUES] + [
             m.amplitude for m in models if m.junction]) for models in variants])
+        # the rows [S^T; B^T; F; -C^T] that take a variant's row
+        # [x, A * sin(theta), u, y] to its residual; _newton writes S^T
+        self._SB = np.concatenate((0.0 * self._GT, self._BT, self._F,
+                                   -self._CT))
+        self._SN = self._SB[:N, :N].T  # S, which the Jacobians start from
         self._eye = np.eye(self.N)
         self._step = None  # the (h, trap) of _newton's cached step parts
         self._jinv = None  # and the inverse Jacobians of that step size
@@ -234,54 +240,57 @@ class _System:
         """Newton iteration from xg on a trapezoidal (or, if not trap,
         backward Euler) step h from x, of derivative xd and junction angles
         theta, to the source values u, each variant until it converges.
-        Each iteration first tests the whole stack, and only a batch that
-        fails the test masks its converged variants.  A non-finite update
-        shows as a NaN residual, after which its variant has failed; no
-        NaN angle damps another variant's update.  Returns the unknowns
-        (with the ground slot), their derivative, the angles,
+        Each variant's iterate is one row z = [x_new, A * sin(theta_new),
+        u, y], y = (k/h)*x + (k - 1)*xd the step's history, so its residual
+        S @ x_new + F_nl(x_new) + u @ F - C @ y is the one product z @ SB.
+        The angles start at theta + (h/k)*W @ (xg + (k - 1)*x) and move
+        with each update by the W @ dx its damping test computes, so they
+        stay theta + W @ the integral over the step (to rounding).  Each
+        iteration first tests the whole stack, and only a batch that fails
+        the test masks its converged variants.  A non-finite update shows
+        as a NaN residual, after which its variant has failed; no NaN angle
+        damps another variant's update.  Returns the unknowns (with the
+        ground slot), their derivative (k/h)*x_new - y, the angles,
         A * sin(angles) and which variants failed to converge."""
-        # C @ xd_new = (k/h)*C @ x_new - C @ ((k/h)*x + (k - 1)*xd), and
-        # the angles move by W @ the integral over the step,
-        # (h/k)*(x_new + (k - 1)*x); k - 1 is 1 (trapezoidal) or 0
-        N, K = self.N, len(xg)
+        N, M, K = self.N, self.N + 1, len(xg)
         kh = 2.0 / h if trap else 1.0 / h
         # on the ladder most steps share the size of the one before: 83% of
         # fig2's, 93% of fig8's and 92% of the fig4a/b batch's, 73% and 78%
         # of the AC9 circuits' (without it 47%, 73%, 76% and none)
         if self._step != (h, trap):
             hk = h / 2.0 if trap else h
+            self._SB[:M] = self._GT + kh * self._CT
             WT = hk * self._WT
-            # one product gives the rows of S @ x_new and W @ x_new
-            SW = np.concatenate((self._GT + kh * self._CT, WT), axis=1)
-            self._step_parts = (SW[:N, :N].T, WT, WT[:N], SW, hk * self.A)
+            self._step_parts = (self._SN, WT, WT[:N], hk * self.A)
             self._step, self._jinv = (h, trap), None
-        SN, WT, WTN, SW, hkA = self._step_parts
-        c = u @ self._F - (kh * x + xd if trap else kh * x) @ self._CTc
+        SN, WT, WTN, hkA = self._step_parts
+        A, SB = self.A, self._SB
+        z = np.empty((K, len(SB)))
+        j = M + A.shape[1]
+        xN, s, y = z[:, :N], z[:, M:j], z[:, j + len(u):]
+        z[:, :M], z[:, j:j + len(u)] = xg, u
+        np.multiply(x, kh, out=y)
         if trap:
-            theta = theta + x @ WT
-        A = self.A
-        xg = xg.copy()  # updated in place below
-        xN = xg[:, :N]  # its unknowns, without the ground slot
+            y += xd
+        th = theta + (x + xg if trap else xg) @ WT
         # converged: a small update before, and a small residual now.  A
         # converged variant's unknowns stop moving, so it stays converged.
         ok = np.zeros(K, dtype=bool)
         for i in range(MAX_NEWTON_ITERS):
-            P = xg @ SW
-            th = theta + P[:, N:]
-            s = A * np.sin(th)
-            F = P[:, :N] + c + s @ self._BT
+            np.multiply(A, np.sin(th), out=s)
+            F = z @ SB
             if i:  # the whole stack first, then (K > 1) each variant
                 excess = np.abs(F) - self._ftol  # < 0 if small, NaN if NaN
-                worst = excess.max()
-                if worst < 0.0 and (np.abs(dx) < RELTOL * np.abs(xN)
-                                    + self._xtol).all():
+                worst = np.maximum.reduce(excess, None)
+                if worst < 0.0 and np.logical_and.reduce(
+                        np.abs(dx) < RELTOL * np.abs(xN) + self._xtol, None):
                     ok[:] = True
                     break
                 if K > 1:  # which variants converged, to freeze them
-                    ok = excess.max(axis=1) < 0.0
+                    ok = np.maximum.reduce(excess, 1) < 0.0
                     if ok.any():
-                        ok &= (np.abs(dx) < RELTOL * np.abs(xN)
-                               + self._xtol).all(axis=1)
+                        ok &= np.logical_and.reduce(
+                            np.abs(dx) < RELTOL * np.abs(xN) + self._xtol, 1)
                 if worst != worst and np.isnan(excess[~ok]).any(axis=1).all():
                     break  # every variant still iterating has diverged
             # a chord iteration: the inverse Jacobians of an earlier
@@ -298,14 +307,18 @@ class _System:
             if K > 1:  # a lone variant that gets here has not converged
                 dx[ok] = 0.0
             # damp the step so no junction jumps minima within one iteration
-            angle = np.abs(dx @ WTN)
-            if not angle.max(initial=0.0) <= MAX_ANGLE_STEP:
-                dx *= MAX_ANGLE_STEP / np.maximum(angle.max(axis=1),
-                                                  MAX_ANGLE_STEP)[:, None]
+            dth = dx @ WTN
+            angle = np.abs(dth)
+            if not np.maximum.reduce(angle, None, initial=0.0) <= MAX_ANGLE_STEP:
+                damp = MAX_ANGLE_STEP / np.maximum(
+                    np.maximum.reduce(angle, 1), MAX_ANGLE_STEP)[:, None]
+                dx *= damp
+                dth *= damp
             xN -= dx
+            th -= dth
         self.failed_f = F  # the residuals that ConvergenceError reports
-        xd_new = kh * (xg - x)
-        return xg, xd_new - xd if trap else xd_new, th, s, ~ok
+        xg = z[:, :M]
+        return xg, kh * xg - y, th, s, ~ok
 
     def _invert(self, J):
         """The inverses of the Jacobian stack J.  Where the held stack X
@@ -491,16 +504,17 @@ class _Record:
 
 def _predict(past, t):
     """The polynomial through the accepted points past, [(t_i, x_i)], at t."""
-    if len(past) == 1:
-        return past[0][1]
-    terms = []
+    xp = None
     for ti, xi in past:
         w = 1.0
         for tj, _ in past:
             if tj != ti:
                 w *= (t - tj) / (ti - tj)
-        terms.append(w * xi)
-    return sum(terms[1:], terms[0])
+        if xp is None:
+            xp = w * xi
+        else:
+            xp += w * xi
+    return xp
 
 
 def _rung(h, tstep):
@@ -581,9 +595,10 @@ def tran_batch(circuits, tstep=None, tstop=None):
         # size it proposes is rounded down onto the ladder, by 0.84 to 1
         # (0.92 on average), on top of the safety factor 0.95.
         grow = 1.0
+        ax_new = np.abs(x_new)
         if len(past) == 3:
-            (t2, _), (t1, _), (_, x0) = past
-            tol = RELTOL * np.maximum(np.abs(x0), np.abs(x_new)) + xtol
+            (t2, _), (t1, _), _ = past
+            tol = RELTOL * np.maximum(ax, ax_new) + xtol
             err = float((np.abs(x_new - xp) / tol).max()) * h_try * h_try / (
                 2.0 * LTE_FRACTION * (t_new - t1) * (t_new - t2))
             grow = min(5.0, max(0.2, 0.95 * max(err, 1e-10) ** (-1.0 / 3.0)))
@@ -593,7 +608,7 @@ def tran_batch(circuits, tstep=None, tstop=None):
                 continue
         stats["accepted_steps"] += 1
         rec.add(t_new, x_new, xd_new, s_new, u)
-        t, x, xd, theta = t_new, x_new, xd_new, th_new
+        t, x, xd, theta, ax = t_new, x_new, xd_new, th_new, ax_new
         if t == bp:  # a corner: no polynomial reaches across it
             bp = next(breaks, tend)
             past, h = [(t, x)], tstep
