@@ -216,7 +216,6 @@ class _System:
         # [x, A * sin(theta), u, y] to its residual; _newton writes S^T
         self._SB = np.concatenate((0.0 * self._GT, self._BT, self._F,
                                    -self._CT))
-        self._SN = self._SB[:N, :N].T  # S, which the Jacobians start from
         self._eye = np.eye(self.N)
         self._step = None  # the (h, trap) of _newton's cached step parts
         self._jinv = None  # and the inverse Jacobians of that step size
@@ -261,14 +260,14 @@ class _System:
             hk = h / 2.0 if trap else h
             self._SB[:M] = self._GT + kh * self._CT
             WT = hk * self._WT
-            self._step_parts = (self._SN, WT, WT[:N], hk * self.A)
+            self._step_parts = (self._SB[:N, :N].T, WT, WT[:N], hk * self.A)
             self._step, self._jinv = (h, trap), None
         SN, WT, WTN, hkA = self._step_parts
         A, SB = self.A, self._SB
-        z = np.empty((K, len(SB)))
+        z = np.empty((K, len(SB)))  # [x_new, A * sin(theta), u, y]
         j = M + A.shape[1]
-        xN, s, y = z[:, :N], z[:, M:j], z[:, j + len(u):]
-        z[:, :M], z[:, j:j + len(u)] = xg, u
+        z[:, :M], z[:, j:-M] = xg, u
+        xN, s, y = z[:, :N], z[:, M:j], z[:, -M:]
         np.multiply(x, kh, out=y)
         if trap:
             y += xd
@@ -309,7 +308,8 @@ class _System:
             # damp the step so no junction jumps minima within one iteration
             dth = dx @ WTN
             angle = np.abs(dth)
-            if not np.maximum.reduce(angle, None, initial=0.0) <= MAX_ANGLE_STEP:
+            if not np.maximum.reduce(angle, None,
+                                     initial=0.0) <= MAX_ANGLE_STEP:
                 damp = MAX_ANGLE_STEP / np.maximum(
                     np.maximum.reduce(angle, 1), MAX_ANGLE_STEP)[:, None]
                 dx *= damp
@@ -317,8 +317,8 @@ class _System:
             xN -= dx
             th -= dth
         self.failed_f = F  # the residuals that ConvergenceError reports
-        xg = z[:, :M]
-        return xg, kh * xg - y, th, s, ~ok
+        x_new = z[:, :M]
+        return x_new, kh * x_new - y, th, s, ~ok
 
     def _invert(self, J):
         """The inverses of the Jacobian stack J.  Where the held stack X
