@@ -9,6 +9,7 @@ import pytest
 
 from qpsjsim.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, OUT_DIR_ENV, main
 from qpsjsim.engine import EngineError
+from qpsjsim.templates import SynapseBinaryParams, binary_synapse_netlist
 from qpsjsim.units import TWO_E
 
 RC_NETLIST = """rc demo
@@ -236,10 +237,10 @@ def test_undecodable_netlist_or_uncreatable_out_is_input_error(
 
 
 def test_sim_output_too_large_is_input_error(tmp_path, capsys):
-    # 1e9 grid points of three channels: refused before anything is
-    # allocated for them
-    net = tmp_path / "fig4a" / "fig4a.cir"
-    assert main(["figure", "fig4a", "--out", str(net.parent)]) == EXIT_OK
+    # fig4a's netlist on 1e9 grid points of three channels: refused before
+    # anything is allocated for them
+    net = tmp_path / "fig4a.cir"
+    net.write_text(binary_synapse_netlist(SynapseBinaryParams(state=0)))
     out = tmp_path / "out"
     tracemalloc.start()
     try:

@@ -460,6 +460,64 @@ def test_assembled_jacobian_is_the_derivative_of_the_residual(monkeypatch):
     assert np.count_nonzero(nl[circuit.node_index("nlift")]) == 7
 
 
+def test_newton_angles_and_derivative_follow_the_integration_rule(
+        monkeypatch):
+    # fig8 mid-run: whatever way Newton carries the angles and the
+    # derivative through its updates, at its end they must be what the
+    # rule gives from the unknowns it returns, and its last residual
+    # S @ x + c + B @ (A * sin(theta)) that of those angles
+    circuit = _circ(network_netlist(NetworkSpec(
+        weights=((1, 1, 1), (0, 1, 1)),
+        input_periods=(60e-12, 90e-12, 120e-12))))
+    newton, invert = engine._System._newton, engine._System._invert
+    calls, stacks = [], []
+
+    def spy_newton(self, *args):
+        calls.append((self, args))
+        return newton(self, *args)
+
+    monkeypatch.setattr(engine._System, "_newton", spy_newton)
+    tran(circuit, tstop=400.0)
+    sys_, (xp, x, xd, theta, u, h, trap) = calls[-1]
+    assert trap and h > circuit.tstep and np.abs(xd).max() > 0.0
+    monkeypatch.setattr(engine._System, "_invert",
+                        lambda self, J: stacks.append(J) or invert(self, J))
+
+    def residual(xg, k, theta):
+        """S @ xg + c + B @ (A * sin(theta)), as its three terms."""
+        S = sys_._GT + k / h * sys_._CT
+        c = u @ sys_._F - (k / h * x + (k - 1) * xd) @ sys_._CT
+        return xg @ S, c, (sys_.A * np.sin(theta)) @ sys_._BT
+
+    def check(xg, trap):
+        k = 2 if trap else 1
+        sys_._jinv = None  # the first update factors at xg
+        x_new, xd_new, th, s, failed = newton(sys_, xg, x, xd, theta, u, h,
+                                              trap)
+        assert not failed.any()
+        rule = theta + h / k * (x_new + (k - 1) * x) @ sys_._WT
+        assert np.abs(th - rule).max() <= 1e-12 * np.abs(rule).max()
+        dxdt = k / h * (x_new - x) - (k - 1) * xd
+        scale = np.abs(k / h * x_new).max()
+        assert np.abs(xd_new - dxdt).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(s, sys_.A * np.sin(th))
+        terms = residual(x_new, k, th)
+        scale = max(np.abs(term).max() for term in terms)
+        assert np.abs(sys_.failed_f - sum(terms)).max() <= 1e-12 * scale
+        # the first update, from the iterate and angles Newton starts at
+        th0 = theta + h / k * (xg + (k - 1) * x) @ sys_._WT
+        dx = np.linalg.solve(stacks[-1], sum(residual(xg, k, th0))[0])
+        return np.abs(h / k * dx @ sys_._WT[:sys_.N]).max()
+
+    assert check(xp, True) <= engine.MAX_ANGLE_STEP
+    assert check(xp, False) <= engine.MAX_ANGLE_STEP
+    # a start some 10 mV off at every node: the angle limit damps the
+    # first update, and every later one moves the angles by its W @ dx
+    off = 10.0 * np.random.default_rng(0).standard_normal(sys_.N + 1)
+    far = xp + np.where(np.arange(sys_.N + 1) < circuit.node_count, off, 0.0)
+    assert check(far, True) > engine.MAX_ANGLE_STEP
+
+
 # --- junction dynamics ------------------------------------------------------
 
 def test_blockade_zero_current_below_vc():

@@ -5,11 +5,16 @@ For each of the nine figures of ``qpsjsim figure ID`` and each point of
 ``qpsjsim sweep synapse ic 200e-6,300e-6`` (one batch of two variants),
 the record holds the ``stats`` its manifest.json records: accepted
 steps, LTE rejections, Newton halvings and iterations, Jacobian
-factorizations and refinements, variants and unknowns.  They come from
-the CLI's own figure builders and sweep batching, without writing the
+factorizations and refinements, variants and unknowns.  After them, under
+"channels <command>", it holds each saved channel's peak |value| and, for
+each current channel, the events its spikes.csv lists: their count,
+each one's t_peak (ps) and its charge in 2e.  Floats are rounded to
+DIGITS significant digits.  Everything comes from the CLI's own figure
+builders, sweep batching and pulse detection, without writing the
 outputs.  tests/test_stats_record.py computes the record again and
-compares it exactly, so a change that moves a step decision fails until
-this file is written again, and the file's diff shows what moved.
+compares it exactly, so a change that moves a step decision, or a pulse
+or a peak at the written digits, fails until this file is written again,
+and the file's diff shows what moved.
 
     PYTHONPATH=src python3 tools/stats_record.py
 """
@@ -19,20 +24,46 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from qpsjsim import cli
+from qpsjsim.units import TWO_E
 
 PATH = Path(__file__).resolve().parent.parent / "tests" / "stats_record.json"
 SWEEP = ("synapse", "ic", "200e-6,300e-6")
+DIGITS = 6  # significant digits of the recorded floats
+
+
+def _round(value):
+    return float(f"{value:.{DIGITS}g}")
+
+
+def channels(waves):
+    """Each channel's peak |value|, and each current channel's events as
+    spikes.csv lists them: count, t_peak (ps) and charge (2e)."""
+    rec = {name: {"peak": _round(np.abs(values).max())}
+           for name, values in waves.channels.items()}
+    for train in cli._detect_all(waves):
+        rec[train.source].update(
+            events=len(train.events),
+            t_peak_ps=[_round(e.t_peak) for e in train.events],
+            charge_2e=[_round(e.charge / TWO_E) for e in train.events])
+    return rec
 
 
 def record(waves=lambda fig: cli._FIGURES[fig](fig)[1]):
-    """The stats of each figure and sweep point, keyed by its command;
-    waves(ID) gives the waves of figure ID, by default run here."""
-    rec = {f"figure {fig}": waves(fig).stats for fig in cli._FIGURES}
+    """The stats of each figure and sweep point, keyed by its command,
+    then their channels; waves(ID) gives the waves of figure ID, by
+    default run here."""
+    runs = {f"figure {fig}": waves(fig) for fig in cli._FIGURES}
     template, param, values = SWEEP
     circuits = [cli._SWEEPS[template, param](v)[0] for v in values.split(",")]
-    rec["sweep " + " ".join(SWEEP)] = [waves.stats for waves
-                                       in cli._sweep_waves(circuits)]
+    sweep = "sweep " + " ".join(SWEEP), cli._sweep_waves(circuits)
+    rec = {command: w.stats for command, w in runs.items()}
+    rec[sweep[0]] = [w.stats for w in sweep[1]]
+    rec.update((f"channels {command}", channels(w))
+               for command, w in runs.items())
+    rec[f"channels {sweep[0]}"] = [channels(w) for w in sweep[1]]
     return rec
 
 
