@@ -73,26 +73,19 @@ def detect_pulses(time, values, source=""):
     thr = base + THRESHOLD_FRACTION * (vmax - base)
     rearm = base + 0.5 * (thr - base)
 
-    # threshold-crossing state machine with hysteresis
-    starts = []
-    armed = True
-    for k in range(len(values)):
-        v = values[k]
-        if armed and v >= thr:
-            starts.append(k)
-            armed = False
-        elif not armed and v < rearm:
-            armed = True
-
-    above = values > base
+    # events start at the rising edges of values >= thr, each but the
+    # first only if a sample fell below rearm since the last high run
+    high = values >= thr
+    rise = np.flatnonzero(high & ~np.r_[False, high[:-1]])
+    fall = np.flatnonzero(high & ~np.r_[high[1:], False])
+    low = np.cumsum(values < rearm)
+    starts = rise[np.r_[True, low[rise[1:] - 1] > low[fall[:-1]]]]
+    # each start's window: the samples above base on either side of it
+    below = np.r_[-1, np.flatnonzero(values <= base), len(values)]
+    los = below[np.searchsorted(below, starts) - 1] + 1
+    his = below[np.searchsorted(below, starts + 1)] - 1
     windows = []
-    for k in starts:
-        lo = k
-        while lo > 0 and above[lo - 1]:
-            lo -= 1
-        hi = k
-        while hi < len(values) - 1 and above[hi + 1]:
-            hi += 1
+    for lo, hi in zip(los.tolist(), his.tolist()):
         if windows and lo <= windows[-1][1]:
             windows[-1] = (windows[-1][0], max(hi, windows[-1][1]))
         else:

@@ -16,11 +16,12 @@ law, A*sin(theta) with the angle theta moved by a row of the unknowns'
 integral, and each junction model only declares that row, the rows the
 term enters and its amplitude A (Ic, -Vc).
 
-The models work in the scaled units of :mod:`qpsjsim.units` on
-parameters that :func:`qpsjsim.netlist.elaborate` checked.  They hold
-every device equation the engine uses, and no integration rule and no
-step state: the engine keeps the unknowns, their time derivatives and
-the junction angles, and discretizes them for every kind at once.
+A model class defines its device kinds whole, as data: the netlist
+card :mod:`qpsjsim.netlist` reads, and every device equation the engine
+uses, in the scaled units of :mod:`qpsjsim.units` on parameters that
+:func:`qpsjsim.netlist.elaborate` checked.  It holds no integration rule
+and no step state: the engine keeps the unknowns, their time derivatives
+and the junction angles, and discretizes them for every kind at once.
 :func:`build_models` gives one :class:`DeviceModel` per device kind.
 :func:`damping_parameter` alone takes SI values.
 
@@ -39,11 +40,27 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections import namedtuple
+from enum import Enum
 
 import numpy as np
 
-from .netlist import DeviceKind
+from . import units
 from .units import PHI0, TWO_E, TWO_E_SI
+
+
+class DeviceKind(str, Enum):
+    RESISTOR = "resistor"
+    INDUCTOR = "inductor"
+    CAPACITOR = "capacitor"
+    VSOURCE = "vsource"
+    ISOURCE = "isource"
+    QPSJ = "qpsj"
+    JJ = "jj"
+    MJJ = "mjj"
+
+
+_Card = namedtuple("_Card", "form head params")
 
 
 def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
@@ -72,51 +89,38 @@ _WJ = 2.0 * math.pi / PHI0  # JJ flux-to-phase factor, rad/(mV*ps)
 # flux-free one.
 _DC_SHORT = 1e-9
 
-_NO_INDEX = np.zeros(0, dtype=np.intp)
-_NO_VALUES = np.zeros(0)
+
+def _conductance(a, b, g):
+    """Entries (rows, cols, values) of conductances g between nodes a
+    and b."""
+    return (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]),
+            np.concatenate([g, g, -g, -g]))
 
 
-# Jacobian entries of conductances g between nodes a and b: rows and
-# columns from _conductance(a, b), values from _g4(g).  Entries of branch
-# currents br from node a to b, with rows v(a) - v(b) - r*i(br): rows and
-# columns from _incidence(a, b, br), values from _pm5(r).
-
-def _conductance(a, b):
-    return np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
-
-
-def _g4(g):
-    return np.concatenate([g, g, -g, -g])
-
-
-def _incidence(a, b, br):
-    return np.concatenate([a, b, br, br, br]), np.concatenate([br, br, a, b, br])
-
-
-def _pm5(r, m=1.0):
-    """As above, with KCL entries +-m: the currents of m parallel
-    branches, each equal to br's."""
-    ones = np.ones(len(r))
-    return np.concatenate([m * ones, -m * ones, ones, -ones, -r])
-
-
-def _series(l):
-    """The C part of _pm5(k*l/h): -l on the branch diagonal alone."""
-    return np.concatenate([np.zeros(4 * len(l)), -l])
+def _incidence(a, b, br, r, m=1.0):
+    """Entries of branch currents br from node a to b, with rows
+    v(a) - v(b) - r*i(br), and KCL entries +-m: the currents of m
+    parallel branches, each equal to br's."""
+    ones = np.ones(len(br))
+    return (np.concatenate([a, b, br, br, br]),
+            np.concatenate([br, br, a, b, br]),
+            np.concatenate([m * ones, -m * ones, ones, -ones, -r]))
 
 
 class DeviceModel:
-    """Every device of one kind in a circuit, held as arrays.
+    """Every device of one kind in a circuit, held as arrays.  ``cards``
+    maps each kind of the class, in the order its devices are grouped, to
+    its netlist card: form, head and parameters (see :mod:`qpsjsim.netlist`).
 
     ``xg`` holds the unknowns, node voltages (mV) then branch currents
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
     is that ground slot, which the engine drops; ``xdg`` holds their
     time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
-    F_nl(x) = sources``: ``static`` gives the values of G and C, fixed
-    per circuit, at ``s_rows, s_cols``, and ``dc`` those of the DC
-    system there, on the same unknowns; a source kind declares the rows
-    its values enter, negated, as (index array, factor) pairs
-    (``sources``).
+    F_nl(x) = sources``: ``setup`` declares the entries of G and C,
+    fixed per circuit, and of the DC system on the same unknowns (``DC``,
+    by default G), each as a tuple of (rows, cols, values) triples; a
+    source kind declares the rows its values enter, negated, as (index
+    array, factor) pairs (``sources``).
 
     A junction adds one sine law per device, F_nl = B @ (A * sin(theta)),
     whose angle theta a step moves by W @ (the unknowns' integral over
@@ -136,12 +140,14 @@ class DeviceModel:
     bank of m identical parallel devices (see :func:`banks`), m = ``m``.
     """
 
-    kinds = ()  # device kinds held, grouped in this order
+    cards = {}
     branch = False  # has a branch unknown, its current from node a to b
     junction = False  # probed by default; obeys the sine law (see above)
     parallel = False  # identical parallel devices form banks
     amplitude_params = ()
     sources = ()
+    G = C = ()
+    DC = None
 
     def __init__(self, devs, br=None, gmin=0.0, members=None):
         self.names = [d.name for d in devs]
@@ -152,27 +158,15 @@ class DeviceModel:
         self.b = np.array([d.nodes[1] for d in devs], dtype=np.intp)
         self.br = br
         self.gmin = gmin  # leak conductance across junctions
-        self.s_rows = self.s_cols = _NO_INDEX
-        self.probe = ()
-        if self.branch:
-            self.s_rows, self.s_cols = _incidence(self.a, self.b, br)
-            self.probe = (("x", br, 1.0),)
+        self.probe = (("x", br, 1.0),) if self.branch else ()
         self.setup()
+        self.DC = self.G if self.DC is None else self.DC  # G, as h -> inf
 
     def setup(self):
-        """Set the kind's parameter and index arrays."""
+        """Set the kind's parameter and index arrays and its entries."""
 
     def _param(self, key):
         return np.array([p[key] for p in self.params])
-
-    def static(self):
-        """The values G and C, in the order of s_rows and s_cols."""
-        return _NO_VALUES, _NO_VALUES
-
-    def dc(self):
-        """Entries (rows, cols, values) of the DC matrix: by default the
-        limit h -> inf of a step, G.  The sources give its right side."""
-        return self.s_rows, self.s_cols, self.static()[0]
 
     def seed(self, ratio):
         """Angles asin(ratio) for the ratios of dc_output to the
@@ -192,33 +186,28 @@ class DeviceModel:
 
 
 class ResistorModel(DeviceModel):
-    kinds = (DeviceKind.RESISTOR,)
+    cards = {DeviceKind.RESISTOR: _Card(
+        "value", "r", {"value": (units.OHM, "positive")})}
 
     def setup(self):
-        self.g = 1.0 / self._param("value")
-        self.s_rows, self.s_cols = _conductance(self.a, self.b)
-        self.probe = (("x", self.a, self.g), ("x", self.b, -self.g))
-
-    def static(self):
-        g = _g4(self.g)
-        return g, np.zeros(len(g))
+        g = 1.0 / self._param("value")
+        self.G = (_conductance(self.a, self.b, g),)
+        self.probe = (("x", self.a, g), ("x", self.b, -g))
 
 
 class CapacitorModel(DeviceModel):
-    kinds = (DeviceKind.CAPACITOR,)
+    cards = {DeviceKind.CAPACITOR: _Card(
+        "value", "c", {"value": (units.FARAD, "positive")})}
 
     def setup(self):
-        self.c = self._param("value")
-        self.s_rows, self.s_cols = _conductance(self.a, self.b)
-        self.probe = (("xd", self.a, self.c), ("xd", self.b, -self.c))
-
-    def static(self):
-        c = _g4(self.c)
-        return np.zeros(len(c)), c
+        c = self._param("value")
+        self.C = (_conductance(self.a, self.b, c),)
+        self.probe = (("xd", self.a, c), ("xd", self.b, -c))
 
 
 class CurrentSourceModel(DeviceModel):
-    kinds = (DeviceKind.ISOURCE,)
+    cards = {DeviceKind.ISOURCE: _Card("source", "i", {
+        "dc": (units.AMP, "optional"), "pulse": (units.AMP, "optional")})}
 
     def setup(self):
         self.sources = ((self.a, 1.0), (self.b, -1.0))
@@ -226,32 +215,28 @@ class CurrentSourceModel(DeviceModel):
 
 
 class VoltageSourceModel(DeviceModel):
-    kinds = (DeviceKind.VSOURCE,)
+    cards = {DeviceKind.VSOURCE: _Card("source", "v", {
+        "dc": (units.VOLT, "optional"), "pulse": (units.VOLT, "optional")})}
     branch = True
 
     def setup(self):
         self.sources = ((self.br, -1.0),)
-
-    def static(self):
-        g = _pm5(np.zeros(len(self.br)))
-        return g, np.zeros(len(g))
+        self.G = (_incidence(self.a, self.b, self.br, np.zeros(len(self.br))),)
 
 
 class InductorModel(DeviceModel):
-    kinds = (DeviceKind.INDUCTOR,)
+    cards = {DeviceKind.INDUCTOR: _Card(
+        "value", "l", {"value": (units.HENRY, "positive")})}
     branch = True
 
     def setup(self):
-        self.l = self._param("value")
-
-    def static(self):
-        return _pm5(np.zeros(len(self.l))), _series(self.l)
-
-    def dc(self):
-        return self.s_rows, self.s_cols, _pm5(np.full(len(self.l), _DC_SHORT))
+        a, b, br, l = self.a, self.b, self.br, self._param("value")
+        self.G = (_incidence(a, b, br, np.zeros(len(l))),)
+        self.C = ((br, br, -l),)
+        self.DC = (_incidence(a, b, br, np.full(len(l), _DC_SHORT)),)
 
 
-class JosephsonModel(CapacitorModel):
+class JosephsonModel(DeviceModel):
     """JJs, then MJJs (a JJ with ic = states[state]): the capacitance Cj in
     parallel with Rn and the supercurrent Ic*sin(phi), from node a to b,
     whose phase phi moves by 2*pi/Phi0 times the flux v(a) - v(b).  At DC
@@ -259,35 +244,37 @@ class JosephsonModel(CapacitorModel):
     without 1/Rn (so the short's current is the JJ's bias), and
     Ic*sin(phi) carries that current."""
 
-    kinds = (DeviceKind.JJ, DeviceKind.MJJ)
+    cards = {
+        DeviceKind.JJ: _Card("junction", "jj", {
+            "ic": (units.AMP, "positive"), "rn": (units.OHM, "positive"),
+            "cj": (units.FARAD, "non-negative"), "phi0": (1.0, "optional")}),
+        DeviceKind.MJJ: _Card("junction", "mjj", {
+            "states": (units.AMP, "list"), "state": (1, "index"),
+            "rn": (units.OHM, "positive"), "cj": (units.FARAD, "non-negative")})}
     junction = True
     amplitude_params = ("ic", "states", "state")
     preset, unit = "phi0", 1.0  # state phi (rad) = theta
     bias, window = "|i|/Ic", "superconducting window"
 
     def setup(self):
+        a, b = self.a, self.b
         self.amplitude = np.array([p["states"][p["state"]] if "states" in p
                                    else p["ic"] for p in self.params])
-        self.rn, self.c = self._param("rn"), self._param("cj")
-        self.s_rows, self.s_cols = _conductance(self.a, self.b)
-        self.angle = ((self.a, _WJ), (self.b, -_WJ))
-        self.output = ((self.a, 1.0), (self.b, -1.0))
-        g = 1.0 / self.rn
-        self.probe = (("out", np.arange(len(g)), 1.0), ("x", self.a, g),
-                      ("x", self.b, -g), ("xd", self.a, self.c),
-                      ("xd", self.b, -self.c))
-
-    def static(self):
-        return _g4(1.0 / self.rn + self.gmin), _g4(self.c)
-
-    def dc(self):
-        return self.s_rows, self.s_cols, _g4(np.full(len(self.c), 1 / _DC_SHORT))
+        rn, c = self._param("rn"), self._param("cj")
+        self.G = (_conductance(a, b, 1.0 / rn + self.gmin),)
+        self.C = (_conductance(a, b, c),)
+        self.DC = (_conductance(a, b, np.full(len(c), 1 / _DC_SHORT)),)
+        self.angle = ((a, _WJ), (b, -_WJ))
+        self.output = ((a, 1.0), (b, -1.0))
+        g = 1.0 / rn
+        self.probe = (("out", np.arange(len(g)), 1.0), ("x", a, g),
+                      ("x", b, -g), ("xd", a, c), ("xd", b, -c))
 
     def dc_output(self, xg):
         return (xg[self.a] - xg[self.b]) / _DC_SHORT
 
 
-class PhaseSlipModel(InductorModel):
+class PhaseSlipModel(DeviceModel):
     """QPSJs: the inductance Ls in series with Rn and the voltage
     Vc*sin(2*pi*q/2e) on the branch from node a to b, whose charge q is
     the integral of the branch current.  At DC a QPSJ is in Coulomb
@@ -296,7 +283,10 @@ class PhaseSlipModel(InductorModel):
     whose branch current is one member's: its KCL entries are +-m, and
     its leak is m*gmin, as the m leaks of the members."""
 
-    kinds = (DeviceKind.QPSJ,)
+    cards = {DeviceKind.QPSJ: _Card("junction", "qpsj", {
+        "vc": (units.VOLT, "positive"), "rn": (units.OHM, "positive"),
+        "ls": (units.HENRY, "non-negative"), "q0": (units.COULOMB, "optional")})}
+    branch = True
     junction = True
     parallel = True
     amplitude_params = ("vc",)
@@ -304,23 +294,17 @@ class PhaseSlipModel(InductorModel):
     bias, window = "|v|/Vc", "Coulomb blockade"
 
     def setup(self):
-        vc, self.rn, self.l = (self._param(k) for k in ("vc", "rn", "ls"))
+        a, b, br, m = self.a, self.b, self.br, self.m
+        vc, rn, l = (self._param(k) for k in ("vc", "rn", "ls"))
         self.amplitude = -vc
-        g_rows, g_cols = _conductance(self.a, self.b)
-        self.s_rows = np.concatenate([self.s_rows, g_rows])
-        self.s_cols = np.concatenate([self.s_cols, g_cols])
-        self.angle = ((self.br, _W),)
-        self.output = ((self.br, 1.0),)
-
-    def static(self):
-        gmin = _g4(self.m * self.gmin)
-        return (np.concatenate([_pm5(self.rn, self.m), gmin]),
-                np.concatenate([_series(self.l), np.zeros(len(gmin))]))
-
-    def dc(self):
-        m, ones, zeros = self.m, np.ones(len(self.m)), np.zeros(len(self.m))
-        values = [m, -m, zeros, zeros, ones, _g4(self.gmin * m)]
-        return self.s_rows, self.s_cols, np.concatenate(values)
+        leak = _conductance(a, b, m * self.gmin)
+        self.G = (_incidence(a, b, br, rn, m), leak)
+        self.C = ((br, br, -l),)
+        # the KCL entries, then the branch row i = 0
+        self.DC = ((np.concatenate([a, b, br]), np.concatenate([br, br, br]),
+                    np.concatenate([m, -m, np.ones(len(m))])), leak)
+        self.angle = ((br, _W),)
+        self.output = ((br, 1.0),)
 
     def dc_output(self, xg):
         """Also sets the branch currents in xg to their blockade value 0."""
@@ -334,8 +318,8 @@ _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,
 
 def device_groups(circuit):
     """Each model class with devices in the circuit, in the order of
-    ``_MODELS``, and its devices in the order of its ``kinds``."""
-    groups = [(cls, [d for kind in cls.kinds for d in circuit.devices
+    ``_MODELS``, and its devices in the order of its ``cards``."""
+    groups = [(cls, [d for kind in cls.cards for d in circuit.devices
                      if d.kind is kind]) for cls in _MODELS]
     return [(cls, devs) for cls, devs in groups if devs]
 
@@ -385,7 +369,7 @@ def topology(circuit):
     """The circuit with its junction amplitudes (JJ/MJJ Ic, QPSJ Vc) left
     out.  Circuits of equal topology share every matrix, source and probe
     of the engine, which integrates them as one batch."""
-    drop = {kind: cls.amplitude_params for cls in _MODELS for kind in cls.kinds}
+    drop = {kind: cls.amplitude_params for cls in _MODELS for kind in cls.cards}
     return dataclasses.replace(circuit, devices=[
         dataclasses.replace(d, params={k: v for k, v in d.params.items()
                                        if k not in drop[d.kind]})

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import _NO_VALUES, build_models, device_groups, topology
+from .devices import build_models, device_groups, topology
 
 # Fixed solver numerics.  Steps are trapezoidal; the first step and every
 # step halved below tstep use backward Euler.
@@ -187,9 +187,8 @@ class _System:
         self.models = variants[0]
         self.junctions = [m for m in self.models if m.junction]
         N, M = self.N, self.N + 1  # the last slot collects ground entries
-        G, C = (_matrix((M, M), [
-            (m.s_rows, m.s_cols, v) for m, v in zip(self.models, part)])
-            for part in zip(*[m.static() for m in self.models]))
+        G = _matrix((M, M), [e for m in self.models for e in m.G])
+        C = _matrix((M, M), [e for m in self.models for e in m.C])
         self._GT, self._CT = G.T[:, :N], C.T[:, :N]  # S^T = G^T + (k/h)*C^T
         # the circuit's sources as one flat list, sources(t) @ F negated:
         # the dc values once, the pulses evaluated at each t
@@ -210,7 +209,7 @@ class _System:
                               for m in self.junctions for idx, b in m.output])
         self._WT, self._BT = W.T.copy(), B[:N].T.copy()
         self._WN, self._BN = W[:, :N], B[:N]
-        self.A = np.array([np.concatenate([_NO_VALUES] + [
+        self.A = np.array([np.concatenate([np.zeros(0)] + [
             m.amplitude for m in models if m.junction]) for models in variants])
         # the rows [S^T; B^T; F; -C^T] that take a variant's row
         # [x, A * sin(theta), u, y] to its residual; _newton writes S^T
@@ -364,7 +363,8 @@ class _System:
         n, N, M = self.n, self.N, self.N + 1
         nodes = np.arange(n)
         tie = (nodes, nodes, np.full(n, GMIN))  # keeps floating nodes defined
-        A = _matrix((M, M), [tie] + [m.dc() for m in self.models])[:N, :N]
+        A = _matrix((M, M), [tie] + [e for m in self.models
+                                     for e in m.DC])[:N, :N]
         u = self.sources(0.0)
         b = -(u @ self._F)
         try:
@@ -377,7 +377,7 @@ class _System:
             raise ConvergenceError(f"DC operating point did not converge;"
                                    f" worst residual at {worst}", worst=worst)
         x = np.concatenate((x, _GROUND))
-        out = np.concatenate([_NO_VALUES] + [m.dc_output(x)
+        out = np.concatenate([np.zeros(0)] + [m.dc_output(x)
                                              for m in self.junctions])
         ratio = out / self.A
         theta = np.concatenate([np.zeros((len(ratio), 0))] + [

@@ -21,23 +21,24 @@ Node "0" is ground.  Values use SI-suffix notation (f p n u m k meg g).
 Parsed card values are in base SI units; :func:`elaborate` converts them
 to the internal scaled unit system (see :mod:`qpsjsim.units`).
 
-Parsing, checking, scaling and serializing read one ``_CARDS`` row per
-device kind: its form ("value", "source" or "junction", as above), its
-head (leading letter or keyword) and, in serialized order, each
-parameter's SI-to-scaled multiplier and rule: "positive", "non-negative",
-"list" (non-empty, each positive), "index" (into "states") or "optional"
-(unbounded, and the only rule that lets a card leave it out).
+Parsing, checking, scaling and serializing read one card per device
+kind, which its model class in :mod:`qpsjsim.devices` declares
+(``cards``) and ``_CARDS`` gathers: its form ("value", "source" or
+"junction", as above), its head (leading letter or keyword) and, in
+serialized order, each parameter's SI-to-scaled multiplier and rule:
+"positive", "non-negative", "list" (non-empty, each positive), "index"
+(into "states") or "optional" (unbounded, and the only rule that lets a
+card leave it out).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from dataclasses import astuple, dataclass
-from enum import Enum
 
 from . import units
+from .devices import _MODELS, DeviceKind
 
 
 class NetlistError(Exception):
@@ -48,17 +49,6 @@ class NetlistError(Exception):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-
-
-class DeviceKind(str, Enum):
-    RESISTOR = "resistor"
-    INDUCTOR = "inductor"
-    CAPACITOR = "capacitor"
-    VSOURCE = "vsource"
-    ISOURCE = "isource"
-    QPSJ = "qpsj"
-    JJ = "jj"
-    MJJ = "mjj"
 
 
 @dataclass(frozen=True)
@@ -90,10 +80,13 @@ class PulseSpec:
 
     def corners(self, tstop):
         """The times up to tstop where the waveform's slope changes:
-        td + n*per + (0, tr, tr + pw, tr + pw + tf) for every period n."""
-        cycles = int((tstop - self.td) // self.per) + 1 if self.per > 0 else 1
-        starts = [self.td + n * self.per for n in range(cycles)]
+        td + n*per + (0, tr, tr + pw, tr + pw + tf) for every period n
+        from the first whose last corner may reach t >= 0 (with td < 0)."""
         offsets = (0.0, self.tr, self.tr + self.pw, self.tr + self.pw + self.tf)
+        per = self.per or math.inf  # one period if per = 0
+        first = max(0, int(-(self.td + offsets[-1]) // per))
+        starts = [self.td + n * self.per
+                  for n in range(first, int((tstop - self.td) // per) + 1)]
         return [s + o for s in starts for o in offsets if s + o <= tstop]
 
     def scaled(self, value_mult, time_mult):
@@ -185,26 +178,7 @@ def _logical_lines(text):
 
 _PULSE_RE = re.compile(r"^pulse\s*\((.*)\)$", re.IGNORECASE | re.DOTALL)
 
-_Card = namedtuple("_Card", "form head params")
-
-_CARDS = {
-    DeviceKind.RESISTOR: _Card("value", "r", {"value": (units.OHM, "positive")}),
-    DeviceKind.INDUCTOR: _Card("value", "l", {"value": (units.HENRY, "positive")}),
-    DeviceKind.CAPACITOR: _Card("value", "c", {"value": (units.FARAD, "positive")}),
-    DeviceKind.VSOURCE: _Card("source", "v", {"dc": (units.VOLT, "optional"),
-                                              "pulse": (units.VOLT, "optional")}),
-    DeviceKind.ISOURCE: _Card("source", "i", {"dc": (units.AMP, "optional"),
-                                              "pulse": (units.AMP, "optional")}),
-    DeviceKind.QPSJ: _Card("junction", "qpsj", {
-        "vc": (units.VOLT, "positive"), "rn": (units.OHM, "positive"),
-        "ls": (units.HENRY, "non-negative"), "q0": (units.COULOMB, "optional")}),
-    DeviceKind.JJ: _Card("junction", "jj", {
-        "ic": (units.AMP, "positive"), "rn": (units.OHM, "positive"),
-        "cj": (units.FARAD, "non-negative"), "phi0": (1.0, "optional")}),
-    DeviceKind.MJJ: _Card("junction", "mjj", {
-        "states": (units.AMP, "list"), "state": (1, "index"),
-        "rn": (units.OHM, "positive"), "cj": (units.FARAD, "non-negative")}),
-}
+_CARDS = {kind: card for cls in _MODELS for kind, card in cls.cards.items()}
 _HEADS = {row.head: kind for kind, row in _CARDS.items()}
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from qpsjsim.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, OUT_DIR_ENV, main
 from qpsjsim.engine import EngineError
+from qpsjsim.netlist import PulseSpec
 from qpsjsim.templates import SynapseBinaryParams, binary_synapse_netlist
 from qpsjsim.units import TWO_E
 
@@ -289,6 +290,23 @@ def test_sim_junction_run_with_no_sample_writes_empty_spikes(tmp_path):
     assert (out / "spikes.csv").read_text() == \
         "channel,t_peak_ps,charge_ac,width_ps\n"
     assert (out / "manifest.json").exists()
+
+
+def test_sim_pulse_delayed_by_minus_one_second_runs(tmp_path, monkeypatch):
+    # td = -1 s is 1e12 periods of 1 ps before t = 0; the run builds the
+    # corners of the periods it simulates only
+    corners, counts = PulseSpec.corners, []
+
+    def counted(pulse, tstop):
+        out = corners(pulse, tstop)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(PulseSpec, "corners", counted)
+    net = _write(tmp_path, "t\nVs n1 0 pulse(0 1m -1 0.1p 0.1p 0.3p 1p)\n"
+                           "R1 n1 0 1k\n.tran 0.1p 20p\n.end\n")
+    assert main(["sim", str(net), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert counts and max(counts) <= 88
 
 
 def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):

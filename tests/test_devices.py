@@ -9,16 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpsjsim import devices, netlist
-from qpsjsim.devices import (CapacitorModel, InductorModel, JosephsonModel,
-                             PhaseSlipModel, ResistorModel, damping_parameter)
-from qpsjsim.netlist import GROUND, DeviceInstance, DeviceKind
+from qpsjsim.devices import (_DC_SHORT, CapacitorModel, CurrentSourceModel,
+                             DeviceKind, InductorModel, JosephsonModel,
+                             PhaseSlipModel, ResistorModel, VoltageSourceModel,
+                             damping_parameter)
+from qpsjsim.engine import _matrix
+from qpsjsim.netlist import GROUND, DeviceInstance
 from qpsjsim.units import PHI0, TWO_E
 
 
 def test_every_device_kind_has_one_card_row_and_one_model():
     assert sorted(netlist._CARDS) == sorted(DeviceKind)
-    held = [kind for cls in devices._MODELS for kind in cls.kinds]
+    held = [kind for cls in devices._MODELS for kind in cls.cards]
     assert sorted(held) == sorted(DeviceKind)
+    for cls in devices._MODELS:  # the parser reads the model's own card
+        for kind in cls.cards:
+            assert netlist._CARDS[kind] is cls.cards[kind]
+    assert netlist.DeviceKind is DeviceKind
 
 
 # --- damping figure of merit ------------------------------------------------
@@ -108,11 +115,7 @@ def _step(model, xg, h, trap, x=None, xd=None, state=0.0):
     xg = np.asarray(xg, dtype=float)
     x = np.zeros_like(xg) if x is None else np.asarray(x, dtype=float)
     xd = np.zeros_like(xg) if xd is None else np.asarray(xd, dtype=float)
-    size = len(xg)
-    G, C = np.zeros((size, size)), np.zeros((size, size))
-    g, c = model.static()
-    np.add.at(G, (model.s_rows, model.s_cols), g)
-    np.add.at(C, (model.s_rows, model.s_cols), c)
+    G, C = (_matrix((len(xg), len(xg)), part) for part in (model.G, model.C))
     xd_new, xint = _rule(xg, x, xd, h, trap)
     F, J = G @ xg + C @ xd_new, G + (2.0 if trap else 1.0) / h * C
     if model.junction:
@@ -148,29 +151,70 @@ def test_resistor_capacitor_inductor_stamps():
 @pytest.mark.parametrize("h", [0.001, 0.05, 2.0])
 def test_static_parts_give_the_companion_stamps(h, trap):
     # G + (k/h)*C, k = 2 (trapezoidal) or 1 (backward Euler), against the
-    # companion values written out by hand
+    # companion values written out by hand, on the unknowns [v(n0), i(br),
+    # ground] (the ground slot dropped)
     k = 2.0 if trap else 1.0
 
     def stamp(model):
-        G, C = model.static()
-        return list(G + k / h * C)
+        G, C = (_matrix((3, 3), part)[:2, :2] for part in (model.G, model.C))
+        return G + k / h * C
 
     r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
-    assert stamp(r) == [0.5, 0.5, -0.5, -0.5]
+    assert stamp(r).tolist() == [[0.5, 0.0], [0.0, 0.0]]
     c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
     gc = k * 3.0 / h
-    assert stamp(c) == pytest.approx([gc, gc, -gc, -gc], rel=1e-15)
+    assert stamp(c) == pytest.approx(np.array([[gc, 0], [0, 0]]), rel=1e-15)
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    assert stamp(ind) == pytest.approx([1, -1, 1, -1, -k * 3.0 / h],
+    assert stamp(ind) == pytest.approx(np.array([[0, 1], [1, -k * 3.0 / h]]),
                                        rel=1e-15)
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 200.0, "rn": 0.5, "cj": 3.0})
     g = 1.0 / 0.5 + k * 3.0 / h
-    assert stamp(jj) == pytest.approx([g, g, -g, -g], rel=1e-15)
+    assert stamp(jj) == pytest.approx(np.array([[g, 0], [0, 0]]), rel=1e-15)
     qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
                 {"vc": 0.7, "rn": 10.0, "ls": 3.0}, br=1)
     assert stamp(qp) == pytest.approx(
-        [1, -1, 1, -1, -(10.0 + k * 3.0 / h), 0, 0, 0, 0], rel=1e-15)
+        np.array([[0, 1], [1, -(10.0 + k * 3.0 / h)]]), rel=1e-15)
+
+
+def _dc(model, size):
+    """The DC matrix of a one-device model on size unknowns and the
+    ground slot, which is dropped."""
+    return _matrix((size + 1, size + 1), model.DC)[:size, :size]
+
+
+def test_declared_dc_entries_by_kind():
+    # a capacitor is open: no entries
+    c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
+    assert c.DC == ()
+    # a resistor and a voltage source: their G
+    r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
+    assert r.DC is r.G and _dc(r, 1).tolist() == [[0.5]]
+    v = _model(VoltageSourceModel, DeviceKind.VSOURCE, {"dc": 1.0}, br=1)
+    assert v.DC is v.G and _dc(v, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    # an inductor: a short of -_DC_SHORT on its branch diagonal
+    ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
+    assert _dc(ind, 2).tolist() == [[0.0, 1.0], [1.0, -_DC_SHORT]]
+    # a JJ: the conductance 1/_DC_SHORT, without 1/Rn
+    jj = _model(JosephsonModel, DeviceKind.JJ,
+                {"ic": 200.0, "rn": 0.5, "cj": 3.0})
+    assert _dc(jj, 1).tolist() == [[1 / _DC_SHORT]]
+    # a current source: no entries at all
+    i = _model(CurrentSourceModel, DeviceKind.ISOURCE, {"dc": 1.0})
+    assert i.G == i.C == i.DC == ()
+
+
+def test_qpsj_bank_dc_entries_hold_its_branch_current_at_zero():
+    # a bank of m = 3 QPSJs from node 0 to node 1, branch 2: KCL entries
+    # +-3, the branch row i = 0, and the leak 3*gmin across the nodes
+    devs = [DeviceInstance(DeviceKind.QPSJ, f"q{k}", (0, 1),
+                           {"vc": 0.7, "rn": 10.0, "ls": 3.0}) for k in range(3)]
+    qp = PhaseSlipModel(devs[:1], np.array([2]), gmin=0.25,
+                        members=[[d.name for d in devs]])
+    assert qp.m.tolist() == [3.0]
+    assert _dc(qp, 3).tolist() == [[0.75, -0.75, 3.0],
+                                   [-0.75, 0.75, -3.0],
+                                   [0.0, 0.0, 1.0]]
 
 
 def test_commit_keeps_the_companion_current_of_the_converged_step():

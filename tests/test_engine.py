@@ -276,6 +276,28 @@ R2 n2 0 1k
     assert waves.stats["accepted_steps"] < (len(waves.time) - 1) / 2
 
 
+def test_a_negative_pulse_delay_skips_the_periods_before_t0(monkeypatch):
+    # td = -1 ns, per = 1 ps: the corners start at the first period that
+    # reaches t >= 0, not 1000 periods before it, and the breakpoints are
+    # those of every corner since td
+    circuit = _circ("t\nVs n1 0 pulse(0 1m -1n 0.1p 0.1p 0.3p 1p)\n"
+                    "R1 n1 0 1k\n.tran 0.1p 20p\n.end\n")
+    pulse = circuit.devices[0].params["pulse"]
+
+    def every_corner(p, tstop):
+        offsets = (0.0, p.tr, p.tr + p.pw, p.tr + p.pw + p.tf)
+        return [p.td + n * p.per + o for n in range(int((tstop - p.td)
+                // p.per) + 1) for o in offsets if p.td + n * p.per + o <= tstop]
+
+    corners = pulse.corners(circuit.tstop)
+    assert len(every_corner(pulse, circuit.tstop)) == 4081
+    assert len(corners) <= 88 and min(corners) > -2 * pulse.per
+    points = engine._breakpoints(circuit, circuit.tstep, circuit.tstop)
+    monkeypatch.setattr(type(pulse), "corners", every_corner)
+    assert points == engine._breakpoints(circuit, circuit.tstep, circuit.tstop)
+    assert len(points) == 80
+
+
 def test_tstep_is_the_step_floor():
     # an LC tank ringing at 1 rad/ps on a 0.2 ps grid: the LTE estimate
     # wants finer steps throughout, so every step is a grid step, and

@@ -13,8 +13,8 @@ DIGITS significant digits.  Everything comes from the CLI's own figure
 builders, sweep batching and pulse detection, without writing the
 outputs.  tests/test_stats_record.py computes the record again and
 compares it exactly, so a change that moves a step decision, or a pulse
-or a peak at the written digits, fails until this file is written again,
-and the file's diff shows what moved.
+or a peak at the written digits, fails until this file is written again;
+its message, from :func:`changes`, and the file's diff show what moved.
 
     PYTHONPATH=src python3 tools/stats_record.py
 """
@@ -65,6 +65,25 @@ def record(waves=lambda fig: cli._FIGURES[fig](fig)[1]):
                for command, w in runs.items())
     rec[f"channels {sweep[0]}"] = [channels(w) for w in sweep[1]]
     return rec
+
+
+def changes(committed, computed, path=()):
+    """Each leaf in which the record computed differs from the committed
+    one, as its path, then committed -> computed: for example
+    "figure fig6b: accepted_steps 3599 -> 3600"; a list item's index is
+    [i], and a key on one side only reads None on the other."""
+    if isinstance(committed, dict) and isinstance(computed, dict):
+        keys = [*committed, *(k for k in computed if k not in committed)]
+        return [line for k in keys for line in changes(
+            committed.get(k), computed.get(k), (*path, k))]
+    if (isinstance(committed, list) and isinstance(computed, list)
+            and len(committed) == len(computed)):
+        return [line for i, (a, b) in enumerate(zip(committed, computed))
+                for line in changes(a, b, (*path, f"[{i}]"))]
+    if committed == computed:
+        return []
+    where = [f"{path[0]}:", *path[1:]] if path else []
+    return [" ".join([*where, f"{committed} -> {computed}"])]
 
 
 if __name__ == "__main__":
