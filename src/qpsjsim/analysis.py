@@ -73,19 +73,20 @@ def detect_pulses(time, values, source=""):
     thr = base + THRESHOLD_FRACTION * (vmax - base)
     rearm = base + 0.5 * (thr - base)
 
-    # events start at the rising edges of values >= thr, each but the
-    # first only if a sample fell below rearm since the last high run
-    high = values >= thr
-    rise = np.flatnonzero(high & ~np.r_[False, high[:-1]])
-    fall = np.flatnonzero(high & ~np.r_[high[1:], False])
-    low = np.cumsum(values < rearm)
-    starts = rise[np.r_[True, low[rise[1:] - 1] > low[fall[:-1]]]]
-    # each start's window: the samples above base on either side of it
-    below = np.r_[-1, np.flatnonzero(values <= base), len(values)]
-    los = below[np.searchsorted(below, starts) - 1] + 1
-    his = below[np.searchsorted(below, starts + 1)] - 1
+    # the runs [s, e) of values >= thr, flat as s0, e0, s1, ...: events
+    # start at the first, and at each after a gap that fell below rearm
+    high = np.flatnonzero(np.diff(values >= thr, prepend=False, append=False))
+    rearmed = np.minimum.reduceat(values, high[1:-1])[::2] < rearm
+    starts = high[::2][np.concatenate(([True], rearmed))]
+    # each start's window: the runs of values > base through it or on
+    # either side of it; a last run (n + 1, n + 2) lies past them all
+    n = len(values)
+    above = np.diff(values > base, prepend=False, append=False)
+    s, e = np.append(np.flatnonzero(above), [n + 1, n + 2]).reshape(-1, 2).T
+    i, j = np.searchsorted(e, starts), np.searchsorted(e, starts + 2)
     windows = []
-    for lo, hi in zip(los.tolist(), his.tolist()):
+    for lo, hi in zip(np.minimum(s[i], starts).tolist(),
+                      np.where(s[j] <= starts + 1, e[j] - 1, starts).tolist()):
         if windows and lo <= windows[-1][1]:
             windows[-1] = (windows[-1][0], max(hi, windows[-1][1]))
         else:

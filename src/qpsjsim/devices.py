@@ -91,8 +91,7 @@ _DC_SHORT = 1e-9
 
 
 def _conductance(a, b, g):
-    """Entries (rows, cols, values) of conductances g between nodes a
-    and b."""
+    """Entries (rows, cols, values) of conductances g from node a to b."""
     return (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]),
             np.concatenate([g, g, -g, -g]))
 
@@ -146,8 +145,7 @@ class DeviceModel:
     parallel = False  # identical parallel devices form banks
     amplitude_params = ()
     sources = ()
-    G = C = ()
-    DC = None
+    G, C, DC = (), (), None
 
     def __init__(self, devs, br=None, gmin=0.0, members=None):
         self.names = [d.name for d in devs]
