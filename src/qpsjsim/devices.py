@@ -258,13 +258,12 @@ class JosephsonModel(DeviceModel):
         a, b = self.a, self.b
         self.amplitude = np.array([p["states"][p["state"]] if "states" in p
                                    else p["ic"] for p in self.params])
-        rn, c = self._param("rn"), self._param("cj")
-        self.G = (_conductance(a, b, 1.0 / rn + self.gmin),)
+        g, c = 1.0 / self._param("rn"), self._param("cj")
+        self.G = (_conductance(a, b, g + self.gmin),)
         self.C = (_conductance(a, b, c),)
         self.DC = (_conductance(a, b, np.full(len(c), 1 / _DC_SHORT)),)
         self.angle = ((a, _WJ), (b, -_WJ))
         self.output = ((a, 1.0), (b, -1.0))
-        g = 1.0 / rn
         self.probe = (("out", np.arange(len(g)), 1.0), ("x", a, g),
                       ("x", b, -g), ("xd", a, c), ("xd", b, -c))
 

@@ -151,36 +151,40 @@ def test_resistor_capacitor_inductor_stamps():
 @pytest.mark.parametrize("h", [0.001, 0.05, 2.0])
 def test_static_parts_give_the_companion_stamps(h, trap):
     # G + (k/h)*C, k = 2 (trapezoidal) or 1 (backward Euler), against the
-    # companion values written out by hand, on the unknowns [v(n0), i(br),
-    # ground] (the ground slot dropped)
+    # companion values written out by hand, on the slots [v(n0), i(br),
+    # ground]: a conductance g from n0 to ground, or a branch from n0 to
+    # ground whose row is v(n0) - r*i(br)
     k = 2.0 if trap else 1.0
 
     def stamp(model):
-        G, C = (_matrix((3, 3), part)[:2, :2] for part in (model.G, model.C))
+        G, C = (_matrix((3, 3), part) for part in (model.G, model.C))
         return G + k / h * C
 
+    def conductance(g):
+        return np.array([[g, 0, -g], [0, 0, 0], [-g, 0, g]])
+
+    def branch(r):
+        return np.array([[0, 1, 0], [1, -r, -1], [0, -1, 0]])
+
     r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
-    assert stamp(r).tolist() == [[0.5, 0.0], [0.0, 0.0]]
+    assert stamp(r).tolist() == conductance(0.5).tolist()
     c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
-    gc = k * 3.0 / h
-    assert stamp(c) == pytest.approx(np.array([[gc, 0], [0, 0]]), rel=1e-15)
+    assert stamp(c) == pytest.approx(conductance(k * 3.0 / h), rel=1e-15)
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    assert stamp(ind) == pytest.approx(np.array([[0, 1], [1, -k * 3.0 / h]]),
-                                       rel=1e-15)
+    assert stamp(ind) == pytest.approx(branch(k * 3.0 / h), rel=1e-15)
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 200.0, "rn": 0.5, "cj": 3.0})
-    g = 1.0 / 0.5 + k * 3.0 / h
-    assert stamp(jj) == pytest.approx(np.array([[g, 0], [0, 0]]), rel=1e-15)
+    assert stamp(jj) == pytest.approx(conductance(1.0 / 0.5 + k * 3.0 / h),
+                                      rel=1e-15)
     qp = _model(PhaseSlipModel, DeviceKind.QPSJ,
                 {"vc": 0.7, "rn": 10.0, "ls": 3.0}, br=1)
-    assert stamp(qp) == pytest.approx(
-        np.array([[0, 1], [1, -(10.0 + k * 3.0 / h)]]), rel=1e-15)
+    assert stamp(qp) == pytest.approx(branch(10.0 + k * 3.0 / h), rel=1e-15)
 
 
 def _dc(model, size):
-    """The DC matrix of a one-device model on size unknowns and the
-    ground slot, which is dropped."""
-    return _matrix((size + 1, size + 1), model.DC)[:size, :size]
+    """The DC matrix of a one-device model on size slots, the ground
+    slot last."""
+    return _matrix((size, size), model.DC).tolist()
 
 
 def test_declared_dc_entries_by_kind():
@@ -189,16 +193,18 @@ def test_declared_dc_entries_by_kind():
     assert c.DC == ()
     # a resistor and a voltage source: their G
     r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
-    assert r.DC is r.G and _dc(r, 1).tolist() == [[0.5]]
+    assert r.DC is r.G and _dc(r, 2) == [[0.5, -0.5], [-0.5, 0.5]]
     v = _model(VoltageSourceModel, DeviceKind.VSOURCE, {"dc": 1.0}, br=1)
-    assert v.DC is v.G and _dc(v, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert v.DC is v.G
+    assert _dc(v, 3) == [[0, 1, 0], [1, 0, -1], [0, -1, 0]]
     # an inductor: a short of -_DC_SHORT on its branch diagonal
     ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    assert _dc(ind, 2).tolist() == [[0.0, 1.0], [1.0, -_DC_SHORT]]
+    assert _dc(ind, 3) == [[0, 1, 0], [1, -_DC_SHORT, -1], [0, -1, 0]]
     # a JJ: the conductance 1/_DC_SHORT, without 1/Rn
     jj = _model(JosephsonModel, DeviceKind.JJ,
                 {"ic": 200.0, "rn": 0.5, "cj": 3.0})
-    assert _dc(jj, 1).tolist() == [[1 / _DC_SHORT]]
+    g = 1 / _DC_SHORT
+    assert _dc(jj, 2) == [[g, -g], [-g, g]]
     # a current source: no entries at all
     i = _model(CurrentSourceModel, DeviceKind.ISOURCE, {"dc": 1.0})
     assert i.G == i.C == i.DC == ()
@@ -212,9 +218,10 @@ def test_qpsj_bank_dc_entries_hold_its_branch_current_at_zero():
     qp = PhaseSlipModel(devs[:1], np.array([2]), gmin=0.25,
                         members=[[d.name for d in devs]])
     assert qp.m.tolist() == [3.0]
-    assert _dc(qp, 3).tolist() == [[0.75, -0.75, 3.0],
-                                   [-0.75, 0.75, -3.0],
-                                   [0.0, 0.0, 1.0]]
+    assert _dc(qp, 4) == [[0.75, -0.75, 3.0, 0.0],
+                          [-0.75, 0.75, -3.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0]]
 
 
 def test_commit_keeps_the_companion_current_of_the_converged_step():
