@@ -52,7 +52,8 @@ def detect_pulses(time, values, source=""):
     start at upward crossings of the threshold, THRESHOLD_FRACTION of
     the way from the baseline to the channel maximum, with hysteresis:
     the detector re-arms only after the signal falls back below half
-    the threshold.  Events whose peaks lie closer than MIN_SEPARATION
+    the threshold.  A channel whose threshold does not lie above its
+    baseline (no peak, or one that rounds thr onto base) has no events.  Events whose peaks lie closer than MIN_SEPARATION
     are merged.  Each event's charge is the trapezoidal integral of the
     current above the baseline, max(v - base, 0), over the contiguous
     above-baseline window around the crossing widened by one sample on
@@ -67,10 +68,9 @@ def detect_pulses(time, values, source=""):
         raise ValueError("non-finite samples in channel")
 
     base = float(values[0])
-    vmax = float(np.max(values))
-    if vmax <= base:
+    thr = base + THRESHOLD_FRACTION * (float(np.max(values)) - base)
+    if not thr > base:  # no peak, or one too small to lift thr off base
         return SpikeTrain([], source)
-    thr = base + THRESHOLD_FRACTION * (vmax - base)
     rearm = base + 0.5 * (thr - base)
 
     # the runs [s, e) of values >= thr, flat as s0, e0, s1, ...: events
@@ -78,18 +78,14 @@ def detect_pulses(time, values, source=""):
     high = np.flatnonzero(np.diff(values >= thr, prepend=False, append=False))
     rearmed = np.minimum.reduceat(values, high[1:-1])[::2] < rearm
     starts = high[::2][np.concatenate(([True], rearmed))]
-    # each start's window: the runs of values > base through it or on
-    # either side of it; a last run (n + 1, n + 2) lies past them all
-    n = len(values)
+    # each start's window: the run [s, e) of values > base it lies in
+    # (thr > base), once for the starts that share one
     above = np.diff(values > base, prepend=False, append=False)
-    s, e = np.append(np.flatnonzero(above), [n + 1, n + 2]).reshape(-1, 2).T
-    i, j = np.searchsorted(e, starts), np.searchsorted(e, starts + 2)
+    s, e = np.flatnonzero(above).reshape(-1, 2).T
+    i = np.searchsorted(e, starts)
     windows = []
-    for lo, hi in zip(np.minimum(s[i], starts).tolist(),
-                      np.where(s[j] <= starts + 1, e[j] - 1, starts).tolist()):
-        if windows and lo <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(hi, windows[-1][1]))
-        else:
+    for lo, hi in zip(s[i].tolist(), (e[i] - 1).tolist()):
+        if not windows or lo > windows[-1][1]:
             windows.append((lo, hi))
 
     # merge windows whose peaks sit closer than MIN_SEPARATION

@@ -53,9 +53,12 @@ holds.  At each iteration of a step from JACOBIAN_REFRESH_ITER on they
 are refreshed: while the held inverses are close to the new Jacobians'
 (|I - J @ X|_inf < SCHULZ_GATE), SCHULZ_STEPS Newton-Schulz steps refine
 them, else they are factored anew.  Newton tests convergence once for
-the whole stack; only a batch that fails the test freezes the variants
-that converged.  The numerics are fixed module constants; run manifests
-record :data:`SOLVER_SETTINGS`.
+the whole stack; only a batch that fails the test tests each variant,
+and a variant is frozen (its updates masked to zero) only once it has
+converged.  A variant whose Jacobian is singular gets a NaN inverse and
+fails alone.  Newton returns the unknowns as one contiguous array, so
+the step loop's arithmetic on them takes no strided loop.  The numerics
+are fixed module constants; run manifests record :data:`SOLVER_SETTINGS`.
 
 The sources are one flat list: the dc values are held as constants,
 and only the pulses are evaluated at each step.  Every channel is linear
@@ -68,6 +71,7 @@ they cover.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -244,12 +248,14 @@ class _System:
         The angles start at theta + (h/k)*W @ (xg + (k - 1)*x) and move
         with each update by the W @ dx its damping test computes, so they
         stay theta + W @ the integral over the step (to rounding).  Each
-        iteration first tests the whole stack, and only a batch that fails
-        the test masks its converged variants.  A non-finite update shows
-        as a NaN residual, after which its variant has failed; no NaN angle
-        damps another variant's update.  Returns the unknowns (with the
-        ground slot), their derivative (k/h)*x_new - y, the angles,
-        A * sin(angles) and which variants failed to converge."""
+        iteration first tests the whole stack; a batch that fails the test
+        tests each variant, and only once one has converged are its updates
+        masked to zero (frozen).  A non-finite update shows as a NaN
+        residual, after which its variant has failed; no NaN angle damps
+        another variant's update.  Returns the unknowns (with the ground
+        slot; a contiguous array, not a view of the rows z), their
+        derivative (k/h)*x_new - y, the angles, A * sin(angles) and which
+        variants failed to converge."""
         N, M, K = self.N, self.N + 1, len(xg)
         kh = 2.0 / h if trap else 1.0 / h
         # on the ladder most steps share the size of the one before: 83% of
@@ -274,6 +280,7 @@ class _System:
         # converged: a small update before, and a small residual now.  A
         # converged variant's unknowns stop moving, so it stays converged.
         ok = np.zeros(K, dtype=bool)
+        frozen = False  # whether ok holds a converged variant
         for i in range(MAX_NEWTON_ITERS):
             np.multiply(A, np.sin(th), out=s)
             F = z @ SB
@@ -286,9 +293,11 @@ class _System:
                     break
                 if K > 1:  # which variants converged, to freeze them
                     ok = np.maximum.reduce(excess, 1) < 0.0
-                    if ok.any():
+                    frozen = np.logical_or.reduce(ok)
+                    if frozen:
                         ok &= np.logical_and.reduce(
                             np.abs(dx) < RELTOL * np.abs(xN) + self._xtol, 1)
+                        frozen = np.logical_or.reduce(ok)
                 if worst != worst and np.isnan(excess[~ok]).any(axis=1).all():
                     break  # every variant still iterating has diverged
             # a chord iteration: the inverse Jacobians of an earlier
@@ -299,10 +308,10 @@ class _System:
                 try:
                     self._jinv = self._invert(J)
                 except np.linalg.LinAlgError:
-                    break  # the retry has another h, or another batch
+                    break  # a lone singular J: the retry has another h
             self.iterations += 1
             dx = (self._jinv @ F[:, :, None])[:, :, 0]
-            if K > 1:  # a lone variant that gets here has not converged
+            if frozen:  # the converged variants of a batch stay put
                 dx[ok] = 0.0
             # damp the step so no junction jumps minima within one iteration
             dth = dx @ WTN
@@ -316,7 +325,8 @@ class _System:
             xN -= dx
             th -= dth
         self.failed_f = F  # the residuals that ConvergenceError reports
-        x_new = z[:, :M]
+        # a copy where z's rows make the view strided (K > 1), else the view
+        x_new = np.ascontiguousarray(z[:, :M])
         return x_new, kh * x_new - y, th, s, ~ok
 
     def _invert(self, J):
@@ -326,8 +336,9 @@ class _System:
         R <- R @ R between steps, so two leave |R|_inf**4 at most
         (Schulz, 1933; Pan and Schreiber, 1991), for half the time of a
         factorization at N = 64.  Otherwise J is factored: also where J
-        or X holds a NaN, or J is singular (then |R|_inf >= 1), so a
-        singular stack raises LinAlgError."""
+        or X holds a NaN, or J is singular (then |R|_inf >= 1).  A singular
+        J of a batch gets a NaN inverse, so its variant fails alone (its
+        update is NaN); a lone singular J raises LinAlgError."""
         X = self._jinv
         if X is not None:
             R = self._eye - J @ X
@@ -339,7 +350,16 @@ class _System:
                     X += X @ R
                 return X
         self.factorizations += 1
-        return np.linalg.solve(J, self._eye)
+        try:
+            return np.linalg.solve(J, self._eye)
+        except np.linalg.LinAlgError:
+            if len(J) == 1:
+                raise
+        X = np.full(J.shape, np.nan)
+        for k, Jk in enumerate(J):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                X[k] = np.linalg.solve(Jk, self._eye)
+        return X
 
     def _worst(self, resid, amplitude=None):
         """The node or branch device of the largest entry of resid; or,

@@ -1,6 +1,6 @@
 """Shared fixtures: each figure of ``qpsjsim figure`` is simulated once
 per session, by the CLI's own builder, and reused by the behavioral,
-acceptance, batch and stats-record tests."""
+acceptance, batch and stats-record tests; so is each batch of figures."""
 
 import time
 from types import SimpleNamespace
@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qpsjsim import cli
+from qpsjsim.engine import tran_batch
+from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.templates import (NeuronParams, SynapseBinaryParams,
                                binary_synapse_netlist, neuron_netlist)
 
@@ -24,6 +26,15 @@ class FigureRuns(dict):
         self[fig] = run = SimpleNamespace(
             netlist=netlist, waves=waves, elapsed=time.perf_counter() - t0)
         return run
+
+    def batch(self, figs):
+        """The results of the figures figs (a tuple of IDs) integrated as
+        one :func:`~qpsjsim.engine.tran_batch`, run when first asked for."""
+        batches = vars(self).setdefault("batches", {})
+        if figs not in batches:
+            batches[figs] = tran_batch([elaborate(parse_netlist(
+                self[fig].netlist)) for fig in figs])
+        return batches[figs]
 
 
 @pytest.fixture(scope="session")

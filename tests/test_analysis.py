@@ -100,6 +100,19 @@ def test_detect_pulses_empty_and_flat():
     assert len(detect_pulses(t, np.full_like(t, -1.0))) == 0
 
 
+def test_detect_pulses_no_events_where_the_threshold_rounds_onto_base():
+    # three one-ulp bumps on a 140 uA bias: base + (peak - base)/2 rounds
+    # to base, so every sample would count as high
+    t = np.arange(1000) * 0.05
+    values = np.full(1000, 140.0)
+    values[[200, 500, 800]] = np.nextafter(140.0, np.inf)
+    assert 140.0 + analysis.THRESHOLD_FRACTION * (values.max() - 140.0) == 140.0
+    assert len(detect_pulses(t, values)) == 0
+    # four ulps lift the threshold, and the re-arm level, off the baseline
+    values[[200, 500, 800]] = 140.0 + 4 * np.spacing(140.0)
+    assert detect_pulses(t, values).times().tolist() == [10.0, 25.0, 40.0]
+
+
 def test_detect_pulses_input_validation():
     with pytest.raises(ValueError):
         detect_pulses([0.0, 1.0], [1.0])

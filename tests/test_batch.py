@@ -55,9 +55,10 @@ def test_multistate_synapse_batch_matches_each_own_run(figure_runs):
     # to its own run than halving tstep moves that run, and the output
     # must carry the same pulses, at the same peaks, with charges within
     # AC2's 1% of 2e
-    runs = [figure_runs[fig] for fig in ("fig6a", "fig6b", "fig6c", "fig6d")]
+    figs = ("fig6a", "fig6b", "fig6c", "fig6d")
+    runs = [figure_runs[fig] for fig in figs]
     circuits = [_circ(run.netlist) for run in runs]
-    batch = tran_batch(circuits)
+    batch = figure_runs.batch(figs)  # as the stats record has it
     counts, steps = [], []
     for run, circuit, waves in zip(runs, circuits, batch):
         own = run.waves
@@ -240,6 +241,26 @@ def test_a_dropped_variant_leaves_its_partner_its_own_cached_amplitudes(
     assert all(np.array_equal(c[3], calls[0][3][1:]) for c in calls[first:])
     assert all(c[4] for c in calls)
     assert partner.time[-1] == pytest.approx(100.0)
+    monkeypatch.undo()
+    _is_own_run(partner, circuits[1])
+
+
+def test_a_singular_variant_fails_alone(monkeypatch):
+    # variant 0's Jacobian is zeroed before every inversion of the K = 2
+    # stack: it gets a NaN inverse and fails alone, at the halving floor of
+    # the first step, and its partner runs again as its own run
+    circuits = [_circ(_LATE_TEXT.format(vc=vc)) for vc in ("0.7m", "0.8m")]
+    invert = engine._System._invert
+
+    def singular_variant_0(self, J):
+        if len(J) == 2:
+            J[0] = 0.0
+        return invert(self, J)
+
+    monkeypatch.setattr(engine._System, "_invert", singular_variant_0)
+    failed, partner = tran_batch(circuits)
+    assert isinstance(failed, ConvergenceError)
+    assert failed.t == failed.h == 0.05 / 2 ** engine.MAX_HALVINGS
     monkeypatch.undo()
     _is_own_run(partner, circuits[1])
 

@@ -402,7 +402,9 @@ def test_a_close_held_inverse_is_refined_not_factored():
 @pytest.mark.parametrize("case", ["far", "nan", "singular"])
 def test_a_far_nan_or_singular_jacobian_is_factored(case):
     # a held inverse too far from one variant's Jacobian, a NaN in J or a
-    # singular J (whose residual norm is at least 1) goes to LAPACK
+    # singular J (whose residual norm is at least 1) goes to LAPACK; a
+    # singular variant of the stack gets a NaN inverse, and the other its
+    # own inverse
     sys_ = engine._System([_circ(neuron_netlist(NeuronParams()))])
     J = _jacobians(sys_)
     _held_inverses(sys_, J, [0.2, 0.55 if case == "far" else 0.2])
@@ -410,12 +412,17 @@ def test_a_far_nan_or_singular_jacobian_is_factored(case):
         J[1, 2, 3] = np.nan
     if case == "singular":
         J[1, 2] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            sys_._invert(J)
+        X = sys_._invert(J)
+        np.testing.assert_array_equal(X[0], np.linalg.solve(J[0], sys_._eye))
+        assert np.isnan(X[1]).all()
     else:
         np.testing.assert_array_equal(sys_._invert(J),
                                       np.linalg.solve(J, sys_._eye))
     assert (sys_.refinements, sys_.factorizations) == (0, 1)
+    if case == "singular":  # a lone singular Jacobian raises
+        sys_._jinv = None
+        with pytest.raises(np.linalg.LinAlgError):
+            sys_._invert(J[1:])
 
 
 def test_newton_leaves_its_starting_iterate_unchanged():
@@ -538,6 +545,45 @@ def test_newton_angles_and_derivative_follow_the_integration_rule(
     off = 10.0 * np.random.default_rng(0).standard_normal(sys_.N + 1)
     far = xp + np.where(np.arange(sys_.N + 1) < circuit.node_count, off, 0.0)
     assert check(far, True) > engine.MAX_ANGLE_STEP
+
+
+def test_a_converged_variant_stays_frozen_while_its_partner_iterates(
+        monkeypatch):
+    # fig4a's last step to 60 ps, as two variants of one K = 2 call:
+    # variant 0 from the run's own prediction, which one update converges,
+    # and variant 1 from 3 mV off at every node, which takes more.  Once
+    # converged, variant 0 must not move: it gives the bits of a batch of
+    # two copies of its own start, which converge at once together.  A
+    # K = 1 call is no bitwise reference: numpy multiplies one row by
+    # another BLAS routine than two, whose last bits differ
+    circuit = _circ(binary_synapse_netlist(SynapseBinaryParams(state=0)))
+    newton, calls = engine._System._newton, []
+
+    def spy_newton(self, *args):
+        calls.append(args)
+        return newton(self, *args)
+
+    monkeypatch.setattr(engine._System, "_newton", spy_newton)
+    tran(circuit, tstop=60.0)
+    monkeypatch.undo()
+    xp, x, xd, theta, u, h, trap = calls[-1]
+    off = np.where(np.arange(len(xp[0])) < circuit.node_count, 3.0, 0.0)
+
+    def run(K, xg):
+        sys_ = engine._System([circuit] * K)
+        pair = lambda a: np.repeat(a, K, axis=0)
+        out = sys_._newton(xg, pair(x), pair(xd), pair(theta), u, h, trap)
+        return sys_.iterations, out
+
+    (n_own, own), (n_pair, pair), (n_mixed, mixed) = (
+        run(1, xp), run(2, np.repeat(xp, 2, axis=0)),
+        run(2, np.concatenate((xp, xp + off))))
+    assert n_own == n_pair == 1 and n_mixed > 2
+    assert not mixed[-1].any() and not pair[-1].any()
+    for a, b, c in zip(pair[:4], mixed[:4], own[:4]):
+        np.testing.assert_array_equal(b[0], a[0])
+        assert np.abs(b[0] - c[0]).max() <= 1e-12 * np.abs(c[0]).max()
+    assert np.abs(mixed[0][1] - mixed[0][0]).max() < 1e-3
 
 
 # --- junction dynamics ------------------------------------------------------

@@ -11,11 +11,12 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "stats_record.py"
 
 def test_figures_and_sweep_points_match_their_committed_stats(figure_runs):
     # a changed step decision, factorization or refinement anywhere in the
-    # nine figures or the batched sweep changes a count here, and a moved
-    # pulse or peak one of the floats the record rounds to 6 digits; after
-    # such a change, run the tool again and review the record's diff
+    # nine figures, the fig6a-d batch or the batched sweep changes a count
+    # here, and a moved pulse or peak one of the floats the record rounds
+    # to 6 digits; after such a change, run the tool again and review the
+    # record's diff
     tool = _tool()
-    rec = tool.record(lambda fig: figure_runs[fig].waves)
+    rec = tool.record(lambda fig: figure_runs[fig].waves, figure_runs.batch)
     committed = json.loads(tool.PATH.read_text())
     assert rec == committed, "\n".join(tool.changes(committed, rec))
 

@@ -7,15 +7,18 @@ PYTHONPATH, this runs
     python -m qpsjsim.cli figure ID --out DIR   (each of the nine figures)
     python -m qpsjsim.cli sweep synapse ic 200e-6,300e-6 --out DIR
 
+then engine.tran_batch on fig6a-d as one batch of four, each variant
+written to DIR/fig6X_waveforms.csv and their stats to DIR/stats.json,
 and reference.reference_integrate on the two AC9 circuits, the LC tank
 and two pulsed circuits whose steps land on the pulse corners, each
-written to DIR/waveforms.csv by analysis.export_csv, whose repr of every
-float reads back exactly, so equal files mean samples with equal bytes.
-It compares each run's exit code and stdout, every file it wrote
-(waveforms.csv, spikes.csv, ID.cir, sweep.csv) and its manifest.json
-without wall_time_s.  Where a manifest's stats or solver settings
-differ, it prints each differing field as parent -> change (per point
-for a sweep's stats); where a waveforms.csv differs, each differing
+written to DIR/waveforms.csv.  Every waveform file comes from
+analysis.export_csv, whose repr of every float reads back exactly, so
+equal files mean samples with equal bytes.  It compares each run's exit
+code and stdout, every file it wrote (waveforms, spikes.csv, ID.cir,
+sweep.csv, stats.json) and its manifest.json without wall_time_s.  Where
+a manifest's stats or solver settings, or a stats.json, differ, it
+prints each differing field as parent -> change (per point for a sweep's
+or a batch's stats); where a waveform file differs, each differing
 channel's largest |change| over the channel's peak on the parent side.
 Exits 1 on any difference, 0 when there is none.
 
@@ -52,6 +55,23 @@ waves = reference_integrate(elaborate(parse_netlist(sys.argv[1])))
 out.mkdir(parents=True)
 export_csv(waves, out / "waveforms.csv")
 """
+# fig6a-d as one tran_batch, written to the directory after --out
+BATCH = """
+import json
+import sys
+from pathlib import Path
+from qpsjsim.analysis import export_csv
+from qpsjsim.engine import tran_batch
+from qpsjsim.netlist import elaborate, parse_netlist
+from qpsjsim.templates import SynapseMultiParams, multistate_synapse_netlist
+out = Path(sys.argv[2])
+batch = tran_batch([elaborate(parse_netlist(multistate_synapse_netlist(
+    SynapseMultiParams(state=s)))) for s in range(4)])
+out.mkdir(parents=True)
+for fig, waves in zip(("fig6a", "fig6b", "fig6c", "fig6d"), batch):
+    export_csv(waves, out / f"{fig}_waveforms.csv")
+(out / "stats.json").write_text(json.dumps([w.stats for w in batch]))
+"""
 REFERENCE_CIRCUITS = {
     "ac9_qpsj": "t\nVb n1 0 dc 1.5m\nqpsj Q1 n1 0 vc=0.7m rn=10k ls=0\n"
                 ".tran 0.0025p 20p\n.end\n",
@@ -69,6 +89,7 @@ REFERENCE_CIRCUITS = {
 RUNS = {**{fig: ["-m", "qpsjsim.cli", "figure", fig] for fig in FIGURES},
         "sweep": ["-m", "qpsjsim.cli", "sweep", "synapse", "ic",
                   "200e-6,300e-6"],
+        "batch_fig6": ["-c", BATCH],
         **{f"reference_{name}": ["-c", REFERENCE, text]
            for name, text in REFERENCE_CIRCUITS.items()}}
 
@@ -131,6 +152,9 @@ def compare(name, a, b):
                 " side"]
     if a.read_bytes() == b.read_bytes():
         return []
+    if a.name == "stats.json":
+        return [f"{where}: {change}" for change in stats_changes(
+            *(json.loads(p.read_text()) for p in (a, b)))]
     if a.name == "manifest.json":
         ma, mb = (json.loads(p.read_text()) for p in (a, b))
         lines = []
@@ -143,7 +167,7 @@ def compare(name, a, b):
             else:
                 lines.append(f"{where}: {key} differs")
         return lines
-    if a.name == "waveforms.csv":
+    if a.name.endswith("waveforms.csv"):
         return [f"{where} differs", *waveform_changes(a, b)]
     return [f"{where} differs"]
 

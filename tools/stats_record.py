@@ -1,7 +1,9 @@
 """Write tests/stats_record.json: what the solver did on each figure and
 sweep point.
 
-For each of the nine figures of ``qpsjsim figure ID`` and each point of
+For each of the nine figures of ``qpsjsim figure ID``, each variant of
+fig6a-d integrated as one batch of four (``engine.tran_batch``, where
+the variants converge at different Newton iterations) and each point of
 ``qpsjsim sweep synapse ic 200e-6,300e-6`` (one batch of two variants),
 the record holds the ``stats`` its manifest.json records: accepted
 steps, LTE rejections, Newton halvings and iterations, Jacobian
@@ -27,9 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from qpsjsim import cli
+from qpsjsim.engine import tran_batch
+from qpsjsim.netlist import elaborate, parse_netlist
 from qpsjsim.units import TWO_E
 
 PATH = Path(__file__).resolve().parent.parent / "tests" / "stats_record.json"
+BATCH = ("fig6a", "fig6b", "fig6c", "fig6d")  # figures run as one batch
 SWEEP = ("synapse", "ic", "200e-6,300e-6")
 DIGITS = 6  # significant digits of the recorded floats
 
@@ -51,19 +56,28 @@ def channels(waves):
     return rec
 
 
-def record(waves=lambda fig: cli._FIGURES[fig](fig)[1]):
-    """The stats of each figure and sweep point, keyed by its command,
-    then their channels; waves(ID) gives the waves of figure ID, by
-    default run here."""
+def record(waves=None, batch=None):
+    """The stats of each figure, batch variant and sweep point, keyed by
+    its command, then their channels.  waves(ID) gives the waves of
+    figure ID, and batch(IDs) the results of those figures as one
+    tran_batch; by default both are run here."""
+    if waves is None:
+        built = {fig: cli._FIGURES[fig](fig) for fig in cli._FIGURES}
+        waves = lambda fig: built[fig][1]
+        batch = lambda figs: tran_batch([elaborate(parse_netlist(
+            built[fig][0])) for fig in figs])
     runs = {f"figure {fig}": waves(fig) for fig in cli._FIGURES}
     template, param, values = SWEEP
     circuits = [cli._SWEEPS[template, param](v)[0] for v in values.split(",")]
-    sweep = "sweep " + " ".join(SWEEP), cli._sweep_waves(circuits)
+    batches = {"batch " + " ".join(BATCH): batch(BATCH),
+               "sweep " + " ".join(SWEEP): cli._sweep_waves(circuits)}
     rec = {command: w.stats for command, w in runs.items()}
-    rec[sweep[0]] = [w.stats for w in sweep[1]]
+    rec.update((command, [w.stats for w in ws])
+               for command, ws in batches.items())
     rec.update((f"channels {command}", channels(w))
                for command, w in runs.items())
-    rec[f"channels {sweep[0]}"] = [channels(w) for w in sweep[1]]
+    rec.update((f"channels {command}", [channels(w) for w in ws])
+               for command, ws in batches.items())
     return rec
 
 
