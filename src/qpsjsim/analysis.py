@@ -83,10 +83,7 @@ def detect_pulses(time, values, source=""):
     above = np.diff(values > base, prepend=False, append=False)
     s, e = np.flatnonzero(above).reshape(-1, 2).T
     i = np.searchsorted(e, starts)
-    windows = []
-    for lo, hi in zip(s[i].tolist(), (e[i] - 1).tolist()):
-        if not windows or lo > windows[-1][1]:
-            windows.append((lo, hi))
+    windows = list(dict.fromkeys(zip(s[i].tolist(), (e[i] - 1).tolist())))
 
     # merge windows whose peaks sit closer than MIN_SEPARATION
     merged = [windows[0]]

@@ -29,12 +29,12 @@ class FigureRuns(dict):
 
     def batch(self, figs):
         """The results of the figures figs (a tuple of IDs) integrated as
-        one :func:`~qpsjsim.engine.tran_batch`, run when first asked for."""
-        batches = vars(self).setdefault("batches", {})
-        if figs not in batches:
-            batches[figs] = tran_batch([elaborate(parse_netlist(
+        one :func:`~qpsjsim.engine.tran_batch`, run when first asked for
+        and kept under the key figs."""
+        if figs not in self:
+            self[figs] = tran_batch([elaborate(parse_netlist(
                 self[fig].netlist)) for fig in figs])
-        return batches[figs]
+        return self[figs]
 
 
 @pytest.fixture(scope="session")
