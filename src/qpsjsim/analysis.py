@@ -53,12 +53,13 @@ def detect_pulses(time, values, source=""):
     the way from the baseline to the channel maximum, with hysteresis:
     the detector re-arms only after the signal falls back below half
     the threshold.  A channel whose threshold does not lie above its
-    baseline (no peak, or one that rounds thr onto base) has no events.  Events whose peaks lie closer than MIN_SEPARATION
-    are merged.  Each event's charge is the trapezoidal integral of the
-    current above the baseline, max(v - base, 0), over the contiguous
-    above-baseline window around the crossing widened by one sample on
-    each side (clamped to the array), so a sample at the baseline adds
-    the same charge whichever sign its rounding noise has.
+    baseline (no peak, or one that rounds thr onto base) has no events.
+    Events whose peaks lie closer than MIN_SEPARATION are merged.  Each
+    event's charge is the trapezoidal integral of the current above the
+    baseline, max(v - base, 0), over the contiguous above-baseline window
+    around the crossing widened by one sample on each side (clamped to
+    the array), so a sample at the baseline adds the same charge
+    whichever sign its rounding noise has.
     """
     time = np.asarray(time, dtype=float)
     values = np.asarray(values, dtype=float)
