@@ -25,14 +25,15 @@ and the junction angles, and discretizes them for every kind at once.
 :func:`build_models` gives one :class:`DeviceModel` per device kind.
 :func:`damping_parameter` alone takes SI values.
 
-At DC, as in SPICE, capacitors are open and inductors and JJs shorts,
-on the transient unknowns: a JJ's short is a conductance, 1/_DC_SHORT.
+At DC a model declares nothing of its own: the engine solves G and the
+sine laws' B and W, with each junction's output A*sin(theta) an unknown
+that the W row sets (a JJ holds no voltage, a QPSJ passes no current).
 
 A model holds one row per bank (:func:`banks`): m identical QPSJs in
 parallel, such as the neuron's threshold junctions, are one row whose
 branch unknown is one member's current.  Only its KCL entries (+-m) and
-its leak (m*gmin) count the members; its branch equation, sine law and
-DC output are each member's, so its Newton and LTE tests are too.
+its leak (m*gmin) count the members; its branch equation and sine law
+are each member's, so its Newton and LTE tests are too.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ def damping_parameter(vc, l, r, *, two_e=TWO_E_SI):
 _W = 2.0 * math.pi / TWO_E  # QPSJ charge-to-angle factor, rad/aC
 _WJ = 2.0 * math.pi / PHI0  # JJ flux-to-phase factor, rad/(mV*ps)
 
-# Resistance (kOhm) of the shorts at DC: in series on an inductor's
-# branch row, as a conductance 1/_DC_SHORT across a JJ.  It keeps
-# superconducting loops (JJ-L-JJ) nonsingular; the split it picks is the
-# flux-free one.
-_DC_SHORT = 1e-9
-
 
 def _conductance(a, b, g):
     """Entries (rows, cols, values) of conductances g from node a to b."""
@@ -115,19 +110,18 @@ class DeviceModel:
     (uA), and a trailing 0 that node GROUND (-1) reads; row or column -1
     is that ground slot, which the engine drops; ``xdg`` holds their
     time derivatives.  The engine integrates ``G @ x + C @ dx/dt +
-    F_nl(x) = sources``: ``setup`` declares the entries of G and C,
-    fixed per circuit, and of the DC system on the same unknowns (``DC``,
-    by default G), each as a tuple of (rows, cols, values) triples; a
-    source kind declares the rows its values enter, negated, as (index
-    array, factor) pairs (``sources``).
+    F_nl(x) = sources``, and DC is that equation at dx/dt = 0: ``setup``
+    declares the entries of G and C, fixed per circuit, each as a tuple
+    of (rows, cols, values) triples; a source kind declares the rows its
+    values enter, negated, as (index array, factor) pairs (``sources``).
 
     A junction adds one sine law per device, F_nl = B @ (A * sin(theta)),
     whose angle theta a step moves by W @ (the unknowns' integral over
     it).  The engine holds the angles; the model declares its rows of W
     (``angle``) and columns of B (``output``), each as (index array,
     factor) pairs, its amplitudes A (``amplitude``, set by the params
-    named in ``amplitude_params``), and what the DC solution asks of
-    A * sin(theta) (``dc_output``), from which ``seed`` sets theta.
+    named in ``amplitude_params``); ``seed`` sets theta from the DC
+    solution's A * sin(theta).
 
     ``probe`` declares each device's current as (part, index array,
     factor) terms over the unknowns "x", their time derivatives "xd",
@@ -145,7 +139,7 @@ class DeviceModel:
     parallel = False  # identical parallel devices form banks
     amplitude_params = ()
     sources = ()
-    G, C, DC = (), (), None
+    G, C = (), ()
 
     def __init__(self, devs, br=None, gmin=0.0, members=None):
         self.names = [d.name for d in devs]
@@ -158,7 +152,6 @@ class DeviceModel:
         self.gmin = gmin  # leak conductance across junctions
         self.probe = (("x", br, 1.0),) if self.branch else ()
         self.setup()
-        self.DC = self.G if self.DC is None else self.DC  # G, as h -> inf
 
     def setup(self):
         """Set the kind's parameter and index arrays and its entries."""
@@ -167,10 +160,10 @@ class DeviceModel:
         return np.array([p[key] for p in self.params])
 
     def seed(self, ratio):
-        """Angles asin(ratio) for the ratios of dc_output to the
-        amplitudes, one row per variant, or the preset ones.  A ratio
-        outside [-1, 1] (a DC bias outside the junction's window) is
-        clamped to the edge, with a RuntimeWarning."""
+        """Angles asin(ratio) for the ratios of the DC solution's
+        A * sin(theta) to the amplitudes A, one row per variant, or the
+        preset ones.  A ratio outside [-1, 1] (a DC bias outside the
+        junction's window) is clamped to the edge, with a RuntimeWarning."""
         preset = [p.get(self.preset) for p in self.params]
         for row in ratio:
             for names, r, p in zip(self.members, row, preset):
@@ -231,16 +224,14 @@ class InductorModel(DeviceModel):
         a, b, br, l = self.a, self.b, self.br, self._param("value")
         self.G = (_incidence(a, b, br, np.zeros(len(l))),)
         self.C = ((br, br, -l),)
-        self.DC = (_incidence(a, b, br, np.full(len(l), _DC_SHORT)),)
 
 
 class JosephsonModel(DeviceModel):
     """JJs, then MJJs (a JJ with ic = states[state]): the capacitance Cj in
     parallel with Rn and the supercurrent Ic*sin(phi), from node a to b,
     whose phase phi moves by 2*pi/Phi0 times the flux v(a) - v(b).  At DC
-    a JJ is a short, the conductance 1/_DC_SHORT between its terminals,
-    without 1/Rn (so the short's current is the JJ's bias), and
-    Ic*sin(phi) carries that current."""
+    its W row holds v(a) - v(b) at zero, so Ic*sin(phi) carries the JJ's
+    whole current."""
 
     cards = {
         DeviceKind.JJ: _Card("junction", "jj", {
@@ -261,24 +252,21 @@ class JosephsonModel(DeviceModel):
         g, c = 1.0 / self._param("rn"), self._param("cj")
         self.G = (_conductance(a, b, g + self.gmin),)
         self.C = (_conductance(a, b, c),)
-        self.DC = (_conductance(a, b, np.full(len(c), 1 / _DC_SHORT)),)
         self.angle = ((a, _WJ), (b, -_WJ))
         self.output = ((a, 1.0), (b, -1.0))
         self.probe = (("out", np.arange(len(g)), 1.0), ("x", a, g),
                       ("x", b, -g), ("xd", a, c), ("xd", b, -c))
-
-    def dc_output(self, xg):
-        return (xg[self.a] - xg[self.b]) / _DC_SHORT
 
 
 class PhaseSlipModel(DeviceModel):
     """QPSJs: the inductance Ls in series with Rn and the voltage
     Vc*sin(2*pi*q/2e) on the branch from node a to b, whose charge q is
     the integral of the branch current.  At DC a QPSJ is in Coulomb
-    blockade: its branch current is held at zero and its branch voltage
-    gives the initial charge.  A bank of m QPSJs in parallel is one row,
-    whose branch current is one member's: its KCL entries are +-m, and
-    its leak is m*gmin, as the m leaks of the members."""
+    blockade: its W row holds its branch current at zero, and its branch
+    voltage, Vc*sin(2*pi*q/2e), gives the initial charge.  A bank of m
+    QPSJs in parallel is one row, whose branch current is one member's:
+    its KCL entries are +-m, and its leak is m*gmin, as the m leaks of
+    the members."""
 
     cards = {DeviceKind.QPSJ: _Card("junction", "qpsj", {
         "vc": (units.VOLT, "positive"), "rn": (units.OHM, "positive"),
@@ -294,19 +282,11 @@ class PhaseSlipModel(DeviceModel):
         a, b, br, m = self.a, self.b, self.br, self.m
         vc, rn, l = (self._param(k) for k in ("vc", "rn", "ls"))
         self.amplitude = -vc
-        leak = _conductance(a, b, m * self.gmin)
-        self.G = (_incidence(a, b, br, rn, m), leak)
+        self.G = (_incidence(a, b, br, rn, m),
+                  _conductance(a, b, m * self.gmin))
         self.C = ((br, br, -l),)
-        # the KCL entries, then the branch row i = 0
-        self.DC = ((np.concatenate([a, b, br]), np.concatenate([br, br, br]),
-                    np.concatenate([m, -m, np.ones(len(m))])), leak)
         self.angle = ((br, _W),)
         self.output = ((br, 1.0),)
-
-    def dc_output(self, xg):
-        """Also sets the branch currents in xg to their blockade value 0."""
-        xg[self.br] = 0.0
-        return xg[self.b] - xg[self.a]
 
 
 _MODELS = (ResistorModel, CapacitorModel, CurrentSourceModel,
@@ -346,9 +326,9 @@ def build_models(circuits, gmin):
     """For each circuit of a batch (circuits of one topology), one model
     per device kind present, in the order of ``_MODELS`` (the engine sums
     their contributions in that order), with one row per bank (see
-    :func:`banks`); and the number N of unknowns, at DC as in a step:
-    the node voltages, then the branch currents of the ``branch`` kinds,
-    in that order."""
+    :func:`banks`); and the number N of unknowns of a step: the node
+    voltages, then the branch currents of the ``branch`` kinds, in that
+    order."""
     groups = [device_groups(c) for c in circuits]
     rows = [banks(cls, [g[j][1] for g in groups])
             for j, (cls, _) in enumerate(groups[0])]

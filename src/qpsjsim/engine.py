@@ -3,13 +3,14 @@
 Unknown vector layout: node voltages (mV) first, then branch currents
 (uA).  The device equations live in the models of :mod:`qpsjsim.devices`;
 this module scatters them with ``np.add.at`` into G @ x + C @ dx/dt +
-F_nl(x) = sources and integrates it: at DC (capacitors open, inductors
-and JJs shorted, QPSJs in Coulomb blockade, dx/dt = 0) to seed the
-junction angles, then per step by the one rule x_new = x + (h/k)*(dx/dt_new
-+ (k - 1)*dx/dt), trapezoidal (k = 2) or backward Euler (k = 1), and
-damped Newton iteration on S @ x_new + F_nl(x_new) - sources - C @ y,
-S = G + (k/h)*C.  As in SPICE's companion models, the step's history is
-one constant, y = (k/h)*x + (k - 1)*dx/dt, and dx/dt_new = (k/h)*x_new - y.
+F_nl(x) = sources and integrates it: at DC (dx/dt = 0, each junction's
+A * sin(theta) an unknown, and W @ x = 0: a JJ holds no voltage, a QPSJ
+passes no current) to seed the junction angles, then per step by the
+one rule x_new = x + (h/k)*(dx/dt_new + (k - 1)*dx/dt), trapezoidal
+(k = 2) or backward Euler (k = 1), and damped Newton iteration on
+S @ x_new + F_nl(x_new) - sources - C @ y, S = G + (k/h)*C.  As in
+SPICE's companion models, the step's history is one constant,
+y = (k/h)*x + (k - 1)*dx/dt, and dx/dt_new = (k/h)*x_new - y.
 Every junction obeys one sine law, F_nl = B @ (A * sin(theta)): its angle
 theta moves by W @ the unknowns' integral over the step, and its model
 declares only its row of W, its column of B and its amplitude A.  So a
@@ -119,8 +120,9 @@ class TimeGridError(EngineError):
 
 
 class ConvergenceError(EngineError):
-    """Newton gave up at time t on a step of size h (ps); worst names the
-    node or branch device with the largest residual."""
+    """Newton gave up at time t on a step of size h (ps), or DC found no
+    solution; worst names the node, branch device or (at DC) junction
+    with the largest residual."""
 
     def __init__(self, message, t=None, h=None, worst=None):
         self.t, self.h, self.worst = t, h, worst
@@ -362,43 +364,49 @@ class _System:
         return X
 
     def _worst(self, resid, amplitude=None):
-        """The node or branch device of the largest entry of resid; or,
-        where one of a variant's amplitudes is not finite, of the first row
-        its sine term enters: the NaN begins there, and B spreads it to
-        every row of the residual."""
+        """The node, branch device or (a DC residual's W rows) junction of
+        the largest entry of resid; or, where one of a variant's amplitudes
+        is not finite, of the first row its sine term enters: the NaN
+        begins there, and B spreads it to every row of the residual."""
         names = ([f"node {name!r}" for name in self.circuit.node_names]
                  + [f"device {name!r}" for m in self.models
-                    if m.branch for name in m.names])
+                    if m.branch for name in m.names]
+                 + [f"device {name!r}" for m in self.junctions
+                    for name in m.names])
         if amplitude is not None and not np.isfinite(amplitude).all():
             resid = ~np.isfinite(amplitude) @ (self._BT != 0.0)
         return names[int(np.argmax(np.abs(resid)))] if len(resid) else "node '?'"
 
     def seed_from_dc(self):
-        """Solve the static system, which every variant shares, on the
-        transient unknowns (each JJ's short is a conductance).  Returns the
-        unknowns it gives, with a ground slot, the state at t = 0 (one
-        row; dx/dt = 0, and A * sin(theta) what the solution asks of the
-        junctions), and the angles (one row per variant) that give those
-        outputs, or their windows' edges."""
-        n, N, M = self.n, self.N, self.N + 1
-        nodes = np.arange(n)
-        tie = (nodes, nodes, np.full(n, GMIN))  # keeps floating nodes defined
-        A = _matrix((M, M), [tie] + [e for m in self.models
-                                     for e in m.DC])[:N, :N]
+        """Solve the static system, which every variant shares: the step's
+        equation at dx/dt = 0, on the unknowns x and each junction's output
+        s = A * sin(theta), [[G + GMIN tie, B], [W, 0]] @ [x; s] =
+        [-u(0) @ F; 0].  Its W rows hold each JJ's voltage and each QPSJ's
+        current at zero.  Where a current is left free (parallel JJs, a
+        loop of JJs and inductors), the least-norm solution is taken.
+        Returns the unknowns, with a ground slot, the state at t = 0 (one
+        row; dx/dt = 0, and s), and the angles (one row per variant) that
+        give s, or their windows' edges."""
+        N, nj = self.N, self.A.shape[1]
+        D = np.block([[self._GT[:N].T, self._BN],
+                      [self._WN, np.zeros((nj, nj))]])
+        nodes = np.arange(self.n)
+        D[nodes, nodes] += GMIN  # the tie that keeps floating nodes defined
         u = self.sources(0.0)
-        b = -(u @ self._F)
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            x = None
-        if x is None or not np.all(np.isfinite(x)):
-            resid = A @ (np.zeros(N) if x is None else x) - b
-            worst = self._worst(resid[:n])
+        b = np.concatenate((-(u @ self._F), np.zeros(nj)))
+        if np.linalg.matrix_rank(D) == len(D):
+            z = np.linalg.solve(D, b)
+        else:
+            z = np.linalg.lstsq(D, b)[0]
+        # a solution leaves each row within the step's Newton tolerance, and
+        # each W row within what the tolerances of the unknowns give
+        resid = D @ z - b
+        if not np.all(np.abs(resid) <= np.concatenate(
+                (self._ftol, np.abs(self._WN) @ self._xtol))):
+            worst = self._worst(resid)
             raise ConvergenceError(f"DC operating point did not converge;"
                                    f" worst residual at {worst}", worst=worst)
-        x = np.concatenate((x, _GROUND))
-        out = np.concatenate([np.zeros(0)] + [m.dc_output(x)
-                                             for m in self.junctions])
+        x, out = np.concatenate((z[:N], _GROUND)), z[N:]
         ratio = out / self.A
         theta = np.concatenate([np.zeros((len(ratio), 0))] + [
             m.seed(ratio[:, self.cols[m]]) for m in self.junctions], axis=1)

@@ -313,7 +313,7 @@ def test_sim_dc_failure_is_convergence_error(tmp_path, capsys):
     net = _write(tmp_path, "t\nV1 n1 0 dc 1m\nV2 n1 0 dc 2m\nR1 n1 0 1k\n"
                            ".tran 1p 10p\n.end\n")
     assert main(["sim", str(net), "--out", str(tmp_path)]) == EXIT_CONVERGENCE
-    assert "'n1'" in capsys.readouterr().err
+    assert "device 'v2'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["sim", "NETLIST"], ["figure", "fig4a"]])

@@ -9,12 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpsjsim import devices, netlist
-from qpsjsim.devices import (_DC_SHORT, CapacitorModel, CurrentSourceModel,
-                             DeviceKind, InductorModel, JosephsonModel,
-                             PhaseSlipModel, ResistorModel, VoltageSourceModel,
+from qpsjsim.devices import (CapacitorModel, DeviceKind, InductorModel,
+                             JosephsonModel, PhaseSlipModel, ResistorModel,
                              damping_parameter)
-from qpsjsim.engine import _matrix
-from qpsjsim.netlist import GROUND, DeviceInstance
+from qpsjsim.engine import _matrix, _System, dc_operating_point
+from qpsjsim.netlist import GROUND, DeviceInstance, elaborate, parse_netlist
 from qpsjsim.units import PHI0, TWO_E
 
 
@@ -181,47 +180,54 @@ def test_static_parts_give_the_companion_stamps(h, trap):
     assert stamp(qp) == pytest.approx(branch(10.0 + k * 3.0 / h), rel=1e-15)
 
 
-def _dc(model, size):
-    """The DC matrix of a one-device model on size slots, the ground
-    slot last."""
-    return _matrix((size, size), model.DC).tolist()
+def _op(text):
+    return dc_operating_point(elaborate(parse_netlist(text)))
 
 
-def test_declared_dc_entries_by_kind():
-    # a capacitor is open: no entries
-    c = _model(CapacitorModel, DeviceKind.CAPACITOR, {"value": 3.0})
-    assert c.DC == ()
-    # a resistor and a voltage source: their G
-    r = _model(ResistorModel, DeviceKind.RESISTOR, {"value": 2.0})
-    assert r.DC is r.G and _dc(r, 2) == [[0.5, -0.5], [-0.5, 0.5]]
-    v = _model(VoltageSourceModel, DeviceKind.VSOURCE, {"dc": 1.0}, br=1)
-    assert v.DC is v.G
-    assert _dc(v, 3) == [[0, 1, 0], [1, 0, -1], [0, -1, 0]]
-    # an inductor: a short of -_DC_SHORT on its branch diagonal
-    ind = _model(InductorModel, DeviceKind.INDUCTOR, {"value": 3.0}, br=1)
-    assert _dc(ind, 3) == [[0, 1, 0], [1, -_DC_SHORT, -1], [0, -1, 0]]
-    # a JJ: the conductance 1/_DC_SHORT, without 1/Rn
-    jj = _model(JosephsonModel, DeviceKind.JJ,
-                {"ic": 200.0, "rn": 0.5, "cj": 3.0})
-    g = 1 / _DC_SHORT
-    assert _dc(jj, 2) == [[g, -g], [-g, g]]
-    # a current source: no entries at all
-    i = _model(CurrentSourceModel, DeviceKind.ISOURCE, {"dc": 1.0})
-    assert i.G == i.C == i.DC == ()
+# --- DC, one rule per circuit: the step's own equation at dx/dt = 0 ---------
+
+def test_dc_capacitor_is_open():
+    # C1 passes no current, so R2 carries none and n2 sits at ground; the
+    # GMIN tie takes 1e-9 of R1's current
+    op = _op("t\nIb 0 n1 dc 2u\nR1 n1 0 1k\nC1 n1 n2 1f\nR2 n2 0 1k\n"
+             ".tran 1p 10p\n.end\n")
+    assert op.node_voltages["n2"] == 0.0
+    assert op.branch_currents["c1"] == op.branch_currents["r2"] == 0.0
+    assert op.node_voltages["n1"] == pytest.approx(2.0, rel=1e-8)
 
 
-def test_qpsj_bank_dc_entries_hold_its_branch_current_at_zero():
-    # a bank of m = 3 QPSJs from node 0 to node 1, branch 2: KCL entries
-    # +-3, the branch row i = 0, and the leak 3*gmin across the nodes
-    devs = [DeviceInstance(DeviceKind.QPSJ, f"q{k}", (0, 1),
-                           {"vc": 0.7, "rn": 10.0, "ls": 3.0}) for k in range(3)]
-    qp = PhaseSlipModel(devs[:1], np.array([2]), gmin=0.25,
-                        members=[[d.name for d in devs]])
-    assert qp.m.tolist() == [3.0]
-    assert _dc(qp, 4) == [[0.75, -0.75, 3.0, 0.0],
-                          [-0.75, 0.75, -3.0, 0.0],
-                          [0.0, 0.0, 1.0, 0.0],
-                          [0.0, 0.0, 0.0, 0.0]]
+def test_dc_inductor_is_a_short():
+    op = _op("t\nV1 n1 0 dc 1m\nL1 n1 n2 10p\nR1 n2 0 1k\n"
+             ".tran 1p 10p\n.end\n")
+    assert op.node_voltages["n2"] == pytest.approx(1.0, rel=1e-12)
+    assert op.branch_currents["l1"] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_dc_jj_carries_its_whole_bias_at_zero_voltage():
+    # no voltage across J1, so R1 and the 1/Rn term carry nothing
+    op = _op("t\nIb 0 n1 dc 100u\njj J1 n1 0 ic=200u rn=5 cj=1f\nR1 n1 0 1k\n"
+             ".tran 1p 10p\n.end\n")
+    assert op.node_voltages["n1"] == pytest.approx(0.0, abs=1e-12)
+    assert op.branch_currents["j1"] == pytest.approx(100.0, rel=1e-12)
+    assert op.branch_currents["r1"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_dc_qpsj_bank_passes_no_current_and_holds_its_terminal_voltage():
+    # a bank of m = 3 QPSJs in blockade: no member passes current, so each
+    # one's Vc*sin(2*pi*q/2e) is the voltage across it
+    text = ("t\nVb n1 0 dc 0.35m\nR1 n1 n2 1k\n"
+            + "".join(f"qpsj Q{k} n2 0 vc=0.7m rn=10k ls=0.1n\n"
+                      for k in (1, 2, 3)) + ".tran 1p 10p\n.end\n")
+    (bank,) = _System([elaborate(parse_netlist(text))]).junctions
+    assert bank.m.tolist() == [3.0]
+    op = _op(text)
+    v = op.node_voltages["n2"]
+    assert v == pytest.approx(0.35, rel=1e-8)
+    for name in ("q1", "q2", "q3"):
+        assert op.branch_currents[name] == pytest.approx(0.0, abs=1e-12)
+        q = op.junction_states[name]
+        assert 0.7 * math.sin(2.0 * math.pi * q / TWO_E) == pytest.approx(
+            v, rel=1e-12)
 
 
 def test_commit_keeps_the_companion_current_of_the_converged_step():

@@ -2,11 +2,12 @@
 dynamics, convergence behavior and probe handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qpsjsim import engine
+from qpsjsim import cli, engine
 from qpsjsim.cli import EXIT_CONVERGENCE, main
 from qpsjsim.engine import (ConvergenceError, EngineError, TimeGridError,
                             WaveformSet, dc_operating_point, tran)
@@ -65,8 +66,8 @@ jj J1 n1 0 ic=200u rn=5 cj=1f
 
 
 def test_dc_parallel_jjs_split_their_bias_equally():
-    # two shorts of equal conductance share the 100 uA; each junction's
-    # t = 0 current adds its v/Rn, 5e-8 mV over 5 ohm
+    # the current between two parallel JJs is left free at DC; the
+    # least-norm solution shares the 100 uA equally, at no voltage
     op = dc_operating_point(_circ("""t
 Ib 0 n1 dc 100u
 jj J1 n1 0 ic=200u rn=5 cj=0.1p
@@ -75,14 +76,18 @@ jj J2 n1 0 ic=200u rn=5 cj=0.1p
 .end
 """))
     assert op.branch_currents["j1"] == op.branch_currents["j2"]
-    assert op.branch_currents["j1"] == pytest.approx(50.00001, rel=1e-12)
+    assert op.branch_currents["j1"] == pytest.approx(50.0, rel=1e-12)
     assert op.junction_states["j1"] == pytest.approx(math.asin(0.25),
                                                      rel=1e-6)
 
 
 def test_dc_superconducting_loop_is_nonsingular():
-    # J1 in parallel with L1 and J2 in series: each short is _DC_SHORT, so
-    # J1 takes two thirds of the bias and the loop the flux-free rest
+    # J1 in parallel with L1 and J2 in series: no JJ holds a voltage at DC,
+    # so the current around the loop is left free.  The least-norm
+    # solution gives J1 two thirds of the bias and the loop the rest.  It
+    # is not the flux-free split: by the fluxoid relation
+    # L*i_L = (Phi0/2pi)*(phi1 - phi2), that gives J1 87.2 uA and the loop
+    # 12.8 uA
     op = dc_operating_point(_circ("""t
 Ib 0 n1 dc 100u
 jj J1 n1 0 ic=200u rn=5 cj=0.1p
@@ -92,14 +97,16 @@ jj J2 n2 0 ic=200u rn=5 cj=0.1p
 .end
 """))
     currents = [op.branch_currents[name] for name in ("j1", "l1", "j2")]
-    assert currents == pytest.approx(
-        [66.66667999999999, 33.33333333333333, 33.333339999999986], rel=1e-9)
+    assert currents == pytest.approx([200 / 3, 100 / 3, 100 / 3], rel=1e-12)
 
 
 def test_dc_solves_the_transient_system(monkeypatch, figure_runs):
-    # a JJ's DC short is a conductance on its own entries: the DC matrix of
-    # fig8 has the transient unknowns, no branch rows of its own
+    # DC solves the step's own G, B and W, on the transient unknowns and
+    # each junction row's output: fig8's 46 unknowns and 16 outputs.
+    # Every figure's system has full rank, so LU solves it, once, and
+    # least squares never runs
     unknowns = figure_runs["fig8"].waves.stats["unknowns"]
+    netlists = {fig: figure_runs[fig].netlist for fig in cli._FIGURES}
     shapes = []
     solve = np.linalg.solve
 
@@ -107,10 +114,22 @@ def test_dc_solves_the_transient_system(monkeypatch, figure_runs):
         shapes.append(a.shape)
         return solve(a, b)
 
+    def lstsq(*args, **kwargs):
+        raise AssertionError("least squares on a figure's DC system")
+
     monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     with pytest.warns(RuntimeWarning):  # the neurons' bias, as in fig8
-        dc_operating_point(_circ(figure_runs["fig8"].netlist))
-    assert unknowns == 46 and shapes == [(46, 46)]
+        dc_operating_point(_circ(netlists["fig8"]))
+    assert unknowns == 46 and shapes == [(62, 62)]
+    for fig, netlist in netlists.items():
+        sys_ = engine._System([_circ(netlist)])
+        shapes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sys_.seed_from_dc()
+        size = sys_.N + sys_.A.shape[1]
+        assert shapes == [(size, size)], fig
 
 
 def test_dc_initial_states_respect_overrides():
@@ -157,15 +176,27 @@ jj J1 n1 0 ic=200u rn=5 cj=0
 """)
     with pytest.warns(RuntimeWarning):
         op = dc_operating_point(circ)
-    assert op.branch_currents["j1"] == pytest.approx(300.0, rel=1e-6)
+    assert op.branch_currents["j1"] == pytest.approx(300.0, rel=1e-12)
     with pytest.warns(RuntimeWarning):
         waves = tran(circ)
-    assert waves.channel("i(j1)")[0] == pytest.approx(300.0, rel=1e-6)
+    assert waves.channel("i(j1)")[0] == pytest.approx(300.0, rel=1e-12)
+
+
+def test_binary_synapse_mjj_rests_at_its_bias_until_the_first_pulse(
+        binary_on_run):
+    # the DC state is the transient's rest: J1 carries its whole 140 uA
+    # bias at t = 0, and nothing moves it before the input's first corner
+    p = binary_on_run.params
+    waves = binary_on_run.waves
+    before = waves.channel("i(j1)")[waves.time < p.pulse_delay * 1e12]
+    assert len(before) == 1000
+    assert before == pytest.approx(np.full(len(before), p.ib * 1e6), rel=1e-9)
 
 
 def test_dc_singular_system_names_node():
-    # two DC sources in parallel: no operating point exists
-    with pytest.raises(ConvergenceError, match="'n1'"):
+    # two DC sources in parallel: no operating point exists, and the
+    # residual names the source whose row it breaks
+    with pytest.raises(ConvergenceError, match="device 'v2'"):
         dc_operating_point(_circ("""t
 V1 n1 0 dc 1m
 V2 n1 0 dc 2m
