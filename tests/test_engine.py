@@ -206,6 +206,15 @@ R1 n1 0 1k
 """))
 
 
+def test_dc_names_a_junction_whose_row_holds_the_worst_residual():
+    # four 1 mV sources across a JJ, which holds no voltage at DC: the
+    # least-squares residual is largest on the JJ's own row
+    sources = "".join(f"V{k} n1 0 dc 1m\n" for k in range(1, 5))
+    with pytest.raises(ConvergenceError, match="device 'j1'"):
+        dc_operating_point(_circ(f"t\n{sources}jj J1 n1 0 ic=200u rn=5 cj=0\n"
+                                 ".tran 1p 10p\n.end\n"))
+
+
 # --- linear transients ------------------------------------------------------
 
 def test_rc_step_response_matches_analytic():
