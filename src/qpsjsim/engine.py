@@ -394,13 +394,9 @@ class _System:
         D[nodes, nodes] += GMIN  # the tie that keeps floating nodes defined
         u = self.sources(0.0)
         b = np.concatenate((-(u @ self._F), np.zeros(nj)))
-        # full rank where LU's inverse keeps the 1-norm condition below
+        # full rank where the 1-norm condition, from an LU inverse, is below
         # 1/eps; an SVD rank test would page in ~1 MB of LAPACK per process
-        try:
-            cond = np.linalg.norm(D, 1) * np.linalg.norm(np.linalg.inv(D), 1)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if cond < 1.0 / np.finfo(float).eps:
+        if np.linalg.cond(D, 1) < 1.0 / np.finfo(float).eps:
             z = np.linalg.solve(D, b)
         else:
             z = np.linalg.lstsq(D, b)[0]
